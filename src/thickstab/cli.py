@@ -15,9 +15,7 @@ Each run writes its data files plus a manifest.json that echoes the fully
 resolved configuration, the sha256 of the config file, and the sha256 of
 every emitted artifact. Identical configs produce byte-identical CSVs: all
 floats are written with repr, line endings are LF, and every randomized
-scenario takes an explicit seed. THICKSTAB_THREADS caps how many independent
-sweep points (the per-R estimates of the kovrijkine scenario) run
-concurrently; it never changes the output bytes.
+scenario takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import configparser
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -176,6 +173,17 @@ class _Scenario:
     blurb: str
     sections: dict
     run: object
+    field: str | None = None  # run-section prefix of the scenario's input field
+
+
+@dataclass(frozen=True)
+class _Inputs:
+    """What a scenario's [grid], [symbol], [mask] sections and field build."""
+
+    grid: object = None
+    F: object = None
+    mask: object = None
+    field: object = None
 
 
 def _hash_file(path: Path) -> str:
@@ -265,30 +273,28 @@ def _build_field(grid, rcfg: dict, prefix: str):
     return field_from_values(grid, vals), resolved
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("THICKSTAB_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw, 10)
-    except ValueError:
-        raise ValidationError(
-            f"THICKSTAB_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise ValidationError(
-            f"THICKSTAB_THREADS must be a positive integer, got {raw!r}")
-    return n
+def _build_inputs(spec: _Scenario, cfg: dict) -> _Inputs:
+    """Grid, symbol, mask and field, validated in that order; the field's
+    resolved keys are written back into cfg["run"]."""
+    grid = F = mask = field = None
+    if "grid" in spec.sections:
+        g = cfg["grid"]
+        grid = make_grid(g["dim"], g["extent"], g["points"])
+    if "symbol" in spec.sections:
+        F = _build_symbol(cfg["symbol"])
+    if "mask" in spec.sections:
+        mask = _build_mask(grid, cfg["mask"])
+    if spec.field is not None:
+        field, resolved = _build_field(grid, cfg["run"], spec.field)
+        cfg["run"].update(resolved)
+    return _Inputs(grid=grid, F=F, mask=mask, field=field)
 
 
 # ---------------------------------------------------------------- scenarios
 
 
-def _run_simulate(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    F = _build_symbol(cfg["symbol"])
-    f0, f0_resolved = _build_field(grid, cfg["run"], "f0")
-    cfg["run"].update(f0_resolved)
+def _run_simulate(cfg, inp, out):
+    grid, F, f0 = inp.grid, inp.F, inp.field
     T, rows = cfg["run"]["T"], cfg["run"]["snapshots"]
     if T <= 0:
         raise ValidationError(f"key 'run.T' must be positive, got {T}")
@@ -311,13 +317,8 @@ def _run_simulate(cfg, out):
             ["evolution.csv", "final.tsf"])
 
 
-def _run_stabilize(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    F = _build_symbol(cfg["symbol"])
-    mask = _build_mask(grid, cfg["mask"])
-    f0, f0_resolved = _build_field(grid, cfg["run"], "f0")
-    cfg["run"].update(f0_resolved)
+def _run_stabilize(cfg, inp, out):
+    F, mask, f0 = inp.F, inp.mask, inp.field
     run = cfg["run"]
     derived = {"mask_hash": mask_hash(mask)}
     C = run["C"]
@@ -348,16 +349,13 @@ def _run_stabilize(cfg, out):
     return derived, ["trajectory.csv"]
 
 
-def _run_observability(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    F = _build_symbol(cfg["symbol"])
-    mask = _build_mask(grid, cfg["mask"])
+def _run_observability(cfg, inp, out):
     run = cfg["run"]
-    probes = make_probe_set(grid, run["probes"], run["seed"],
+    probes = make_probe_set(inp.grid, run["probes"], run["seed"],
                             xi_fraction=run["xi_fraction"])
-    report = estimate_observability_constant(F, mask, run["T"], run["epsilon"],
-                                             probes, run["quadrature_steps"])
+    report = estimate_observability_constant(inp.F, inp.mask, run["T"],
+                                             run["epsilon"], probes,
+                                             run["quadrature_steps"])
     write_report_json(report, out / "report.json")
     with open(out / "probes.csv", "w", newline="") as fh:
         fh.write("index,center,frequency,width,lhs,obs_integral,required_C\n")
@@ -368,27 +366,23 @@ def _run_observability(cfg, out):
             fh.write(f"{r.index},{ctr},{frq},{float(p.width)!r},"
                      f"{float(r.lhs)!r},{float(r.obs_integral)!r},"
                      f"{float(r.required_C)!r}\n")
-    return ({"C_est": report.C_est, "mask_hash": mask_hash(mask)},
+    return ({"C_est": report.C_est, "mask_hash": mask_hash(inp.mask)},
             ["report.json", "probes.csv"])
 
 
-def _run_necessity(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    F = _build_symbol(cfg["symbol"])
-    mask = _build_mask(grid, cfg["mask"])
+def _run_necessity(cfg, inp, out):
     run = cfg["run"]
     centers = np.linspace(run["center_start"], run["center_stop"],
                           run["center_count"])
-    scan = necessity_probe_scan(F, mask, run["T"], run["epsilon"], run["C"],
-                                centers, run["width"],
+    scan = necessity_probe_scan(inp.F, inp.mask, run["T"], run["epsilon"],
+                                run["C"], centers, run["width"],
                                 run["quadrature_steps"])
     with open(out / "necessity.csv", "w", newline="") as fh:
         fh.write("center,required_C\n")
         for c, rc in zip(scan.centers, scan.required):
             fh.write(f"{float(c)!r},{float(rc)!r}\n")
     derived = {
-        "mask_hash": mask_hash(mask),
+        "mask_hash": mask_hash(inp.mask),
         "xi0": list(scan.xi0),
         "witness_index": scan.witness_index,
         "growth_ratio": (float(scan.required[-1] / scan.required[0])
@@ -397,16 +391,10 @@ def _run_necessity(cfg, out):
     return derived, ["necessity.csv"]
 
 
-def _run_negative_limit(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    F = _build_symbol(cfg["symbol"])
+def _run_negative_limit(cfg, inp, out):
     run = cfg["run"]
-    psi_cfg = dict(run)
-    psi, psi_resolved = _build_field(grid, psi_cfg, "psi")
-    cfg["run"].update(psi_resolved)
-    curve = negative_limit_experiment(F, psi, run["radius"], run["T0"],
-                                      run["h_ladder"],
+    curve = negative_limit_experiment(inp.F, inp.field, run["radius"],
+                                      run["T0"], run["h_ladder"],
                                       run["quadrature_steps"])
     with open(out / "curve.csv", "w", newline="") as fh:
         fh.write("h,constant,integral\n")
@@ -416,23 +404,20 @@ def _run_negative_limit(cfg, out):
             ["curve.csv"])
 
 
-def _run_qa(cfg, out):
-    F = _build_symbol(cfg["symbol"])
+def _run_qa(cfg, inp, out):
     run = cfg["run"]
     if run["k_max"] < 1:
         raise ValidationError(
             f"key 'run.k_max' must be >= 1, got {run['k_max']}")
-    seq = build_sequence(F, run["k_max"], run["scale"])
+    seq = build_sequence(inp.F, run["k_max"], run["scale"])
     write_moments_csv(seq, out / "moments.csv")
     return ({"ratio_bound": seq.ratio_bound,
              "dc_partial_sum": dc_partial_sum(seq, run["k_max"] + 1)},
             ["moments.csv"])
 
 
-def _run_thick_check(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    mask = _build_mask(grid, cfg["mask"])
+def _run_thick_check(cfg, inp, out):
+    mask = inp.mask
     run = cfg["run"]
     measured = thickness_certificate(mask, run["L"], run["stride"])
     claimed = mask.certificate[0] if mask.certificate else float("nan")
@@ -448,14 +433,9 @@ def _run_thick_check(cfg, out):
     return derived, ["mask.tsm", "thickness.csv"]
 
 
-def _run_cubes(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    F = _build_symbol(cfg["symbol"])
-    g, g_resolved = _build_field(grid, cfg["run"], "g")
-    cfg["run"].update(g_resolved)
+def _run_cubes(cfg, inp, out):
     run = cfg["run"]
-    rep = classify_cubes(g, F, run["T"], run["epsilon"], run["L"],
+    rep = classify_cubes(inp.field, inp.F, run["T"], run["epsilon"], run["L"],
                          run["beta_max"])
     write_cube_csv(rep, out / "cubes.csv")
     derived = {
@@ -469,15 +449,10 @@ def _run_cubes(cfg, out):
     return derived, ["cubes.csv"]
 
 
-def _run_synthesize(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    F = _build_symbol(cfg["symbol"])
-    mask = _build_mask(grid, cfg["mask"])
-    f0, f0_resolved = _build_field(grid, cfg["run"], "f0")
-    cfg["run"].update(f0_resolved)
+def _run_synthesize(cfg, inp, out):
+    grid, mask = inp.grid, inp.mask
     run = cfg["run"]
-    res = synthesize_control(f0, F, mask, run["T"], run["epsilon"],
+    res = synthesize_control(inp.field, inp.F, mask, run["T"], run["epsilon"],
                              slices=run["slices"], tol=run["tol"],
                              max_cg=run["max_cg"], penalty0=run["penalty0"],
                              max_penalty_steps=run["max_penalty_steps"])
@@ -500,22 +475,19 @@ def _run_synthesize(cfg, out):
     return derived, ["control.csv", "final.tsf"] + files
 
 
-def _run_kovrijkine(cfg, out):
-    grid = make_grid(cfg["grid"]["dim"], cfg["grid"]["extent"],
-                     cfg["grid"]["points"])
-    mask = _build_mask(grid, cfg["mask"])
+def _run_kovrijkine(cfg, inp, out):
     run = cfg["run"]
-    fit = kovrijkine_empirical(mask, run["R_ladder"], C_n=run["C_n"],
+    fit = kovrijkine_empirical(inp.mask, run["R_ladder"], C_n=run["C_n"],
                                trials=run["trials"],
                                iterations=run["iterations"],
-                               seed=run["seed"], workers=_thread_cap())
+                               seed=run["seed"])
     with open(out / "kovrijkine.csv", "w", newline="") as fh:
         fh.write("R,c_emp,log_c_emp\n")
         for r, c in zip(fit.R_values, fit.constants):
             fh.write(f"{float(r)!r},{float(c)!r},{float(math.log(c))!r}\n")
     derived = {"slope": fit.slope, "intercept": fit.intercept,
                "reference_slope": fit.reference_slope,
-               "mask_hash": mask_hash(mask)}
+               "mask_hash": mask_hash(inp.mask)}
     return derived, ["kovrijkine.csv"]
 
 
@@ -526,7 +498,7 @@ _SCENARIOS = {
          "run": {"T": _Key(_float, help="final time"),
                  "snapshots": _Key(_int, 129, "rows in evolution.csv"),
                  **_field_keys("f0", "initial data")}},
-        _run_simulate),
+        _run_simulate, "f0"),
     "stabilize": _Scenario(
         "closed-loop run of d_t f + F(|D|) f = -lambda 1_omega K_R f with "
         "Lyapunov records and a fitted decay rate",
@@ -542,7 +514,7 @@ _SCENARIOS = {
                  "iterations": _Key(_int, 200, "estimator iteration cap"),
                  "seed": _Key(_int, None, "estimator seed (required for auto)"),
                  **_field_keys("f0", "initial data")}},
-        _run_stabilize),
+        _run_stabilize, "f0"),
     "observability": _Scenario(
         "Gaussian-probe estimate of the constant in ||g||^2 <= "
         "C int_0^T ||e^{-tF} g||^2_omega dt + eps ||g||^2",
@@ -579,7 +551,7 @@ _SCENARIOS = {
                                   "comma-separated dilation ladder"),
                  "quadrature_steps": _Key(_int, 64, "time quadrature steps"),
                  **_field_keys("psi", "fixed profile")}},
-        _run_negative_limit),
+        _run_negative_limit, "psi"),
     "qa": _Scenario(
         "Bernstein moments M_k = sup_r r^k e^{-F(r)}: the sequence, its "
         "ratios, and the divergence partial sums",
@@ -603,7 +575,7 @@ _SCENARIOS = {
                  "L": _Key(_float, help="cube side length"),
                  "beta_max": _Key(_int, 3, "largest tested derivative order"),
                  **_field_keys("g", "field to classify")}},
-        _run_cubes),
+        _run_cubes, "g"),
     "synthesize": _Scenario(
         "piecewise-constant control h on omega steering ||f(T)|| below "
         "eps ||f0||, with its L^2(omega x [0,T]) cost",
@@ -616,7 +588,7 @@ _SCENARIOS = {
                  "penalty0": _Key(_float, 1.0, "initial penalty weight"),
                  "max_penalty_steps": _Key(_int, 12, "penalty ladder length"),
                  **_field_keys("f0", "initial data")}},
-        _run_synthesize),
+        _run_synthesize, "f0"),
     "kovrijkine": _Scenario(
         "growth of the band-restriction constant over an R ladder, fitted "
         "against the thick-set reference slope",
@@ -738,7 +710,8 @@ def _run(scenario: str, config_path: Path, out_dir: Path, sets: list) -> int:
     _apply_overrides(raw, sets)
     resolved = _resolve(scenario, raw)
     out_dir.mkdir(parents=True, exist_ok=True)
-    derived, files = _SCENARIOS[scenario].run(resolved, out_dir)
+    spec = _SCENARIOS[scenario]
+    derived, files = spec.run(resolved, _build_inputs(spec, resolved), out_dir)
     manifest = {
         "scenario": scenario,
         "config": _jsonable(resolved),

@@ -28,7 +28,8 @@ class ConvergenceError(NumericalError):
 
 
 class IntegrationError(NumericalError):
-    """Time integration produced a non-finite state."""
+    """Adaptive quadrature missed its error gate; step is the left edge of
+    the failing interval."""
 
     def __init__(self, message, step=None):
         super().__init__(message)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +65,13 @@ def _check_epsilon(epsilon: float) -> float:
     return float(epsilon)
 
 
-def _probe_curves(symbol, mask, T, steps, probe):
-    """March the probe through the semigroup; return (norm_g^2, lhs, integrand)."""
-    grid = mask.grid
-    c = to_coefficients(sample_probe(grid, probe))
-    e_step = semigroup_multiplier(grid, symbol, T / steps)
-    frac = mask.cell_fraction
-    box = grid.box_measure
-    g_sq = float(np.vdot(c, c).real) / box
+def _restricted_march(grid: Grid, c: np.ndarray, e_step: np.ndarray,
+                      frac: np.ndarray, steps: int) -> np.ndarray:
+    """Restricted squared norms ||e^{-k dt F} f||^2_omega for k = 0..steps.
+
+    c holds the coefficients of f and is advanced in place by the one-step
+    multiplier e_step, so it ends as the coefficients at the final time.
+    """
     integrand = np.empty(steps + 1)
     for k in range(steps + 1):
         if k > 0:
@@ -81,6 +79,17 @@ def _probe_curves(symbol, mask, T, steps, probe):
         vals = np.fft.ifftn(c) / grid.cell_measure
         integrand[k] = float(np.sum(frac * (vals.real**2 + vals.imag**2))) \
             * grid.cell_measure
+    return integrand
+
+
+def _probe_curves(symbol, mask, T, steps, probe):
+    """March the probe through the semigroup; return (norm_g^2, lhs, integrand)."""
+    grid = mask.grid
+    c = to_coefficients(sample_probe(grid, probe))
+    box = grid.box_measure
+    g_sq = float(np.vdot(c, c).real) / box
+    e_step = semigroup_multiplier(grid, symbol, T / steps)
+    integrand = _restricted_march(grid, c, e_step, mask.cell_fraction, steps)
     lhs = float(np.vdot(c, c).real) / box
     return g_sq, lhs, integrand
 
@@ -309,14 +318,9 @@ class KovrijkineFit:
 
 def kovrijkine_empirical(mask: SupportMask, R_ladder, C_n: float = 10.0,
                          trials: int = 4, iterations: int = 200,
-                         seed: int = 0, workers: int = 1) -> KovrijkineFit:
+                         seed: int = 0) -> KovrijkineFit:
     """Fit log C_emp = a + b R over an R ladder and report the certificate's
-    reference slope C_n * L * log(C_n / gamma) for comparison.
-
-    workers > 1 runs the per-R estimates concurrently; each R is an
-    independent task with its own estimator state, so the fit is identical
-    either way.
-    """
+    reference slope C_n * L * log(C_n / gamma) for comparison."""
     if mask.certificate is None:
         raise ValidationError(
             "mask carries no thickness certificate; build it with a "
@@ -327,18 +331,9 @@ def kovrijkine_empirical(mask: SupportMask, R_ladder, C_n: float = 10.0,
     R_values = tuple(float(r) for r in R_ladder)
     if len(R_values) < 2:
         raise ValidationError("need at least two R values to fit a slope")
-    if not (isinstance(workers, (int, np.integer)) and workers >= 1):
-        raise ValidationError(f"workers must be a positive integer, got {workers}")
-
-    def one(r):
-        return estimate_spectral_constant(mask, r, trials=trials,
-                                          iterations=iterations, seed=seed)
-
-    if workers == 1 or len(R_values) == 1:
-        consts = tuple(one(r) for r in R_values)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(R_values))) as ex:
-            consts = tuple(ex.map(one, R_values))
+    consts = tuple(estimate_spectral_constant(mask, r, trials=trials,
+                                              iterations=iterations, seed=seed)
+                   for r in R_values)
     slope, intercept = np.polyfit(np.array(R_values), np.log(consts), 1)
     ref = C_n * L * math.log(C_n / gamma)
     return KovrijkineFit(R_values=R_values, constants=consts,
@@ -666,17 +661,10 @@ def negative_limit_experiment(F: MultiplierSymbol, psi: SpectralField,
     constants, integrals, rows = [], [], []
     for h in h_values:
         omega = make_ball_complement(grid, radius / h)
-        frac = omega.cell_fraction
         e_step = semigroup_multiplier(grid, F, T0 / quadrature_steps,
                                       freq_scale=1.0 / h)
-        c = c_psi.copy()
-        integrand = np.empty(quadrature_steps + 1)
-        for k in range(quadrature_steps + 1):
-            if k > 0:
-                c *= e_step
-            vals = np.fft.ifftn(c) / grid.cell_measure
-            integrand[k] = float(np.sum(frac * (vals.real**2 + vals.imag**2))) \
-                * grid.cell_measure
+        integrand = _restricted_march(grid, c_psi.copy(), e_step,
+                                      omega.cell_fraction, quadrature_steps)
         integral = float(np.trapezoid(integrand, times))
         integrals.append(integral)
         constants.append(psi_sq / integral if integral > 0 else math.inf)

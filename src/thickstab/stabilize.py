@@ -133,19 +133,23 @@ def _band_indices(grid: Grid, R: float) -> np.ndarray:
 
 
 def _band_gram(grid: Grid, frac: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Dense matrix of w -> gather(fftn(frac * ifftn(embed(w)))) on the band."""
+    """Dense matrix of w -> gather(fftn(frac * ifftn(embed(w)))) on the band.
+
+    Entry (a, b) is frac_hat(k_a - k_b) / N^dim, frac_hat being the plain
+    DFT of the cell fractions, so one transform of the mask fills the matrix.
+    Gathering row by row keeps the index arrays to one row; a one-shot
+    gather would hold n x n index arrays as large as the matrix.
+    """
     n = len(idx)
     if n > 2048:
         raise ValidationError(
             f"frequency band below R holds {n} modes; the dense feedback "
             "matrix is capped at 2048 (lower R or coarsen the grid)")
+    fhat = np.fft.fftn(frac) / frac.size
+    ks = np.unravel_index(idx, grid.shape)
     out = np.empty((n, n), dtype=complex)
-    z = np.zeros(grid.shape, dtype=complex)
-    flat = z.reshape(-1)
-    for j in range(n):
-        flat[idx[j]] = 1.0
-        out[:, j] = np.fft.fftn(frac * np.fft.ifftn(z)).reshape(-1)[idx]
-        flat[idx[j]] = 0.0
+    for a in range(n):
+        out[a] = fhat[tuple((k[a] - k) % grid.points for k in ks)]
     return out
 
 
@@ -193,7 +197,7 @@ def estimate_spectral_constant(mask: SupportMask, R: float, trials: int = 4,
     if mask.total_measure <= 0:
         raise ValidationError("support has measure zero; no spectral constant")
     grid = mask.grid
-    xi_max = math.pi * grid.points / grid.extent
+    xi_max = grid.xi_max
     if not (0 < R <= xi_max):
         raise ValidationError(
             f"R must lie in (0, pi N / extent] = (0, {xi_max}], got {R}")

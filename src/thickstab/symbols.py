@@ -39,6 +39,10 @@ class MultiplierSymbol:
             raise ValidationError(f"unknown symbol family {self.family!r}")
         if not (np.isfinite(self.r_cap) and self.r_cap > 0):
             raise ValidationError(f"r_cap must be positive and finite, got {self.r_cap}")
+        if self.family == "custom":
+            object.__setattr__(self, "_nodes", (
+                np.array([q[0] for q in self.table]),
+                np.array([q[1] for q in self.table])))
 
     # -- evaluation --------------------------------------------------------
 
@@ -73,9 +77,7 @@ class MultiplierSymbol:
             (mu,) = self.params
             return self.base._raw(r) - mu
         # custom: piecewise linear, flat beyond the table (np.interp clamps)
-        xs = np.array([q[0] for q in self.table])
-        ys = np.array([q[1] for q in self.table])
-        return np.interp(r, xs, ys)
+        return np.interp(r, *self._nodes)
 
     # -- metadata used by the experiments ----------------------------------
 

@@ -24,15 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid, make_grid
+from .grid import Grid, _readonly, make_grid
 
 _TSM1_MAGIC = b"TSM1"
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

@@ -437,17 +437,10 @@ f0_mode = 3
     assert outputs["final.tsf"] == sha256(out / "final.tsf")
 
 
-def test_kovrijkine_thread_cap(tmp_path, monkeypatch):
+def test_kovrijkine_cli(tmp_path):
     cfg = write_cfg(tmp_path, KOV_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.delenv("THICKSTAB_THREADS", raising=False)
     assert main(["kovrijkine", "--config", str(cfg), "--out", str(out1)]) == 0
-    monkeypatch.setenv("THICKSTAB_THREADS", "3")
     assert main(["kovrijkine", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "kovrijkine.csv").read_bytes() == (out2 / "kovrijkine.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
-
-    monkeypatch.setenv("THICKSTAB_THREADS", "zero")
-    assert main(["kovrijkine", "--config", str(cfg), "--out", str(out2)]) == 2
-    monkeypatch.setenv("THICKSTAB_THREADS", "0")
-    assert main(["kovrijkine", "--config", str(cfg), "--out", str(out2)]) == 2

@@ -196,7 +196,7 @@ def test_necessity_scan_validation():
         necessity_probe_scan(constant(5.0), mask, 0.5, 0.25, 1.0, [7.0], 0.7)
 
 
-def test_kovrijkine_growth_and_workers():
+def test_kovrijkine_growth():
     g = make_grid(1, 16.0, 256)
     mask = make_periodic_thick(g, 1.0, 0.5)
     fit = kovrijkine_empirical(mask, (2.0, 4.0, 8.0), C_n=10.0)
@@ -206,9 +206,6 @@ def test_kovrijkine_growth_and_workers():
     assert bool(np.all(np.diff(logs) >= 0))
     assert fit.slope > 0
     assert abs(fit.reference_slope - 10.0 * 1.0 * math.log(20.0)) < 1e-12
-    threaded = kovrijkine_empirical(mask, (2.0, 4.0, 8.0), C_n=10.0, workers=3)
-    assert threaded.constants == fit.constants
-    assert threaded.slope == fit.slope
 
     bare = SupportMask(grid=g, cell_fraction=mask.cell_fraction,
                        certificate=None, spec=None)
@@ -218,8 +215,6 @@ def test_kovrijkine_growth_and_workers():
         kovrijkine_empirical(mask, (2.0, 4.0), C_n=1.0)
     with pytest.raises(ValidationError):
         kovrijkine_empirical(mask, (2.0,))
-    with pytest.raises(ValidationError):
-        kovrijkine_empirical(mask, (2.0, 4.0), workers=0)
 
 
 def test_cubes_pure_cosine_all_bad():
