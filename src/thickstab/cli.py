@@ -510,8 +510,8 @@ _SCENARIOS = {
                  "dt": _Key(_float, None, "time step (default: stability cap)"),
                  "snapshot_every": _Key(_int, 0, "coefficient snapshot stride"),
                  "csv_stride": _Key(_int, 0, "CSV row stride (0 = auto)"),
-                 "trials": _Key(_int, 4, "estimator restarts for C = auto"),
-                 "iterations": _Key(_int, 200, "estimator iteration cap"),
+                 "trials": _Key(_int, 4, "no effect (the eigensolve is dense)"),
+                 "iterations": _Key(_int, 200, "no effect (the eigensolve is dense)"),
                  "seed": _Key(_int, None, "estimator seed (required for auto)"),
                  **_field_keys("f0", "initial data")}},
         _run_stabilize, "f0"),
@@ -596,8 +596,8 @@ _SCENARIOS = {
          "run": {"R_ladder": _Key(_floats, (2.0, 4.0, 8.0, 16.0),
                                   "comma-separated radii"),
                  "C_n": _Key(_float, 10.0, "reference-slope constant"),
-                 "trials": _Key(_int, 4, "estimator restarts per R"),
-                 "iterations": _Key(_int, 200, "estimator iteration cap"),
+                 "trials": _Key(_int, 4, "no effect (the eigensolve is dense)"),
+                 "iterations": _Key(_int, 200, "no effect (the eigensolve is dense)"),
                  "seed": _Key(_int, help="estimator seed")}},
         _run_kovrijkine),
 }

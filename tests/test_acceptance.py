@@ -153,7 +153,7 @@ def test_criterion_07_scaling_inequality():
 
 
 def test_criterion_08_stabilization_certificate():
-    # the long run: ~1.2M steps at dt = 0.1/lam, about two minutes
+    # the long run: ~1.2M steps at dt = 0.1/lam, about a minute
     g = make_grid(1, 16.0, 1024)
     mask = make_periodic_thick(g, 1.0, 0.5)
     F = halfheat()
@@ -232,7 +232,7 @@ def test_criterion_10_spectral_constant_oracle():
     rel = abs(est - dense) / dense
     box = estimate_spectral_constant(make_full(g), 8.0, seed=0)
     _verdict(10, rel <= 1e-8 and abs(box - 1.0) <= 1e-10,
-             f"{n}-mode band: inverse iteration vs dense {rel:.3e}, "
+             f"{n}-mode band: dense eigensolve vs entrywise oracle {rel:.3e}, "
              f"full box {box!r}")
 
 

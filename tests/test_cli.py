@@ -437,6 +437,44 @@ f0_mode = 3
     assert outputs["final.tsf"] == sha256(out / "final.tsf")
 
 
+RANDOM_MASK = """\
+[grid]
+extent = 16.0
+points = 1024
+
+[mask]
+kind = random
+gamma = 0.3
+L = 2.0
+seed = 0
+"""
+
+
+def test_random_mask_auto_constant_cli(tmp_path):
+    # an iterative estimate of this support's constant stalled, and both
+    # scenarios exited 3; the dense eigensolve is exact
+    stab = write_cfg(tmp_path, RANDOM_MASK + """
+[symbol]
+family = halfheat
+
+[run]
+R = 2.0
+T = 0.5
+seed = 0
+""", "stab.ini")
+    assert main(["stabilize", "--config", str(stab), "--out",
+                 str(tmp_path / "stab")]) == 0
+    manifest = json.loads((tmp_path / "stab" / "manifest.json").read_text())
+    assert abs(manifest["derived"]["c_emp"] - 1.9502850044670685) < 1e-10
+    kov = write_cfg(tmp_path, RANDOM_MASK + """
+[run]
+R_ladder = 2.0, 4.0
+seed = 0
+""", "kov.ini")
+    assert main(["kovrijkine", "--config", str(kov), "--out",
+                 str(tmp_path / "kov")]) == 0
+
+
 def test_kovrijkine_cli(tmp_path):
     cfg = write_cfg(tmp_path, KOV_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,7 +1,7 @@
 """Closed-loop stabilization: gains, spectral constants, stepping, Lyapunov decay.
 
 The spectral-constant oracle is a dense band matrix built with explicit loops
-and eigvalsh, independent of the FFT-based inverse iteration in the package.
+and eigvalsh, independent of the package's closed-form Gram gather.
 The stepping oracle is the commuting full-box case, where the feedback is
 exactly lam K_R and every mode evolves by a scalar exponential.
 """
@@ -22,7 +22,8 @@ from thickstab.stabilize import (FeedbackConfig, StabilizationResult,
                                  run_stabilization, step_closed_loop,
                                  write_trajectory_csv)
 from thickstab.symbols import constant, halfheat, shifted
-from thickstab.thick import (SupportMask, make_full, make_periodic_thick)
+from thickstab.thick import (SupportMask, make_full, make_periodic_thick,
+                             make_random_thick)
 
 
 def dense_spectral_constant(mask, R):
@@ -129,8 +130,46 @@ def test_spectral_constant_validation():
                         certificate=None, spec=None)
     with pytest.raises(ValidationError, match="measure zero"):
         estimate_spectral_constant(empty, 4.0)
-    with pytest.raises(ConvergenceError):
-        estimate_spectral_constant(mask, 4.0, iterations=0)
+    # all 128 modes of the grid against 64 support cells: no finite constant
+    with pytest.raises(ConvergenceError, match="128 modes.*only 64 grid cells"):
+        estimate_spectral_constant(mask, g.xi_max)
+    # enough cells, but on the line x = 0 the modes (-1, 0), (0, 0), (1, 0)
+    # coincide, so the 5-mode band Gram is singular all the same
+    g2 = make_grid(2, 16.0, 16)
+    line = np.zeros(g2.shape)
+    line[0] = 1.0
+    with pytest.raises(NumericalError, match="singular"):
+        estimate_spectral_constant(
+            SupportMask(grid=g2, cell_fraction=line, certificate=None,
+                        spec=None), 0.5)
+
+
+@pytest.mark.parametrize("dim, points, kind, R, want", [
+    (1, 1024, "random", 2.0, 1.9502850044670685),
+    (1, 1024, "random", 4.0, 2.12046703015224),
+    (2, 64, "random", 2.0, 2.1369362429225416),
+    (2, 64, "random", 4.0, 4.00654450737958),
+    (2, 128, "periodic", 8.0, 12.986092628883558),
+])
+def test_spectral_constant_former_stalls(dim, points, kind, R, want):
+    # supports on which an inverse power iteration stalled (clustered
+    # sigma_min); the dense eigensolve has no convergence to lose
+    g = make_grid(dim, 16.0, points)
+    mask = (make_random_thick(g, 2.0, 0.3, 0) if kind == "random"
+            else make_periodic_thick(g, 1.0, 0.5))
+    assert abs(estimate_spectral_constant(mask, R) - want) < 1e-10 * want
+
+
+@pytest.mark.parametrize("kind, cells", [("periodic", 1024), ("random", 1280)])
+def test_spectral_constant_rank_deficient_band(kind, cells):
+    # the R = 8 band of a 64^2 grid holds 1305 modes, more than the support
+    # has cells, so the band Gram matrix is singular at this resolution
+    g = make_grid(2, 16.0, 64)
+    mask = (make_random_thick(g, 2.0, 0.3, 0) if kind == "random"
+            else make_periodic_thick(g, 1.0, 0.5))
+    with pytest.raises(ConvergenceError,
+                       match=f"1305 modes.*only {cells} grid cells.*rank-deficient"):
+        estimate_spectral_constant(mask, 8.0)
 
 
 def test_lyapunov_closed_form():
