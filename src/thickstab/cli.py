@@ -69,10 +69,6 @@ def _floats(raw: str) -> tuple:
     return tuple(_float(t) for t in toks)
 
 
-def _str(raw: str) -> str:
-    return raw.strip()
-
-
 def _choice(*options):
     def convert(raw: str) -> str:
         v = raw.strip()
@@ -323,13 +319,7 @@ def _run_stabilize(cfg, inp, out):
     derived = {"mask_hash": mask_hash(mask)}
     C = run["C"]
     if C == "auto":
-        if run["seed"] is None:
-            raise ValidationError(
-                "key 'run.seed' is required when run.C = auto (the spectral "
-                "constant estimate is randomized)")
-        c_emp = estimate_spectral_constant(mask, run["R"], trials=run["trials"],
-                                           iterations=run["iterations"],
-                                           seed=run["seed"])
+        c_emp = estimate_spectral_constant(mask, run["R"])
         C = calibrate_constant(c_emp, run["R"])
         derived["c_emp"] = c_emp
     fb = design_feedback(F, run["R"], C)
@@ -477,10 +467,7 @@ def _run_synthesize(cfg, inp, out):
 
 def _run_kovrijkine(cfg, inp, out):
     run = cfg["run"]
-    fit = kovrijkine_empirical(inp.mask, run["R_ladder"], C_n=run["C_n"],
-                               trials=run["trials"],
-                               iterations=run["iterations"],
-                               seed=run["seed"])
+    fit = kovrijkine_empirical(inp.mask, run["R_ladder"], C_n=run["C_n"])
     with open(out / "kovrijkine.csv", "w", newline="") as fh:
         fh.write("R,c_emp,log_c_emp\n")
         for r, c in zip(fit.R_values, fit.constants):
@@ -512,7 +499,7 @@ _SCENARIOS = {
                  "csv_stride": _Key(_int, 0, "CSV row stride (0 = auto)"),
                  "trials": _Key(_int, 4, "no effect (the eigensolve is dense)"),
                  "iterations": _Key(_int, 200, "no effect (the eigensolve is dense)"),
-                 "seed": _Key(_int, None, "estimator seed (required for auto)"),
+                 "seed": _Key(_int, None, "no effect (the eigensolve is dense)"),
                  **_field_keys("f0", "initial data")}},
         _run_stabilize, "f0"),
     "observability": _Scenario(
@@ -598,7 +585,7 @@ _SCENARIOS = {
                  "C_n": _Key(_float, 10.0, "reference-slope constant"),
                  "trials": _Key(_int, 4, "no effect (the eigensolve is dense)"),
                  "iterations": _Key(_int, 200, "no effect (the eigensolve is dense)"),
-                 "seed": _Key(_int, help="estimator seed")}},
+                 "seed": _Key(_int, 0, "no effect (the eigensolve is dense)")}},
         _run_kovrijkine),
 }
 

@@ -11,10 +11,11 @@ at least the spectral constant of the support, giving
 
 Time stepping is Strang splitting: exact multiplier half-steps around a
 classical 4-stage update of the bounded feedback part. Because the feedback
-sees only the K_R band, its 4-stage update collapses to one precomputed
-band matrix, whatever the stage count; for small N * n the two
-half-multipliers fold into it as well, so a step is one matrix-vector
-product.
+sees only the K_R band, its 4-stage update is a degree-4 polynomial in the
+band Gram matrix. For small N * n that polynomial and the two
+half-multipliers fold into one precomputed matrix, so a step is one
+matrix-vector product; larger bands apply the four stages through the FFT,
+with no band matrix at all.
 """
 
 from __future__ import annotations
@@ -25,16 +26,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .grid import (Grid, SpectralField, apply_semigroup, from_coefficients,
-                   semigroup_multiplier, to_coefficients)
+from .grid import (Grid, SpectralField, apply_semigroup, ball_multiplier,
+                   from_coefficients, semigroup_multiplier, to_coefficients)
 from .symbols import MultiplierSymbol, alpha_R as tail_inf
 from .thick import SupportMask
 
 _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
 # Up to this many entries N * n a closed-loop step is one dense matrix-vector
-# product; beyond it the two-FFT step is faster (2-core x86, 1 BLAS thread:
-# N * n = 83k takes 33 against 50 us per step, 167k takes 102 against 55 us).
-_DENSE_STEP_MAX = 2 ** 17
+# product; beyond it the four-FFT-pair step is faster. Dense against
+# matrix-free, us per step (2-core x86, 1 BLAS thread, forward order):
+#   N * n     N = 1024      N = 64^2      N = 128^2
+#   2^16      23 / 164      78 / 582     125 / 2329
+#   2^17      80 / 192     159 / 553     227 / 2001
+#   2^18     181 / 177     226 / 520     357 / 1559
+#   2^19     363 / 187     416 / 580     596 / 1491
+#   2^20     623 / 170     712 / 393     866 / 1584
+#   2^21         -        1419 / 409    1641 / 1970
+#   2^22         -        2833 / 471    3097 / 1537
+# The crossover moves from about 2^18 (N = 1024) to 2^19.5 (N = 64^2);
+# 2^19 keeps the loss on either side of it under 1.5x for those grids.
+_DENSE_STEP_MAX = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -165,27 +176,30 @@ def _band_gram(grid: Grid, frac: np.ndarray, idx: np.ndarray) -> np.ndarray:
     n = len(idx)
     if n > 2048:
         raise ValidationError(
-            f"frequency band below R holds {n} modes; the dense feedback "
-            "matrix is capped at 2048 (lower R or coarsen the grid)")
+            f"frequency band below R holds {n} modes; the dense band Gram "
+            "of the spectral-constant eigensolve is capped at 2048 (lower R "
+            "or coarsen the grid)")
     return _gram_columns(grid, frac, idx, rows=idx)
 
 
-def _inject(frac: np.ndarray, idx: np.ndarray, c: np.ndarray,
-            adjoint: bool = False) -> np.ndarray:
-    """The feedback without its gain, by one FFT pair: 1_omega K_R c, or
-    K_R 1_omega c in the adjoint order, as a coefficient array."""
-    z = np.zeros_like(c)
-    if adjoint:
-        z.reshape(-1)[idx] = np.fft.fftn(frac * np.fft.ifftn(c)).reshape(-1)[idx]
-        return z
-    z.reshape(-1)[idx] = c.reshape(-1)[idx]
-    return np.fft.fftn(frac * np.fft.ifftn(z))
+def _mask_form(frac: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """1_omega (the cell fractions) on a coefficient array: one FFT pair."""
+    return np.fft.fftn(frac * np.fft.ifftn(c))
 
 
 def _apply_band_gram(grid: Grid, frac: np.ndarray, idx: np.ndarray,
                      w: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Band Gram times w by one FFT pair; z must be zero off the band."""
     z.reshape(-1)[idx] = w
-    return _inject(frac, idx, z).reshape(-1)[idx]
+    return _mask_form(frac, z).reshape(-1)[idx]
+
+
+def _stages(v: np.ndarray, apply_gram, coeffs) -> np.ndarray:
+    """sum_j coeffs[j] G^j v by Horner, with G applied by apply_gram."""
+    out = coeffs[-1] * v
+    for a in coeffs[-2::-1]:
+        out = apply_gram(out) + a * v
+    return out
 
 
 def estimate_spectral_constant(mask: SupportMask, R: float, trials: int = 4,
@@ -236,7 +250,7 @@ def lyapunov(f: SpectralField, cfg: FeedbackConfig) -> float:
 class _Stepper:
     """One Strang step on raw FFT coefficient arrays.
 
-    half-multiplier, then c += 1_omega K_R Q gather(c) (_inject), then
+    half-multiplier, then c += 1_omega K_R Q gather(c), then
     half-multiplier again. Q is the degree-4 stability polynomial
     sum_{j=1..4} (-dt lam)^j / j! A^{j-1} of the band Gram A, which is exactly
     what four explicit stages produce for this linear bounded part. With the
@@ -245,15 +259,14 @@ class _Stepper:
     When N * n <= _DENSE_STEP_MAX the whole step is one precomputed matrix:
     c <- e_full c + P c_band with P = E_half G Q E_half,band (N x n), or
     c_band += A c with A = E_half,band Q G^H E_half (n x N) in the adjoint
-    order, G being the band columns of the mask form. Larger bands keep the
-    FFT step, whose cost does not grow with n.
+    order, G being the band columns of the mask form. Larger bands apply Q
+    by Horner with A applied through the FFT, so a step is four FFT pairs
+    and the set-up holds only arrays of the grid's size.
     """
 
     def __init__(self, grid: Grid, symbol: MultiplierSymbol, mask: SupportMask,
                  cfg: FeedbackConfig | None, dt: float,
                  adjoint_order: bool = False):
-        self.grid = grid
-        self.dt = float(dt)
         self.lam = 0.0 if cfg is None else cfg.lam
         self.adjoint = bool(adjoint_order)
         self.op = None
@@ -262,30 +275,25 @@ class _Stepper:
                 raise ValidationError(
                     f"dt = {dt} exceeds dt_max = {cfg.dt_max} for lam = {cfg.lam}")
             self.e_half = semigroup_multiplier(grid, symbol, 0.5 * dt)
-            self.e_full = self.e_half * self.e_half
-            self.idx = _band_indices(grid, cfg.R)
-            self.frac = mask.cell_fraction
-            gram = _band_gram(grid, self.frac, self.idx)
-            q = np.zeros_like(gram)
-            power = np.eye(len(self.idx), dtype=complex)
-            coeff = 1.0
-            for j in range(1, 5):
-                coeff *= (-dt * self.lam) / j
-                q += coeff * power
-                if j < 4:
-                    power = power @ gram
-            if self.frac.size * len(self.idx) <= _DENSE_STEP_MAX:
+            self.idx = idx = _band_indices(grid, cfg.R)
+            self.frac = frac = mask.cell_fraction
+            self.coeffs = np.cumprod([-dt * self.lam / j for j in range(1, 5)])
+            if frac.size * len(idx) <= _DENSE_STEP_MAX:
+                self.e_full = self.e_half * self.e_half
+                gram = _band_gram(grid, frac, idx)
+                q = _stages(np.eye(len(idx), dtype=complex),
+                            lambda w: gram @ w, self.coeffs)
                 e = self.e_half.reshape(-1)
-                cols = _gram_columns(grid, self.frac, self.idx)
+                cols = _gram_columns(grid, frac, idx)
                 if self.adjoint:
-                    self.op = e[self.idx, None] * (q @ cols.conj().T) * e
-                    self.reads, self.writes = slice(None), self.idx
+                    self.op = e[idx, None] * (q @ cols.conj().T) * e
+                    self.reads, self.writes = slice(None), idx
                 else:
-                    self.op = e[:, None] * (cols @ q) * e[self.idx]
-                    self.reads, self.writes = self.idx, slice(None)
+                    self.op = e[:, None] * (cols @ q) * e[idx]
+                    self.reads, self.writes = idx, slice(None)
             else:
-                self.q = q
-                self.z = np.zeros(grid.shape, dtype=complex)
+                self.z = z = np.zeros(grid.shape, dtype=complex)
+                self.gram = lambda w: _apply_band_gram(grid, frac, idx, w, z)
         else:
             self.e_full = semigroup_multiplier(grid, symbol, dt)
 
@@ -300,11 +308,12 @@ class _Stepper:
         else:
             c *= self.e_half
             if self.adjoint:
-                v = _inject(self.frac, self.idx, c, adjoint=True)
-                flat[self.idx] += self.q @ v.reshape(-1)[self.idx]
+                v = _mask_form(self.frac, c).reshape(-1)[self.idx]
+                flat[self.idx] += _stages(v, self.gram, self.coeffs)
             else:
-                self.z.reshape(-1)[self.idx] = self.q @ flat[self.idx]
-                c += _inject(self.frac, self.idx, self.z)
+                self.z.reshape(-1)[self.idx] = _stages(flat[self.idx],
+                                                       self.gram, self.coeffs)
+                c += _mask_form(self.frac, self.z)
             c *= self.e_half
         return c
 
@@ -454,14 +463,16 @@ def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
     rhs = semigroup_multiplier(grid, F, T) * c0
     lam = 0.0 if cfg is None else cfg.lam
     if lam > 0:
-        idx = _band_indices(grid, cfg.R)
+        band, frac = ball_multiplier(grid, cfg.R), mask.cell_fraction
         acc = np.zeros(grid.shape, dtype=complex)
         w = np.empty(len(ts))
         w[0] = 0.5 * (ts[1] - ts[0])
         w[-1] = 0.5 * (ts[-1] - ts[-2])
         w[1:-1] = 0.5 * (ts[2:] - ts[:-2])
         for wi, (t, ck) in zip(w, snaps):
-            b = _inject(mask.cell_fraction, idx, lam * ck, result.adjoint_order)
+            # 1_omega K_R, or K_R 1_omega in the adjoint order
+            b = (band * _mask_form(frac, lam * ck) if result.adjoint_order
+                 else _mask_form(frac, lam * ck * band))
             acc += wi * semigroup_multiplier(grid, F, T - t) * b
         rhs -= acc
     num = np.linalg.norm((cT - rhs).ravel())

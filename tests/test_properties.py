@@ -1,21 +1,25 @@
 """Property checks on random grids, masks and radii (hypothesis).
 
 The closed-form band Gram must act like the FFT-applied mask form on the
-band, the closed-loop stepper (dense or FFT) must agree with a Strang step
-written out from that form, and the restricted-norm march must agree with a
-plain per-step loop through the public field functions.
+band, the closed-loop stepper (dense or matrix-free) must agree with a
+Strang step written out from that form, and the restricted-norm march must
+agree with a plain per-step loop through the public field functions. The
+coefficient transform must keep Parseval's identity, and the semigroup
+multipliers must compose.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thickstab.grid import (from_coefficients, make_grid, restricted_norm,
-                            semigroup_multiplier)
+from thickstab.grid import (field_from_values, from_coefficients, make_grid,
+                            norm, restricted_norm, semigroup_multiplier,
+                            to_coefficients)
 from thickstab.observe import _restricted_march
 from thickstab.stabilize import (_DENSE_STEP_MAX, FeedbackConfig, _Stepper,
                                  _apply_band_gram, _band_gram, _band_indices)
-from thickstab.symbols import fractional, halfheat
+from thickstab.symbols import (constant, fractional, halfheat, iterated,
+                               loglog, saturating)
 from thickstab.thick import SupportMask
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -75,12 +79,15 @@ def test_restricted_march_matches_per_step_loop(case, family, dt, steps):
 
 @st.composite
 def stepper_case(draw):
-    """A grid, mask and radius on a drawn side of the dense/FFT crossover."""
-    dense = draw(st.booleans())
-    dim, points, lo, hi = draw(st.sampled_from(
-        ((1, 64, 0.01, 1.0), (1, 1024, 0.01, 0.1), (2, 16, 0.01, 1.0),
-         (2, 32, 0.01, 0.3)) if dense else
-        ((1, 1024, 0.2, 0.6), (2, 32, 0.5, 0.8), (2, 64, 0.15, 0.3))))
+    """A grid, mask and radius on a drawn side of the dense/matrix-free
+    crossover; the two sides alternate so that each is drawn about half the
+    time."""
+    dense, dim, points, lo, hi = draw(st.sampled_from(
+        ((True, 1, 64, 0.01, 1.0), (False, 1, 1024, 0.55, 1.0),
+         (True, 1, 1024, 0.01, 0.45), (False, 2, 32, 0.85, 1.0),
+         (True, 2, 16, 0.01, 1.0), (False, 2, 64, 0.25, 0.5),
+         (True, 2, 32, 0.01, 0.75), (False, 2, 64, 0.5, 0.75),
+         (True, 2, 64, 0.01, 0.15))))
     grid = make_grid(dim, draw(st.floats(2.0, 40.0)), points)
     R = draw(st.floats(lo, hi)) * grid.xi_max
     return (grid, R, dense) + _mask(draw, grid)
@@ -125,3 +132,54 @@ def test_stepper_matches_strang_reference(case, adjoint, lam, dt_fraction):
             ref = ref + np.fft.fftn(frac * np.fft.ifftn(band))
         ref = ref * e_half
     assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@st.composite
+def any_grid(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    points = draw(st.sampled_from((8, 16, 32, 64, 1024) if dim == 1
+                                  else (8, 16, 32, 64)))
+    return make_grid(dim, draw(st.floats(2.0, 40.0)), points)
+
+
+@st.composite
+def symbol(draw):
+    family = draw(st.sampled_from(("halfheat", "fractional", "loglog",
+                                   "iterated", "saturating", "constant")))
+    if family == "halfheat":
+        return halfheat()
+    if family == "fractional":
+        return fractional(draw(st.floats(0.1, 2.0)))
+    if family == "loglog":
+        return loglog(draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 3.0)))
+    if family == "iterated":
+        return iterated(draw(st.integers(1, 4)))
+    if family == "saturating":
+        return saturating(draw(st.floats(0.5, 4.0)), 200.0)
+    return constant(draw(st.floats(-2.0, 5.0)))
+
+
+@PROPERTY_SETTINGS
+@given(any_grid(), st.integers(0, 2**32 - 1))
+def test_parseval(grid, seed):
+    rng = np.random.default_rng(seed)
+    f = field_from_values(grid, rng.standard_normal(grid.shape)
+                          + 1j * rng.standard_normal(grid.shape))
+    c = to_coefficients(f)
+    assert abs(norm(f) ** 2 - np.vdot(c, c).real / grid.box_measure) \
+        <= 1e-12 * norm(f) ** 2
+    # and back: coefficients drawn directly map to a field of the same norm
+    c = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    sq = np.vdot(c, c).real / grid.box_measure
+    assert abs(norm(from_coefficients(grid, c)) ** 2 - sq) <= 1e-12 * sq
+
+
+@PROPERTY_SETTINGS
+@given(any_grid(), symbol(), st.floats(0.0, 2.0), st.floats(0.0, 2.0))
+def test_semigroup_composition(grid, F, s, t):
+    got = semigroup_multiplier(grid, F, s) * semigroup_multiplier(grid, F, t)
+    want = semigroup_multiplier(grid, F, s + t)
+    # relative 1e-12; products below the normal range lose relative digits
+    # to gradual underflow, so they are held to that range's floor instead
+    np.testing.assert_allclose(got, want, rtol=1e-12,
+                               atol=np.finfo(float).tiny)

@@ -2,8 +2,9 @@
 
 The spectral-constant oracle is a dense band matrix built with explicit loops
 and eigvalsh, independent of the package's closed-form Gram gather.
-The stepping oracle is the commuting full-box case, where the feedback is
-exactly lam K_R and every mode evolves by a scalar exponential.
+The stepping oracles are the commuting full-box case, where the feedback is
+exactly lam K_R and every mode evolves by a scalar exponential, and a Strang
+step written out with plain FFTs for bands beyond the eigensolve's cap.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from thickstab.errors import (ConvergenceError, NumericalError,
                               ValidationError)
 from thickstab.grid import (field_from_values, make_grid, norm,
-                            to_coefficients)
+                            semigroup_multiplier, to_coefficients)
 from thickstab.stabilize import (FeedbackConfig, StabilizationResult,
                                  Trajectory, calibrate_constant,
                                  design_feedback, duhamel_residual,
@@ -234,16 +235,60 @@ def test_step_dt_cap():
         step_closed_loop(f, halfheat(), mask, cfg, cfg.dt_max * 1.5)
 
 
+def strang_step_reference(c, e_half, frac, idx, lam, dt, adjoint):
+    """One Strang step written out with plain FFTs: half-multiplier, the four
+    explicit stages of w' = -lam G w as the power sum
+    sum_j (-dt lam)^j / j! G^{j-1} w, injection, half-multiplier."""
+    def mask_form(a):
+        return np.fft.fftn(frac * np.fft.ifftn(a))
+
+    def gram(w):
+        z = np.zeros(c.shape, dtype=complex)
+        z.reshape(-1)[idx] = w
+        return mask_form(z).reshape(-1)[idx]
+
+    c = c * e_half
+    w = (mask_form(c) if adjoint else c).reshape(-1)[idx]
+    u, coeff = np.zeros_like(w), 1.0
+    for j in range(1, 5):
+        coeff *= -dt * lam / j
+        u = u + coeff * w
+        w = gram(w)
+    if adjoint:
+        c.reshape(-1)[idx] += u
+    else:
+        band = np.zeros(c.shape, dtype=complex)
+        band.reshape(-1)[idx] = u
+        c = c + mask_form(band)
+    return c * e_half
+
+
 def test_band_matrix_mode_cap():
-    # 2-D lattice inside radius 12 holds ~2900 modes, over the dense cap
+    # 2-D lattice inside radius 12 holds ~2900 modes: over the cap of the
+    # dense eigensolve, while the matrix-free stepper takes any band
     g = make_grid(2, 16.0, 128)
     mask = make_periodic_thick(g, 1.0, 0.5)
+    with pytest.raises(ValidationError, match="2048"):
+        estimate_spectral_constant(mask, 12.0)
+    F = halfheat()
     cfg = FeedbackConfig(R=12.0, C=1.0, inf_F=0.0, alpha_R=12.0,
                          alpha_tilde=12.0, lam=1.0, mu=2.0,
                          predicted_rate=6.0)
-    f = field_from_values(g, np.ones(g.shape))
-    with pytest.raises(ValidationError, match="2048"):
-        step_closed_loop(f, halfheat(), mask, cfg, 0.01)
+    idx = np.flatnonzero(g.rho.ravel() <= 12.0)
+    assert len(idx) > 2048
+    rng = np.random.default_rng(7)
+    f = field_from_values(g, rng.standard_normal(g.shape)
+                          + 1j * rng.standard_normal(g.shape))
+    dt = cfg.dt_max
+    e_half = semigroup_multiplier(g, F, 0.5 * dt)
+    for adjoint in (False, True):
+        got = to_coefficients(step_closed_loop(f, F, mask, cfg, dt,
+                                               adjoint_order=adjoint))
+        assert np.all(np.isfinite(got))
+        want = strang_step_reference(to_coefficients(f), e_half,
+                                     mask.cell_fraction, idx, cfg.lam, dt,
+                                     adjoint)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_shift_covariance_of_stepper():
