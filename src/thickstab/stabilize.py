@@ -12,10 +12,11 @@ at least the spectral constant of the support, giving
 Time stepping is Strang splitting: exact multiplier half-steps around a
 classical 4-stage update of the bounded feedback part. Because the feedback
 sees only the K_R band, its 4-stage update is a degree-4 polynomial in the
-band Gram matrix. For small N * n that polynomial and the two
-half-multipliers fold into one precomputed matrix, so a step is one
-matrix-vector product; larger bands apply the four stages through the FFT,
-with no band matrix at all.
+band Gram matrix, which is block diagonal over the Bloch fibers of a
+periodic support (see _fibers). The spectral constant comes from the fiber
+blocks, and the polynomial and the two half-multipliers fold into one block
+per fiber, so a step is one batched matrix product; when the blocks would be
+too large the four stages go through the FFT, with no band matrix at all.
 """
 
 from __future__ import annotations
@@ -32,20 +33,18 @@ from .symbols import MultiplierSymbol, alpha_R as tail_inf
 from .thick import SupportMask
 
 _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
-# Up to this many entries N * n a closed-loop step is one dense matrix-vector
-# product; beyond it the four-FFT-pair step is faster. Dense against
-# matrix-free, us per step (2-core x86, 1 BLAS thread, forward order):
-#   N * n     N = 1024      N = 64^2      N = 128^2
-#   2^16      23 / 164      78 / 582     125 / 2329
-#   2^17      80 / 192     159 / 553     227 / 2001
-#   2^18     181 / 177     226 / 520     357 / 1559
-#   2^19     363 / 187     416 / 580     596 / 1491
-#   2^20     623 / 170     712 / 393     866 / 1584
-#   2^21         -        1419 / 409    1641 / 1970
-#   2^22         -        2833 / 471    3097 / 1537
-# The crossover moves from about 2^18 (N = 1024) to 2^19.5 (N = 64^2);
-# 2^19 keeps the loss on either side of it under 1.5x for those grids.
+# Up to this many entries in the stack of fiber blocks (N n for one fiber) a
+# step is one batched product; beyond it the four-FFT-pair step is faster.
+# One fiber, fold / matrix-free, us per step (2-core x86, 1 BLAS thread):
+#   N n    N = 1024     N = 64^2      N = 128^2
+#   2^18   202 / 188    241 / 516     354 / 1578
+#   2^19   390 / 189    464 / 455     592 / 1914
+#   2^20   780 / 215    854 / 719     909 / 2155
+#   2^21       -       1561 / 550    1564 / 1775
+# The crossover moves with N (2^18 to above 2^21); 2^19 keeps either loss
+# under 2.5x on these grids.
 _DENSE_STEP_MAX = 2 ** 19
+_BLOCK_MAX = 2048  # widest dense block of the eigensolve: ~3 s on one core
 
 
 @dataclass(frozen=True)
@@ -149,37 +148,31 @@ def _band_indices(grid: Grid, R: float) -> np.ndarray:
     return np.flatnonzero(grid.rho.ravel() <= R)
 
 
-def _gram_columns(grid: Grid, frac: np.ndarray, idx: np.ndarray,
-                  rows: np.ndarray | None = None) -> np.ndarray:
-    """Band columns of the mask form c -> fftn(frac * ifftn(c)).
+def _fibers(mask: SupportMask, points: np.ndarray) -> tuple:
+    """The flat lattice indices points grouped by the Bloch fibers of mask.
 
-    Entry (m, b) is frac_hat(k_m - k_b) / N^dim, frac_hat being the plain
-    DFT of the cell fractions, so one transform of the mask fills the
-    matrix; the rows m run over every lattice point unless given. Gathering
-    one column at a time keeps the index arrays to one column; a one-shot
-    gather would hold index arrays as large as the matrix.
+    With p the mask's period per axis and M = N / p, the mask's DFT lives on
+    multiples of M, so the mask form couples mode k only to k' = k (mod M):
+    one fiber of p^dim modes per residue. Returns the points sorted stably
+    by fiber, the number of them in each fiber and M.
     """
-    fhat = np.fft.fftn(frac) / frac.size
-    k_rows = np.unravel_index(np.arange(frac.size) if rows is None else rows,
-                              grid.shape)
-    k_cols = np.unravel_index(idx, grid.shape)
-    out = np.empty((len(idx), k_rows[0].size), dtype=complex)
-    for b in range(len(idx)):
-        out[b] = fhat[tuple((kr - kc[b]) % grid.points
-                            for kr, kc in zip(k_rows, k_cols))]
-    return out.T
+    m = tuple(n // p for n, p in zip(mask.grid.shape, mask.periods))
+    k = np.unravel_index(points, mask.grid.shape)
+    fiber = np.ravel_multi_index([a % r for a, r in zip(k, m)], m)
+    return (points[np.argsort(fiber, kind="stable")],
+            np.bincount(fiber, minlength=math.prod(m)), m)
 
 
-def _band_gram(grid: Grid, frac: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Dense matrix of w -> gather(fftn(frac * ifftn(embed(w)))) on the band:
-    the band rows of _gram_columns."""
-    n = len(idx)
-    if n > 2048:
-        raise ValidationError(
-            f"frequency band below R holds {n} modes; the dense band Gram "
-            "of the spectral-constant eigensolve is capped at 2048 (lower R "
-            "or coarsen the grid)")
-    return _gram_columns(grid, frac, idx, rows=idx)
+def _fiber_form(fhat: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Mask-form blocks T[f, a, b] = fhat[k_rows[f, a] - k_cols[f, b]], fhat
+    being fftn(frac) / N^dim. Gathering a column at a time, into contiguous
+    rows of the transpose, keeps the index arrays to one column."""
+    kr = np.unravel_index(rows, fhat.shape)
+    kc = [c.T[..., None] for c in np.unravel_index(cols, fhat.shape)]
+    out = np.empty(cols.shape + rows.shape[-1:], dtype=complex)
+    for b in range(cols.shape[1]):  # negative differences index from the end
+        out[:, b] = fhat[tuple(r - c[b] for r, c in zip(kr, kc))]
+    return out.transpose(0, 2, 1)
 
 
 def _mask_form(frac: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -209,33 +202,46 @@ def estimate_spectral_constant(mask: SupportMask, R: float, trials: int = 4,
 
     Works on the band Gram matrix (the mask quadratic form compressed to
     the <= R frequency lattice, which quotients out the zero modes of
-    K_R 1_omega K_R) and returns 1/sqrt(sigma_min) from a dense eigvalsh,
-    exact up to rounding. The eigensolve is direct: trials, iterations,
-    seed and tol are accepted so that existing configs stay valid, and have
-    no effect.
+    K_R 1_omega K_R) and returns 1/sqrt(sigma_min) from dense eigvalsh of
+    its Bloch fiber blocks, exact up to rounding. The eigensolve is direct:
+    trials, iterations, seed and tol are accepted so that existing configs
+    stay valid, and have no effect.
     """
     if mask.total_measure <= 0:
         raise ValidationError("support has measure zero; no spectral constant")
     grid = mask.grid
-    xi_max = grid.xi_max
-    if not (0 < R <= xi_max):
+    if not (0 < R <= grid.xi_max):
         raise ValidationError(
-            f"R must lie in (0, pi N / extent] = (0, {xi_max}], got {R}")
-    idx = _band_indices(grid, R)
+            f"R must lie in (0, pi N / extent] = (0, {grid.xi_max}], got {R}")
     frac = mask.cell_fraction
-    n, cells = len(idx), int(np.count_nonzero(frac))
-    if n > cells:
+    band, counts, residues = _fibers(mask, _band_indices(grid, R))
+    worst, nfib = int(np.argmax(counts)), len(counts)
+    n, b, cells = len(band), int(counts[worst]), int(np.count_nonzero(frac))
+    if b > cells // nfib:  # a fiber block has rank <= cells of one period
+        r = tuple(int(i) for i in np.unravel_index(worst, residues))
+        where = (f", {b} of them in fiber r = {r} of {nfib} against "
+                 f"{cells // nfib} cells per period," if nfib > 1 else "")
         raise ConvergenceError(
-            f"the band below R = {R} holds {n} modes but the support covers "
-            f"only {cells} grid cells, so the band Gram matrix is "
+            f"the band below R = {R} holds {n} modes{where} but the support "
+            f"covers only {cells} grid cells, so the band Gram matrix is "
             "rank-deficient and no finite constant exists at this resolution "
             "(refine the grid or lower R)")
-    ev = np.linalg.eigvalsh(_band_gram(grid, frac, idx))
-    if ev[0] <= n * np.finfo(float).eps * ev[-1]:
+    if b > _BLOCK_MAX:
+        raise ValidationError(
+            f"the widest Bloch fiber of the band below R = {R} holds {b} modes, "
+            f"over the block budget of {_BLOCK_MAX} modes of the dense "
+            "spectral-constant eigensolve (lower R or coarsen the grid)")
+    fhat, start = np.fft.fftn(frac) / frac.size, np.cumsum(counts) - counts
+    lo, hi = np.inf, 0.0
+    for s in np.unique(counts[counts > 0]):
+        modes = band[start[counts == s, None] + np.arange(s)]
+        ev = np.linalg.eigvalsh(_fiber_form(fhat, modes, modes))
+        lo, hi = min(lo, ev[:, 0].min()), max(hi, ev[:, -1].max())
+    if lo <= n * np.finfo(float).eps * hi:
         raise ConvergenceError(
             "band Gram matrix is numerically singular on this support "
-            f"(eigenvalues {ev[0]:.3e} to {ev[-1]:.3e})")
-    return 1.0 / math.sqrt(ev[0])
+            f"(eigenvalues {lo:.3e} to {hi:.3e})")
+    return 1.0 / math.sqrt(lo)
 
 
 def lyapunov(f: SpectralField, cfg: FeedbackConfig) -> float:
@@ -256,12 +262,14 @@ class _Stepper:
     what four explicit stages produce for this linear bounded part. With the
     adjoint order the injection reads the masked field and writes the band.
 
-    When N * n <= _DENSE_STEP_MAX the whole step is one precomputed matrix:
-    c <- e_full c + P c_band with P = E_half G Q E_half,band (N x n), or
-    c_band += A c with A = E_half,band Q G^H E_half (n x N) in the adjoint
-    order, G being the band columns of the mask form. Larger bands apply Q
-    by Horner with A applied through the FFT, so a step is four FFT pairs
-    and the set-up holds only arrays of the grid's size.
+    If the stack of fiber blocks (fibers x modes per fiber x widest fiber
+    band) has at most _DENSE_STEP_MAX entries, a step is one batched product
+    on the state in fiber layout (see _fibers): per fiber c <- e_full c +
+    P c_band with P = E_half T[:, band] Q E_half,band padded to the widest
+    band, or c_band += P^H c in the adjoint order. Larger stacks apply Q by
+    Horner with A applied through the FFT: four FFT pairs per step on the
+    state in lattice order. band lists the K_R band's flat positions in the
+    stepper's layout.
     """
 
     def __init__(self, grid: Grid, symbol: MultiplierSymbol, mask: SupportMask,
@@ -269,50 +277,74 @@ class _Stepper:
                  adjoint_order: bool = False):
         self.lam = 0.0 if cfg is None else cfg.lam
         self.adjoint = bool(adjoint_order)
-        self.op = None
+        self.shape = grid.shape
+        self.order = np.arange(math.prod(grid.shape)).reshape(grid.shape)
+        self.op, self.band = None, np.arange(0)
         if self.lam > 0:
             if dt > cfg.dt_max * (1.0 + 1e-12):
                 raise ValidationError(
                     f"dt = {dt} exceeds dt_max = {cfg.dt_max} for lam = {cfg.lam}")
             self.e_half = semigroup_multiplier(grid, symbol, 0.5 * dt)
-            self.idx = idx = _band_indices(grid, cfg.R)
             self.frac = frac = mask.cell_fraction
             self.coeffs = np.cumprod([-dt * self.lam / j for j in range(1, 5)])
-            if frac.size * len(idx) <= _DENSE_STEP_MAX:
-                self.e_full = self.e_half * self.e_half
-                gram = _band_gram(grid, frac, idx)
-                q = _stages(np.eye(len(idx), dtype=complex),
-                            lambda w: gram @ w, self.coeffs)
-                e = self.e_half.reshape(-1)
-                cols = _gram_columns(grid, frac, idx)
+            # the lattice, band modes first, grouped stably by fiber
+            order, _, m = _fibers(mask, np.argsort(grid.rho.ravel() > cfg.R,
+                                                   kind="stable"))
+            order = order.reshape(math.prod(m), -1)
+            counts = np.count_nonzero(grid.rho.ravel()[order] <= cfg.R, axis=1)
+            b = int(counts.max())
+            if order.size * b <= _DENSE_STEP_MAX:
+                self.order, points = order, order.shape[1]
+                self.band = np.flatnonzero(np.arange(points) < counts[:, None])
+                t = _fiber_form(np.fft.fftn(frac) / frac.size, order, order[:, :b])
+                t *= (np.arange(b) < counts[:, None])[:, None, :]
+                e = self.e_half.reshape(-1)[order]
+                self.e_full = e * e
+                q = _stages(np.eye(b), lambda w: t[:, :b] @ w, self.coeffs)
+                # t's padding columns are zero, so P's are exactly zero
+                p = e[:, :, None] * (t @ q) * e[:, None, :b]
+                # a step multiplies row vectors from the left (c^T P^T, or
+                # c^T conj(P) = (P^H c)^T), which costs the least once the
+                # state decays to subnormal numbers
                 if self.adjoint:
-                    self.op = e[idx, None] * (q @ cols.conj().T) * e
-                    self.reads, self.writes = slice(None), idx
+                    self.op = p.conj()
+                    self.reads, self.writes = ..., (slice(None), slice(b))
                 else:
-                    self.op = e[:, None] * (cols @ q) * e[idx]
-                    self.reads, self.writes = idx, slice(None)
+                    self.op = np.ascontiguousarray(p.transpose(0, 2, 1))
+                    self.reads, self.writes = (slice(None), slice(b)), ...
             else:
+                self.band = idx = _band_indices(grid, cfg.R)
                 self.z = z = np.zeros(grid.shape, dtype=complex)
                 self.gram = lambda w: _apply_band_gram(grid, frac, idx, w, z)
         else:
             self.e_full = semigroup_multiplier(grid, symbol, dt)
 
+    def enter(self, c: np.ndarray) -> np.ndarray:
+        """A copy of the lattice-order array c in the stepper's layout."""
+        return c.reshape(-1)[self.order]
+
+    def leave(self, c: np.ndarray) -> np.ndarray:
+        """A copy of the state c in lattice order, shaped like the grid."""
+        out = np.empty(c.size, dtype=complex)
+        out[self.order] = c
+        return out.reshape(self.shape)
+
     def step(self, c: np.ndarray) -> np.ndarray:
-        flat = c.reshape(-1)
         if self.lam == 0.0:
             c *= self.e_full
         elif self.op is not None:
-            u = self.op @ flat[self.reads]
+            u = np.matmul(c[self.reads][:, None], self.op)[:, 0]
             c *= self.e_full
-            flat[self.writes] += u
+            c[self.writes] += u
         else:
+            flat = c.reshape(-1)
             c *= self.e_half
             if self.adjoint:
-                v = _mask_form(self.frac, c).reshape(-1)[self.idx]
-                flat[self.idx] += _stages(v, self.gram, self.coeffs)
+                v = _mask_form(self.frac, c).reshape(-1)[self.band]
+                flat[self.band] += _stages(v, self.gram, self.coeffs)
             else:
-                self.z.reshape(-1)[self.idx] = _stages(flat[self.idx],
-                                                       self.gram, self.coeffs)
+                self.z.reshape(-1)[self.band] = _stages(flat[self.band],
+                                                        self.gram, self.coeffs)
                 c += _mask_form(self.frac, self.z)
             c *= self.e_half
         return c
@@ -327,8 +359,8 @@ def step_closed_loop(f: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     if cfg is None or cfg.lam == 0.0:
         return apply_semigroup(f, F, dt)
     stepper = _Stepper(f.grid, F, mask, cfg, dt, adjoint_order)
-    c = stepper.step(to_coefficients(f))
-    return from_coefficients(f.grid, c)
+    c = stepper.step(stepper.enter(to_coefficients(f)))
+    return from_coefficients(f.grid, stepper.leave(c))
 
 
 @dataclass(frozen=True)
@@ -383,10 +415,10 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     dt = T / n_steps
     grid = f0.grid
     stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order)
-    idx = _band_indices(grid, cfg.R) if cfg is not None else None
     mu = cfg.mu if cfg is not None else 1.0
 
-    c = to_coefficients(f0)
+    # the state stays in the stepper's layout for the whole run
+    c = stepper.enter(to_coefficients(f0))
     box = grid.box_measure
     times = np.arange(n_steps + 1) * dt
     norm_sq = np.empty(n_steps + 1)
@@ -400,13 +432,10 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
             raise NumericalError(
                 f"state became non-finite at step {k} (t = {times[k]})")
         norm_sq[k] = total
-        if idx is not None:
-            band = flat[idx]
-            low_sq[k] = float(np.vdot(band, band).real) / box
-        else:
-            low_sq[k] = 0.0
+        low = flat[stepper.band]
+        low_sq[k] = float(np.vdot(low, low).real) / box
         if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
-            snaps.append((float(times[k]), c.copy()))
+            snaps.append((float(times[k]), stepper.leave(c)))
 
     record(0)
     v_prev = mu * low_sq[0] + (norm_sq[0] - low_sq[0])

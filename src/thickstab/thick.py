@@ -29,9 +29,22 @@ from .grid import Grid, _readonly, make_grid
 _TSM1_MAGIC = b"TSM1"
 
 
+def _periods(frac: np.ndarray) -> tuple:
+    """Smallest exact period of the cell fractions along each axis, in grid
+    points (the axis length if none is shorter); there is no tolerance."""
+    n = frac.shape[0]
+    divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+    out = []
+    for axis in range(frac.ndim):
+        f = np.moveaxis(frac, axis, 0)
+        out.append(int(next(q for q in divisors if (f[q:] == f[:n - q]).all())))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SupportMask:
-    """Per-cell covered fractions of a control support on one grid."""
+    """Per-cell covered fractions of a control support on one grid, with
+    the exact period of the fractions along each axis (periods)."""
 
     grid: Grid
     cell_fraction: np.ndarray
@@ -49,6 +62,7 @@ class SupportMask:
         object.__setattr__(self, "cell_fraction", _readonly(frac))
         object.__setattr__(self, "total_measure",
                            float(frac.sum() * self.grid.cell_measure))
+        object.__setattr__(self, "periods", _periods(frac))
 
     @property
     def measure_fraction(self) -> float:

@@ -1,11 +1,12 @@
 """Property checks on random grids, masks and radii (hypothesis).
 
-The closed-form band Gram must act like the FFT-applied mask form on the
-band, the closed-loop stepper (dense or matrix-free) must agree with a
-Strang step written out from that form, and the restricted-norm march must
-agree with a plain per-step loop through the public field functions. The
-coefficient transform must keep Parseval's identity, and the semigroup
-multipliers must compose.
+The closed-form band Gram, fiber block by fiber block, must act like the
+FFT-applied mask form on the band, the closed-loop stepper (fiber fold or
+matrix-free) must agree with a Strang step written out from that form and
+commute with a shift by one period of the mask, and the restricted-norm
+march must agree with a plain per-step loop through the public field
+functions. The coefficient transform must keep Parseval's identity, and the
+semigroup multipliers must compose.
 """
 
 import numpy as np
@@ -17,7 +18,8 @@ from thickstab.grid import (field_from_values, from_coefficients, make_grid,
                             to_coefficients)
 from thickstab.observe import _restricted_march
 from thickstab.stabilize import (_DENSE_STEP_MAX, FeedbackConfig, _Stepper,
-                                 _apply_band_gram, _band_gram, _band_indices)
+                                 _apply_band_gram, _band_indices, _fiber_form,
+                                 _fibers)
 from thickstab.symbols import (constant, fractional, halfheat, iterated,
                                loglog, saturating)
 from thickstab.thick import SupportMask
@@ -26,34 +28,49 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
 
 
-def _mask(draw, grid):
+def _mask(draw, grid, period=None):
+    """Seeded cell fractions, fractional or a 0/1 set, drawn on one period
+    of `period` points per axis (the whole grid by default) and tiled."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    frac = rng.uniform(0.0, 1.0, grid.shape)
+    period = period or grid.points
+    frac = rng.uniform(0.0, 1.0, (period,) * grid.dim)
     if draw(st.booleans()):
         frac = (frac < draw(st.floats(0.05, 0.95))).astype(float)
+    frac = np.tile(frac, (grid.points // period,) * grid.dim)
     return SupportMask(grid=grid, cell_fraction=frac), rng
 
 
 @st.composite
 def grid_and_mask(draw):
-    """A 1-D or 2-D grid with a seeded mask: fractional cells or a 0/1 set."""
+    """A 1-D or 2-D grid with a seeded mask, repeating with a drawn period
+    or not at all."""
     dim = draw(st.sampled_from((1, 2)))
     points = draw(st.sampled_from((8, 16, 32, 64) if dim == 1 else (8, 16, 32)))
     grid = make_grid(dim, draw(st.floats(2.0, 40.0)), points)
-    return (grid,) + _mask(draw, grid)
+    period = draw(st.sampled_from((points, points // 2, points // 8)))
+    return (grid,) + _mask(draw, grid, period)
 
 
 @PROPERTY_SETTINGS
 @given(grid_and_mask(), st.floats(0.0, 1.0))
 def test_band_gram_matches_fft_matvec(case, r_fraction):
     grid, mask, rng = case
+    frac = mask.cell_fraction
     idx = _band_indices(grid, r_fraction * grid.xi_max)
-    gram = _band_gram(grid, mask.cell_fraction, idx)
     w = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
     z = np.zeros(grid.shape, dtype=complex)
-    want = _apply_band_gram(grid, mask.cell_fraction, idx, w, z)
-    # the mask form is a contraction, so ||w|| is the scale of both sides
-    assert np.linalg.norm(gram @ w - want) <= 1e-12 * np.linalg.norm(w)
+    want = np.zeros(z.size, dtype=complex)
+    want[idx] = _apply_band_gram(grid, frac, idx, w, z)
+    lattice = np.zeros(z.size, dtype=complex)
+    lattice[idx] = w
+    # block by block: the band modes of each Bloch fiber
+    band, counts, _ = _fibers(mask, idx)
+    fhat = np.fft.fftn(frac) / frac.size
+    for fiber in np.split(band, np.cumsum(counts)[:-1]):
+        if len(fiber):
+            got = _fiber_form(fhat, fiber[None], fiber[None])[0] @ lattice[fiber]
+            # the mask form is a contraction, so ||w|| is the scale
+            assert np.linalg.norm(got - want[fiber]) <= 1e-12 * np.linalg.norm(w)
 
 
 @PROPERTY_SETTINGS
@@ -77,35 +94,52 @@ def test_restricted_march_matches_per_step_loop(case, family, dt, steps):
     assert np.array_equal(c, ref)
 
 
+# (fiber fold?, dim, points, R range as a fraction of xi_max, tile periods);
+# an empty period list leaves the mask untiled (one fiber)
+STEPPER_CASES = (
+    (True, 1, 64, 0.01, 1.0, ()), (True, 1, 1024, 0.01, 0.45, ()),
+    (True, 2, 16, 0.01, 1.0, ()), (True, 2, 32, 0.01, 0.75, ()),
+    (True, 2, 64, 0.01, 0.15, ()), (True, 1, 1024, 0.01, 1.0, (8, 16, 64)),
+    (True, 2, 32, 0.01, 1.0, (4, 8)), (True, 2, 64, 0.01, 1.0, (4, 8)),
+    (False, 1, 1024, 0.55, 1.0, ()), (False, 2, 32, 0.85, 1.0, ()),
+    (False, 2, 64, 0.25, 0.5, ()), (False, 2, 64, 0.5, 0.75, ()),
+    (False, 2, 64, 0.45, 1.0, (32,)))
+
+
 @st.composite
-def stepper_case(draw):
-    """A grid, mask and radius on a drawn side of the dense/matrix-free
-    crossover; the two sides alternate so that each is drawn about half the
-    time."""
-    dense, dim, points, lo, hi = draw(st.sampled_from(
-        ((True, 1, 64, 0.01, 1.0), (False, 1, 1024, 0.55, 1.0),
-         (True, 1, 1024, 0.01, 0.45), (False, 2, 32, 0.85, 1.0),
-         (True, 2, 16, 0.01, 1.0), (False, 2, 64, 0.25, 0.5),
-         (True, 2, 32, 0.01, 0.75), (False, 2, 64, 0.5, 0.75),
-         (True, 2, 64, 0.01, 0.15))))
+def stepper_case(draw, tiled=False):
+    """A grid, radius and mask on a drawn side of the fold/matrix-free
+    crossover, with the tile period (the grid size when untiled). The case
+    is a wide integer mod the case count: hypothesis draws small indices
+    far more often than large ones."""
+    cases = [c for c in STEPPER_CASES if c[5] or not tiled]
+    dense, dim, points, lo, hi, periods = cases[
+        draw(st.integers(0, 2**32 - 1)) % len(cases)]
     grid = make_grid(dim, draw(st.floats(2.0, 40.0)), points)
     R = draw(st.floats(lo, hi)) * grid.xi_max
-    return (grid, R, dense) + _mask(draw, grid)
+    period = draw(st.sampled_from(periods)) if periods else points
+    return (grid, R, dense, period) + _mask(draw, grid, period)
+
+
+def _test_config(R, lam):
+    return FeedbackConfig(R=R, C=1.0, inf_F=0.0, alpha_R=1.0, alpha_tilde=1.0,
+                          lam=lam, mu=2.0, predicted_rate=0.5)
 
 
 @PROPERTY_SETTINGS
 @given(stepper_case(), st.booleans(), st.floats(0.1, 100.0),
        st.floats(0.1, 1.0))
 def test_stepper_matches_strang_reference(case, adjoint, lam, dt_fraction):
-    grid, R, dense, mask, rng = case
+    grid, R, dense, _, mask, rng = case
     frac = mask.cell_fraction
     idx = _band_indices(grid, R)
-    assert (frac.size * len(idx) <= _DENSE_STEP_MAX) == dense
+    _, counts, _ = _fibers(mask, idx)
+    assert (frac.size * counts.max() <= _DENSE_STEP_MAX) == dense
     F = halfheat()
-    cfg = FeedbackConfig(R=R, C=1.0, inf_F=0.0, alpha_R=1.0, alpha_tilde=1.0,
-                         lam=lam, mu=2.0, predicted_rate=0.5)
+    cfg = _test_config(R, lam)
     dt = dt_fraction * cfg.dt_max
     stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order=adjoint)
+    assert (stepper.op is not None) == dense
     e_half = semigroup_multiplier(grid, F, 0.5 * dt)
     z = np.zeros(grid.shape, dtype=complex)
 
@@ -119,7 +153,7 @@ def test_stepper_matches_strang_reference(case, adjoint, lam, dt_fraction):
         return out
 
     c0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    c, ref = c0.copy(), c0.copy()
+    c, ref = stepper.enter(c0), c0.copy()
     for _ in range(50):
         stepper.step(c)
         ref = ref * e_half
@@ -131,7 +165,33 @@ def test_stepper_matches_strang_reference(case, adjoint, lam, dt_fraction):
             band.reshape(-1)[idx] = stages(ref.reshape(-1)[idx])
             ref = ref + np.fft.fftn(frac * np.fft.ifftn(band))
         ref = ref * e_half
+    c = stepper.leave(c)
     assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(stepper_case(tiled=True), st.booleans(), st.floats(0.1, 100.0),
+       st.integers(0, 1))
+def test_stepper_commutes_with_period_shift(case, adjoint, lam, axis):
+    # the fiber layout rests on this: 1_omega commutes with a shift by one
+    # period of the mask, and K_R and the multipliers with every shift
+    grid, R, _, period, mask, rng = case
+    axis = min(axis, grid.dim - 1)
+    cfg = _test_config(R, lam)
+    stepper = _Stepper(grid, halfheat(), mask, cfg, cfg.dt_max,
+                       adjoint_order=adjoint)
+
+    def run(f):
+        c = stepper.enter(to_coefficients(f))
+        for _ in range(10):
+            stepper.step(c)
+        return from_coefficients(grid, stepper.leave(c)).values
+
+    f = field_from_values(grid, rng.standard_normal(grid.shape)
+                          + 1j * rng.standard_normal(grid.shape))
+    rolled = field_from_values(grid, np.roll(f.values, period, axis))
+    want = np.roll(run(f), period, axis)
+    assert np.linalg.norm(run(rolled) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @st.composite

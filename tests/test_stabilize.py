@@ -2,9 +2,10 @@
 
 The spectral-constant oracle is a dense band matrix built with explicit loops
 and eigvalsh, independent of the package's closed-form Gram gather.
-The stepping oracles are the commuting full-box case, where the feedback is
-exactly lam K_R and every mode evolves by a scalar exponential, and a Strang
-step written out with plain FFTs for bands beyond the eigensolve's cap.
+The Bloch-fiber constant is also checked against one dense eigvalsh of the
+whole closed-form band Gram. The stepping oracles are the commuting full-box
+case, where the feedback is exactly lam K_R and every mode evolves by a
+scalar exponential, and a Strang step written out with plain FFTs.
 """
 
 import math
@@ -21,7 +22,7 @@ from thickstab.stabilize import (FeedbackConfig, StabilizationResult,
                                  design_feedback, duhamel_residual,
                                  estimate_spectral_constant, lyapunov,
                                  run_stabilization, step_closed_loop,
-                                 write_trajectory_csv)
+                                 write_trajectory_csv, _Stepper)
 from thickstab.symbols import constant, halfheat, shifted
 from thickstab.thick import (SupportMask, make_full, make_periodic_thick,
                              make_random_thick)
@@ -134,11 +135,20 @@ def test_spectral_constant_validation():
     # all 128 modes of the grid against 64 support cells: no finite constant
     with pytest.raises(ConvergenceError, match="128 modes.*only 64 grid cells"):
         estimate_spectral_constant(mask, g.xi_max)
-    # enough cells, but on the line x = 0 the modes (-1, 0), (0, 0), (1, 0)
-    # coincide, so the 5-mode band Gram is singular all the same
+    # on the line x = 0 the modes (-1, 0), (0, 0), (1, 0) coincide. A uniform
+    # line repeats every cell along it, so those three modes share a Bloch
+    # fiber against one support cell per period: rank-deficient by count
     g2 = make_grid(2, 16.0, 16)
     line = np.zeros(g2.shape)
     line[0] = 1.0
+    with pytest.raises(ConvergenceError, match="5 modes, 3 of them in fiber "
+                       "r = \\(0, 0\\) of 16 against 1 cells per period"):
+        estimate_spectral_constant(
+            SupportMask(grid=g2, cell_fraction=line, certificate=None,
+                        spec=None), 0.5)
+    # graded along the line it has no shorter period and 16 cells for the 5
+    # modes, so the count passes, but the 5-mode band Gram is singular
+    line[0] = np.linspace(0.5, 1.0, 16)
     with pytest.raises(NumericalError, match="singular"):
         estimate_spectral_constant(
             SupportMask(grid=g2, cell_fraction=line, certificate=None,
@@ -169,8 +179,16 @@ def test_spectral_constant_rank_deficient_band(kind, cells):
     mask = (make_random_thick(g, 2.0, 0.3, 0) if kind == "random"
             else make_periodic_thick(g, 1.0, 0.5))
     with pytest.raises(ConvergenceError,
-                       match=f"1305 modes.*only {cells} grid cells.*rank-deficient"):
+                       match=f"1305 modes.*only {cells} grid cells.*rank-deficient"
+                       ) as err:
         estimate_spectral_constant(mask, 8.0)
+    # the periodic support's diagnosis names the Bloch fiber that fails:
+    # 7 modes against the 4 support cells of one period
+    if kind == "periodic":
+        assert "7 of them in fiber r = (" in str(err.value)
+        assert "against 4 cells per period" in str(err.value)
+    else:
+        assert "fiber" not in str(err.value)
 
 
 def test_lyapunov_closed_form():
@@ -264,31 +282,112 @@ def strang_step_reference(c, e_half, frac, idx, lam, dt, adjoint):
 
 
 def test_band_matrix_mode_cap():
-    # 2-D lattice inside radius 12 holds ~2900 modes: over the cap of the
-    # dense eigensolve, while the matrix-free stepper takes any band
+    # the 2-D lattice inside radius 12 holds 2941 modes. On the periodic
+    # support they fall into 256 Bloch fibers of at most 13 modes, so the
+    # constant is finite; the band holds the R = 8 band, so sigma_min can
+    # only fall and the constant only rise above the 128^2, R = 8 pin
     g = make_grid(2, 16.0, 128)
-    mask = make_periodic_thick(g, 1.0, 0.5)
-    with pytest.raises(ValidationError, match="2048"):
-        estimate_spectral_constant(mask, 12.0)
+    periodic = make_periodic_thick(g, 1.0, 0.5)
+    c = estimate_spectral_constant(periodic, 12.0)
+    assert np.isfinite(c) and c >= 12.986092628883558
+    # a random support is one fiber of 2941 modes, over the dense
+    # eigensolve's block budget; the stepper takes any band
+    random = make_random_thick(g, 2.0, 0.3, 0)
+    with pytest.raises(ValidationError, match="2941 modes.*block budget of 2048"):
+        estimate_spectral_constant(random, 12.0)
     F = halfheat()
     cfg = FeedbackConfig(R=12.0, C=1.0, inf_F=0.0, alpha_R=12.0,
                          alpha_tilde=12.0, lam=1.0, mu=2.0,
                          predicted_rate=6.0)
     idx = np.flatnonzero(g.rho.ravel() <= 12.0)
-    assert len(idx) > 2048
+    assert len(idx) == 2941
     rng = np.random.default_rng(7)
     f = field_from_values(g, rng.standard_normal(g.shape)
                           + 1j * rng.standard_normal(g.shape))
     dt = cfg.dt_max
     e_half = semigroup_multiplier(g, F, 0.5 * dt)
-    for adjoint in (False, True):
-        got = to_coefficients(step_closed_loop(f, F, mask, cfg, dt,
-                                               adjoint_order=adjoint))
-        assert np.all(np.isfinite(got))
-        want = strang_step_reference(to_coefficients(f), e_half,
-                                     mask.cell_fraction, idx, cfg.lam, dt,
-                                     adjoint)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for mask in (periodic, random):
+        for adjoint in (False, True):
+            got = to_coefficients(step_closed_loop(f, F, mask, cfg, dt,
+                                                   adjoint_order=adjoint))
+            assert np.all(np.isfinite(got))
+            want = strang_step_reference(to_coefficients(f), e_half,
+                                         mask.cell_fraction, idx, cfg.lam, dt,
+                                         adjoint)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def closed_form_band_gram(mask, R):
+    """The whole band Gram G[a, b] = frac_hat(k_a - k_b) / N^dim, one dense
+    matrix with no fiber split."""
+    g = mask.grid
+    k = np.unravel_index(np.flatnonzero(g.rho.ravel() <= R), g.shape)
+    fhat = np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size
+    return fhat[tuple((a[:, None] - a[None, :]) % g.points for a in k)]
+
+
+@pytest.mark.parametrize("dim, points, kind, R", [
+    (1, 1024, "periodic", 2.0), (1, 1024, "periodic", 4.0),
+    (1, 1024, "periodic", 8.0), (2, 64, "periodic", 2.0),
+    (2, 64, "periodic", 4.0), (1, 1024, "tiled", 8.0), (2, 64, "tiled", 4.0),
+])
+def test_fiber_constant_matches_dense_eigensolve(dim, points, kind, R):
+    # the periodic supports of the benchmark's band sweep, and random cells
+    # tiled with period 8, whose equal-sized fiber blocks differ: the minimum
+    # over the Bloch fiber blocks is the least eigenvalue of the band Gram
+    g = make_grid(dim, 16.0, points)
+    if kind == "periodic":
+        mask = make_periodic_thick(g, 1.0, 0.5)
+    else:
+        cells = np.random.default_rng(3).uniform(0.2, 1.0, (8,) * dim)
+        mask = SupportMask(grid=g,
+                           cell_fraction=np.tile(cells, (points // 8,) * dim))
+    ev = np.linalg.eigvalsh(closed_form_band_gram(mask, R))
+    want = 1.0 / math.sqrt(ev[0])
+    assert abs(estimate_spectral_constant(mask, R) - want) <= 1e-12 * want
+
+
+def test_period_detection_is_exact():
+    F = halfheat()
+    rng = np.random.default_rng(11)
+
+    def check(mask, R, fibers, steps=20):
+        g = mask.grid
+        cfg = FeedbackConfig(R=R, C=1.0, inf_F=0.0, alpha_R=R, alpha_tilde=R,
+                             lam=50.0, mu=2.0, predicted_rate=0.5 * R)
+        dt = cfg.dt_max
+        e_half = semigroup_multiplier(g, F, 0.5 * dt)
+        idx = np.flatnonzero(g.rho.ravel() <= R)
+        c0 = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        for adjoint in (False, True):
+            stepper = _Stepper(g, F, mask, cfg, dt, adjoint_order=adjoint)
+            assert stepper.order.shape[0] == fibers
+            c, want = stepper.enter(c0), c0
+            for _ in range(steps):
+                stepper.step(c)
+                want = strang_step_reference(want, e_half, mask.cell_fraction,
+                                             idx, cfg.lam, dt, adjoint)
+            got = stepper.leave(c)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    g = make_grid(1, 16.0, 256)
+    periodic = make_periodic_thick(g, 1.0, 0.5)
+    # period 16 points: 16 fibers, the residues mod 16
+    assert periodic.periods == (16,)
+    check(periodic, 8.0, 16)
+    # one cell off by one ulp: no shorter period, one fiber
+    frac = periodic.cell_fraction.copy()
+    frac[37] = np.nextafter(frac[37], 0.5)
+    nudged = SupportMask(grid=g, cell_fraction=frac, certificate=None, spec=None)
+    assert nudged.periods == (256,)
+    check(nudged, 8.0, 1)
+    # periodic along the second axis only: fibers along that axis only
+    g2 = make_grid(2, 16.0, 32)
+    frac2 = np.tile(rng.uniform(0.0, 1.0, (32, 8)), (1, 4))
+    one_axis = SupportMask(grid=g2, cell_fraction=frac2, certificate=None,
+                           spec=None)
+    assert one_axis.periods == (32, 8)
+    check(one_axis, 6.0, 4)
 
 
 def test_shift_covariance_of_stepper():
