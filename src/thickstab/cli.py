@@ -570,9 +570,9 @@ _SCENARIOS = {
          "run": {"T": _Key(_float, help="steering horizon"),
                  "epsilon": _Key(_float, help="target norm ratio, in (0,1)"),
                  "slices": _Key(_int, 32, "time slices"),
-                 "tol": _Key(_float, 1e-9, "conjugate-gradient tolerance"),
-                 "max_cg": _Key(_int, 2000, "conjugate-gradient iteration cap"),
-                 "penalty0": _Key(_float, 1.0, "initial penalty weight"),
+                 "tol": _Key(_float, 1e-9, "dual conjugate-gradient tolerance"),
+                 "max_cg": _Key(_int, 2000, "dual conjugate-gradient iteration cap"),
+                 "penalty0": _Key(_float, 1.0, "initial penalty weight, > 0"),
                  "max_penalty_steps": _Key(_int, 12, "penalty ladder length"),
                  **_field_keys("f0", "initial data")}},
         _run_synthesize, "f0"),

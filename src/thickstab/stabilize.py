@@ -195,17 +195,16 @@ def _stages(v: np.ndarray, apply_gram, coeffs) -> np.ndarray:
     return out
 
 
-def estimate_spectral_constant(mask: SupportMask, R: float, trials: int = 4,
-                               iterations: int = 200, seed: int = 0,
-                               tol: float = 1e-10) -> float:
+def estimate_spectral_constant(mask: SupportMask, R: float,
+                               seed: int = 0) -> float:
     """Best constant in ||f|| <= C ||f||_omega over f with spectrum in B(0, R).
 
     Works on the band Gram matrix (the mask quadratic form compressed to
     the <= R frequency lattice, which quotients out the zero modes of
     K_R 1_omega K_R) and returns 1/sqrt(sigma_min) from dense eigvalsh of
-    its Bloch fiber blocks, exact up to rounding. The eigensolve is direct:
-    trials, iterations, seed and tol are accepted so that existing configs
-    stay valid, and have no effect.
+    its Bloch fiber blocks, exact up to rounding. The eigensolve is direct,
+    so seed has no effect; it is still accepted because the benchmark
+    workloads pass seed=0.
     """
     if mask.total_measure <= 0:
         raise ValidationError("support has measure zero; no spectral constant")

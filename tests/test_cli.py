@@ -219,6 +219,31 @@ max_cg = 1
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_synthesize_rejects_zero_penalty(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """\
+[grid]
+extent = 16.0
+points = 128
+
+[symbol]
+family = fractional
+s = 1.0
+
+[mask]
+kind = periodic
+period = 1.0
+fill = 0.5
+
+[run]
+T = 1.0
+epsilon = 0.1
+penalty0 = 0
+""")
+    out = tmp_path / "out"
+    assert main(["synthesize", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "penalty0" in capsys.readouterr().err
+
+
 def test_stabilize_auto_constant(tmp_path):
     out = tmp_path / "out"
     # the eigensolve is dense, so the seed key is optional and has no effect
@@ -234,8 +259,7 @@ def test_stabilize_auto_constant(tmp_path):
     d = manifest["derived"]
     g = make_grid(1, 16.0, 64)
     mask = make_periodic_thick(g, 1.0, 0.5)
-    assert d["c_emp"] == estimate_spectral_constant(mask, 2.0, trials=4,
-                                                    iterations=200, seed=0)
+    assert d["c_emp"] == estimate_spectral_constant(mask, 2.0, seed=0)
     assert d["C"] == 1.0
     assert abs(d["lambda"] - 2.0 * math.exp(2.0)) < 1e-9
     assert abs(d["mu"] - 2.0 * math.exp(4.0)) < 1e-9

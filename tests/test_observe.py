@@ -5,8 +5,9 @@ Oracles: for the smooth symbol F(r) = r^2 every probe curve is a Gaussian
 integral with a closed form (lattice sums are spectrally accurate there,
 which keeps the comparison honest at 1e-10), and the time integral is checked
 against adaptive quadrature. The control synthesizer is checked against the
-per-mode closed-form optimum on the full box and against a duality lower
-bound computed from first principles on a thick mask.
+per-mode closed-form optimum on the full box, against a duality lower bound
+computed from first principles on a thick mask, and by replaying its
+controls through exact slice propagators.
 """
 
 import json
@@ -18,7 +19,8 @@ from scipy.integrate import quad
 
 from thickstab.errors import ConvergenceError, ValidationError
 from thickstab.grid import (GaussianProbe, field_from_values, make_grid, norm,
-                            project_ball, to_coefficients, zero_field)
+                            project_ball, restricted_norm, to_coefficients,
+                            zero_field)
 from thickstab.observe import (classify_cubes, estimate_observability_constant,
                                kovrijkine_empirical, make_probe_set,
                                necessity_probe_scan, negative_limit_experiment,
@@ -29,7 +31,7 @@ from thickstab.stabilize import design_feedback, run_stabilization
 from thickstab.symbols import (constant, fractional, halfheat, saturating,
                                shifted)
 from thickstab.thick import (SupportMask, make_full, make_periodic_thick,
-                             mask_hash)
+                             make_random_thick, mask_hash)
 
 
 def gauss_lhs_1d(l, xi0, T):
@@ -402,6 +404,47 @@ def test_synthesize_versus_feedback_cost():
     cost_fb = float(np.trapezoid(integ[keep], ts[keep]))
     assert cost_fb > 0
     assert res.cost <= 10.0 * cost_fb
+
+
+@pytest.mark.parametrize("make_mask", [
+    lambda g: make_periodic_thick(g, 1.0, 0.5),
+    lambda g: make_random_thick(g, 1.0, 0.3, 3)], ids=["periodic", "random"])
+def test_synthesize_controls_replay(make_mask):
+    # push the returned controls through exact slice propagators written out
+    # here: c_T = e^{-TF} c0 + sum_i theta_i cell_measure fftn(frac h_i),
+    # theta_i = int over slice i of e^{-(T - s) F} ds
+    g = make_grid(1, 16.0, 128)
+    mask = make_mask(g)
+    F = fractional(1.0)
+    x = g.axis_x
+    f0 = field_from_values(g, np.exp(-0.5 * ((x - 5.0) / 1.2) ** 2)
+                           + 0.3 * np.cos(2 * np.pi * 5 * x / 16.0))
+    res = synthesize_control(f0, F, mask, 1.0, 0.1, slices=32)
+    dt = 1.0 / 32
+    f = F.eval(g.rho)
+    unit = np.divide(-np.expm1(-dt * f), f, out=np.full(f.shape, dt),
+                     where=f > 0)
+    c = np.exp(-1.0 * f) * to_coefficients(f0)
+    for i, h in enumerate(res.controls):
+        theta = np.exp(-(1.0 - (i + 1) * dt) * f) * unit
+        c = c + theta * g.cell_measure * np.fft.fftn(mask.cell_fraction * h)
+    want = to_coefficients(res.final_field)
+    assert np.linalg.norm(c - want) <= 1e-10 * np.linalg.norm(want)
+    cost = dt * sum(restricted_norm(field_from_values(g, h), mask) ** 2
+                    for h in res.controls)
+    assert abs(res.cost - cost) <= 1e-12 * cost
+
+
+@pytest.mark.parametrize("bad", [
+    {"penalty0": 0.0}, {"penalty0": -1.0}, {"penalty0": math.nan},
+    {"penalty0": math.inf}, {"max_penalty_steps": 0}, {"max_cg": 0},
+    {"tol": 0.0}, {"tol": 1.0}, {"tol": math.nan}])
+def test_synthesize_rejects_solver_inputs(bad):
+    g = make_grid(1, 16.0, 128)
+    f0 = field_from_values(g, np.exp(-0.5 * ((g.axis_x - 5.0) / 1.2) ** 2))
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        synthesize_control(f0, fractional(1.0), make_periodic_thick(g, 1.0, 0.5),
+                           1.0, 0.1, slices=8, **bad)
 
 
 def test_synthesize_failure_paths():

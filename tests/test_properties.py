@@ -6,20 +6,23 @@ matrix-free) must agree with a Strang step written out from that form and
 commute with a shift by one period of the mask, and the restricted-norm
 march must agree with a plain per-step loop through the public field
 functions. The coefficient transform must keep Parseval's identity, and the
-semigroup multipliers must compose.
+semigroup multipliers must compose. The control synthesizer's FFT-applied
+Gramian must match its dense closed form, and a dense solve of the dual
+system must give the synthesizer's ratio and cost.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thickstab.errors import ConvergenceError
 from thickstab.grid import (field_from_values, from_coefficients, make_grid,
                             norm, restricted_norm, semigroup_multiplier,
                             to_coefficients)
-from thickstab.observe import _restricted_march
+from thickstab.observe import _restricted_march, synthesize_control
 from thickstab.stabilize import (_DENSE_STEP_MAX, FeedbackConfig, _Stepper,
                                  _apply_band_gram, _band_indices, _fiber_form,
-                                 _fibers)
+                                 _fibers, _mask_form)
 from thickstab.symbols import (constant, fractional, halfheat, iterated,
                                loglog, saturating)
 from thickstab.thick import SupportMask
@@ -243,3 +246,61 @@ def test_semigroup_composition(grid, F, s, t):
     # to gradual underflow, so they are held to that range's floor instead
     np.testing.assert_allclose(got, want, rtol=1e-12,
                                atol=np.finfo(float).tiny)
+
+
+@st.composite
+def dual_case(draw):
+    """A small grid (1-D up to 64 points, 2-D 8 x 8) with a seeded mask,
+    tiled with a drawn period or not at all, and a control problem on it."""
+    dim = draw(st.sampled_from((1, 2)))
+    points = draw(st.sampled_from((8, 16, 32, 64))) if dim == 1 else 8
+    grid = make_grid(dim, draw(st.floats(2.0, 20.0)), points)
+    period = draw(st.sampled_from((points, points // 2, points // 4)))
+    mask, rng = _mask(draw, grid, period)
+    F = draw(st.sampled_from((halfheat(), fractional(1.0))))
+    return (grid, mask, rng, F, draw(st.floats(0.1, 2.0)),
+            draw(st.integers(1, 8)), draw(st.floats(0.1, 0.9)))
+
+
+@PROPERTY_SETTINGS
+@given(dual_case())
+def test_dense_dual_oracle(case):
+    grid, mask, rng, F, T, slices, eps = case
+    frac, dt = mask.cell_fraction, T / slices
+    f = F.eval(grid.rho).ravel()
+    # theta_i = int over slice i of e^{-(T - s) F} ds, in closed form
+    unit = np.divide(-np.expm1(-dt * f), f, out=np.full(f.shape, dt),
+                     where=f > 0)
+    theta = np.stack([np.exp(-(T - (i + 1) * dt) * f) * unit
+                      for i in range(slices)])
+    # G = T o (Theta^T Theta) with T[k, j] = frac_hat(k - j) / N^d
+    k = np.indices(grid.shape).reshape(grid.dim, -1)
+    diff = tuple((a[:, None] - a[None, :]) % grid.points for a in k)
+    G = (np.fft.fftn(frac) / frac.size)[diff] * (theta.T @ theta)
+    scale = max(np.abs(G).max(), np.finfo(float).tiny)
+    assert np.abs(G - G.conj().T).max() <= 1e-12 * scale
+    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    gz = sum(t.reshape(grid.shape)
+             * _mask_form(frac, t.reshape(grid.shape) * z) for t in theta)
+    assert np.linalg.norm(G @ z.ravel() - gz.ravel()) \
+        <= 1e-12 * np.linalg.norm(gz)
+
+    f0 = field_from_values(grid, rng.standard_normal(grid.shape)
+                           + 1j * rng.standard_normal(grid.shape))
+    c0 = to_coefficients(f0).ravel()
+    try:
+        res = synthesize_control(f0, F, mask, T, eps, slices=slices)
+        penalty = res.penalty
+    except ConvergenceError as exc:
+        assert "penalty ladder" in str(exc)
+        res, penalty = None, 1e11  # the last of the twelve default rungs
+    kappa = penalty / eps
+    zz = np.linalg.solve(dt * np.eye(f.size) + kappa * G, np.exp(-T * f) * c0)
+    # f(T) = y - kappa G z = dt z, and the cost is dt kappa^2 z^H G z / box
+    ratio = dt * np.linalg.norm(zz) / np.linalg.norm(c0)
+    if res is None:
+        assert ratio > eps
+        return
+    cost = dt * kappa**2 * np.vdot(zz, G @ zz).real / grid.box_measure
+    assert abs(res.ratio - ratio) <= 1e-8 * ratio
+    assert abs(res.cost - cost) <= 1e-8 * cost
