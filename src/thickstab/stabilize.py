@@ -44,6 +44,7 @@ _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
 # The crossover moves with N (2^18 to above 2^21); 2^19 keeps either loss
 # under 2.5x on these grids.
 _DENSE_STEP_MAX = 2 ** 19
+_RECORD_BLOCK = 2 ** 16  # complex entries (1 MB) of states per record pass
 _BLOCK_MAX = 2048  # widest dense block of the eigensolve: ~3 s on one core
 
 
@@ -253,7 +254,7 @@ def lyapunov(f: SpectralField, cfg: FeedbackConfig) -> float:
 
 
 class _Stepper:
-    """One Strang step on raw FFT coefficient arrays.
+    """Strang steps on raw FFT coefficient arrays.
 
     half-multiplier, then c += 1_omega K_R Q gather(c), then
     half-multiplier again. Q is the degree-4 stability polynomial
@@ -268,7 +269,9 @@ class _Stepper:
     band, or c_band += P^H c in the adjoint order. Larger stacks apply Q by
     Horner with A applied through the FFT: four FFT pairs per step on the
     state in lattice order. band lists the K_R band's flat positions in the
-    stepper's layout.
+    stepper's layout. advance writes each step into the next row of a block,
+    so a step allocates and copies nothing; the multipliers e_full and
+    e_half are stored complex, so applying them casts nothing either.
     """
 
     def __init__(self, grid: Grid, symbol: MultiplierSymbol, mask: SupportMask,
@@ -283,7 +286,7 @@ class _Stepper:
             if dt > cfg.dt_max * (1.0 + 1e-12):
                 raise ValidationError(
                     f"dt = {dt} exceeds dt_max = {cfg.dt_max} for lam = {cfg.lam}")
-            self.e_half = semigroup_multiplier(grid, symbol, 0.5 * dt)
+            e_half = semigroup_multiplier(grid, symbol, 0.5 * dt)
             self.frac = frac = mask.cell_fraction
             self.coeffs = np.cumprod([-dt * self.lam / j for j in range(1, 5)])
             # the lattice, band modes first, grouped stably by fiber
@@ -297,8 +300,8 @@ class _Stepper:
                 self.band = np.flatnonzero(np.arange(points) < counts[:, None])
                 t = _fiber_form(np.fft.fftn(frac) / frac.size, order, order[:, :b])
                 t *= (np.arange(b) < counts[:, None])[:, None, :]
-                e = self.e_half.reshape(-1)[order]
-                self.e_full = e * e
+                e = e_half.reshape(-1)[order]
+                self.e_full = (e * e).astype(complex)
                 q = _stages(np.eye(b), lambda w: t[:, :b] @ w, self.coeffs)
                 # t's padding columns are zero, so P's are exactly zero
                 p = e[:, :, None] * (t @ q) * e[:, None, :b]
@@ -307,16 +310,18 @@ class _Stepper:
                 # state decays to subnormal numbers
                 if self.adjoint:
                     self.op = p.conj()
-                    self.reads, self.writes = ..., (slice(None), slice(b))
+                    self.reads, self.writes = slice(None), slice(b)
                 else:
                     self.op = np.ascontiguousarray(p.transpose(0, 2, 1))
-                    self.reads, self.writes = (slice(None), slice(b)), ...
+                    self.reads, self.writes = slice(b), slice(None)
+                self.u = np.empty((len(order), 1, self.op.shape[-1]), dtype=complex)
             else:
                 self.band = idx = _band_indices(grid, cfg.R)
+                self.e_half = e_half.astype(complex)
                 self.z = z = np.zeros(grid.shape, dtype=complex)
                 self.gram = lambda w: _apply_band_gram(grid, frac, idx, w, z)
         else:
-            self.e_full = semigroup_multiplier(grid, symbol, dt)
+            self.e_full = semigroup_multiplier(grid, symbol, dt).astype(complex)
 
     def enter(self, c: np.ndarray) -> np.ndarray:
         """A copy of the lattice-order array c in the stepper's layout."""
@@ -328,24 +333,36 @@ class _Stepper:
         out[self.order] = c
         return out.reshape(self.shape)
 
-    def step(self, c: np.ndarray) -> np.ndarray:
+    def advance(self, rows: np.ndarray) -> None:
+        """Fill rows[1:], each row one step after the row before it."""
+        steps = zip(rows, rows[1:])
         if self.lam == 0.0:
-            c *= self.e_full
-        elif self.op is not None:
-            u = np.matmul(c[self.reads][:, None], self.op)[:, 0]
-            c *= self.e_full
-            c[self.writes] += u
+            for prev, c in steps:
+                np.multiply(prev, self.e_full, out=c)
+        elif self.op is not None:  # the fold reads and writes views of rows
+            op, e, u, u0 = self.op, self.e_full, self.u, self.u[:, 0]
+            for x, (prev, c), w in zip(rows[..., None, self.reads], steps,
+                                       rows[1:, ..., self.writes]):
+                np.matmul(x, op, out=u)
+                np.multiply(prev, e, out=c)
+                w += u0
         else:
-            flat = c.reshape(-1)
-            c *= self.e_half
-            if self.adjoint:
-                v = _mask_form(self.frac, c).reshape(-1)[self.band]
-                flat[self.band] += _stages(v, self.gram, self.coeffs)
-            else:
-                self.z.reshape(-1)[self.band] = _stages(flat[self.band],
-                                                        self.gram, self.coeffs)
-                c += _mask_form(self.frac, self.z)
-            c *= self.e_half
+            for prev, c in steps:
+                np.multiply(prev, self.e_half, out=c)
+                flat = c.reshape(-1)
+                if self.adjoint:
+                    v = _mask_form(self.frac, c).reshape(-1)[self.band]
+                    flat[self.band] += _stages(v, self.gram, self.coeffs)
+                else:
+                    self.z.reshape(-1)[self.band] = _stages(
+                        flat[self.band], self.gram, self.coeffs)
+                    c += _mask_form(self.frac, self.z)
+                c *= self.e_half
+
+    def step(self, c: np.ndarray) -> np.ndarray:
+        rows = np.array([c, c])
+        self.advance(rows)
+        c[...] = rows[1]
         return c
 
 
@@ -400,6 +417,12 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     array (plus the endpoints) for later residual checks. check_monotone
     enforces per-step V decrease; only meaningful when cfg.C is at least the
     spectral constant of the mask, so it is off by default.
+
+    The stepper writes the states into a buffer of _RECORD_BLOCK complex
+    entries (one state per row, at least one new state per block). One
+    vectorised pass per block records the norms and V and runs the checks,
+    whose errors name the first non-finite step or the first step at which
+    V rises.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValidationError(f"T must be positive, got {T}")
@@ -416,38 +439,39 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order)
     mu = cfg.mu if cfg is not None else 1.0
 
-    # the state stays in the stepper's layout for the whole run
+    # the state stays in the stepper's layout for the whole run; each block
+    # of rows starts from the last state of the block before it
     c = stepper.enter(to_coefficients(f0))
+    buf = np.empty((min(max(1, _RECORD_BLOCK // c.size), n_steps) + 1,)
+                   + c.shape, dtype=complex)
+    buf[0] = c
     box = grid.box_measure
     times = np.arange(n_steps + 1) * dt
     norm_sq = np.empty(n_steps + 1)
     low_sq = np.empty(n_steps + 1)
-    snaps = []
-
-    def record(k):
-        flat = c.reshape(-1)
-        total = float(np.vdot(flat, flat).real) / box
-        if not np.isfinite(total):
+    snaps = [(0.0, stepper.leave(buf[0]))] if snapshot_every > 0 else []
+    for k in range(0, n_steps, len(buf) - 1):
+        rows = buf[:min(len(buf), n_steps + 1 - k)]  # steps k, k + 1, ...
+        flat, end = rows.reshape(len(rows), -1), k + len(rows)
+        # a block runs on past a blow-up; the first non-finite step is named
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepper.advance(rows)
+            norm_sq[k:end] = np.vecdot(flat, flat).real / box
+        j = k + np.argmin(np.isfinite(norm_sq[k:end]))
+        if not np.isfinite(norm_sq[j]):
             raise NumericalError(
-                f"state became non-finite at step {k} (t = {times[k]})")
-        norm_sq[k] = total
-        low = flat[stepper.band]
-        low_sq[k] = float(np.vdot(low, low).real) / box
-        if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
-            snaps.append((float(times[k]), stepper.leave(c)))
-
-    record(0)
-    v_prev = mu * low_sq[0] + (norm_sq[0] - low_sq[0])
-    for k in range(1, n_steps + 1):
-        stepper.step(c)
-        record(k)
-        if check_monotone:
-            v_now = mu * low_sq[k] + (norm_sq[k] - low_sq[k])
-            if v_now > v_prev * (1.0 + 1e-8):
-                raise NumericalError(
-                    f"Lyapunov functional increased at step {k}: "
-                    f"{v_prev} -> {v_now}")
-            v_prev = v_now
+                f"state became non-finite at step {j} (t = {times[j]})")
+        low = flat.take(stepper.band, axis=1)
+        low_sq[k:end] = np.vecdot(low, low).real / box
+        v = mu * low_sq[k:end] + (norm_sq[k:end] - low_sq[k:end])
+        j = np.argmax(v[1:] > v[:-1] * (1.0 + 1e-8))
+        if check_monotone and v[j + 1] > v[j] * (1.0 + 1e-8):
+            raise NumericalError(f"Lyapunov functional increased at step "
+                                 f"{k + j + 1}: {v[j]} -> {v[j + 1]}")
+        snaps += [(float(times[i]), stepper.leave(rows[i - k]))
+                  for i in range(k + 1, end) if snapshot_every > 0
+                  and (i % snapshot_every == 0 or i == n_steps)]
+        buf[0] = rows[-1]
 
     high_sq = np.maximum(norm_sq - low_sq, 0.0)
     lyap = mu * low_sq + high_sq

@@ -5,7 +5,8 @@ FFT-applied mask form on the band, the closed-loop stepper (fiber fold or
 matrix-free) must agree with a Strang step written out from that form and
 commute with a shift by one period of the mask, and the restricted-norm
 march must agree with a plain per-step loop through the public field
-functions. The coefficient transform must keep Parseval's identity, and the
+functions. The cube classifier's window sums must match a loop over the
+cubes. The coefficient transform must keep Parseval's identity, and the
 semigroup multipliers must compose. The control synthesizer's FFT-applied
 Gramian must match its dense closed form, and a dense solve of the dual
 system must give the synthesizer's ratio and cost.
@@ -19,7 +20,8 @@ from thickstab.errors import ConvergenceError
 from thickstab.grid import (field_from_values, from_coefficients, make_grid,
                             norm, restricted_norm, semigroup_multiplier,
                             to_coefficients)
-from thickstab.observe import _restricted_march, synthesize_control
+from thickstab.observe import (_cube_sums, _restricted_march,
+                               synthesize_control)
 from thickstab.stabilize import (_DENSE_STEP_MAX, FeedbackConfig, _Stepper,
                                  _apply_band_gram, _band_indices, _fiber_form,
                                  _fibers, _mask_form)
@@ -195,6 +197,18 @@ def test_stepper_commutes_with_period_shift(case, adjoint, lam, axis):
     rolled = field_from_values(grid, np.roll(f.values, period, axis))
     want = np.roll(run(f), period, axis)
     assert np.linalg.norm(run(rolled) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from((1, 2)), st.integers(1, 8), st.integers(1, 6),
+       st.integers(0, 2**32 - 1))
+def test_cube_sums_match_brute_force(dim, W, cubes, seed):
+    sq = np.random.default_rng(seed).uniform(0.0, 1.0, (cubes * W,) * dim)
+    got = _cube_sums(sq, W, dim)
+    assert got.shape == (cubes,) * dim
+    for q in np.ndindex(got.shape):
+        want = sq[tuple(slice(i * W, (i + 1) * W) for i in q)].sum()
+        assert abs(got[q] - want) <= 1e-12 * want
 
 
 @st.composite

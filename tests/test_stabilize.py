@@ -22,7 +22,8 @@ from thickstab.stabilize import (FeedbackConfig, StabilizationResult,
                                  design_feedback, duhamel_residual,
                                  estimate_spectral_constant, lyapunov,
                                  run_stabilization, step_closed_loop,
-                                 write_trajectory_csv, _Stepper)
+                                 write_trajectory_csv, _RECORD_BLOCK,
+                                 _Stepper)
 from thickstab.symbols import constant, halfheat, shifted
 from thickstab.thick import (SupportMask, make_full, make_periodic_thick,
                              make_random_thick)
@@ -499,11 +500,15 @@ def test_run_validation_and_snapshot_endpoints():
     assert ks[:3] == [0, 7, 14] and ks[-2:] == [98, 100]
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_state_is_reported():
-    # e^{-t(F - 100)} grows like e^{100 t}; past t ~ 7 the norms overflow
+    # e^{-t(F - 100)} grows like e^{100 t}; the squared norm overflows at
+    # t ~ 3.5 and the state itself past t ~ 7, inside the same block of
+    # steps, which must still name the first step and warn nothing
     g = make_grid(1, 16.0, 64)
     f0 = field_from_values(g, np.ones(g.shape))
-    with pytest.raises(NumericalError, match="non-finite"):
+    with pytest.raises(NumericalError,
+                       match=r"non-finite at step 441 \(t = 3\.528\)"):
         run_stabilization(f0, shifted(halfheat(), 100.0), make_full(g),
                           None, 8.0)
 
@@ -555,13 +560,88 @@ def test_monotone_guard_catches_undersized_gains():
     f0 = field_from_values(g, np.fft.ifftn((clow - 4.0 * chigh) / g.dx))
     cfg = FeedbackConfig(R=4.0, C=1.0, inf_F=0.0, alpha_R=4.0,
                          alpha_tilde=4.0, lam=20.0, mu=2.0, predicted_rate=2.0)
-    with pytest.raises(NumericalError, match="Lyapunov"):
+    with pytest.raises(NumericalError,
+                       match="Lyapunov functional increased at step 1:"):
         run_stabilization(f0, constant(0.01), mask, cfg, 0.05, dt=0.005,
                           check_monotone=True)
     # same run without the guard completes and reports the rise in the record
     res = run_stabilization(f0, constant(0.01), mask, cfg, 0.05, dt=0.005)
     V = res.trajectory.lyapunov
     assert float(V[1]) > float(V[0])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 151, 152, 1024])
+def test_monotone_guard_names_first_rise_in_any_block(monkeypatch, rows):
+    # F = |xi| - 1 grows the mean and damps the xi = pi/2 mode, so V falls
+    # and then first rises at step 152; with 151 states per record block
+    # that rise is the first new state of the second block
+    g = make_grid(1, 16.0, 64)
+    f0 = field_from_values(g, np.cos(2 * np.pi * 4 * g.axis_x / 16.0) + 0.05)
+    F, full = shifted(halfheat(), 1.0), make_full(g)
+    V = run_stabilization(f0, F, full, None, 2.0, dt=0.01).trajectory.lyapunov
+    assert np.flatnonzero(V[1:] > V[:-1] * (1.0 + 1e-8))[0] + 1 == 152
+    monkeypatch.setattr("thickstab.stabilize._RECORD_BLOCK", rows * g.points)
+    with pytest.raises(NumericalError,
+                       match="Lyapunov functional increased at step 152:"):
+        run_stabilization(f0, F, full, None, 2.0, dt=0.01, check_monotone=True)
+
+
+def _record_case(path):
+    """(grid, mask, cfg) on N = 1024 points for each path of the stepper."""
+    g = make_grid(1, 16.0, 1024)
+    if path == "fold":
+        return g, make_periodic_thick(g, 1.0, 0.5), design_feedback(
+            halfheat(), 8.0, C=1.0)
+    # 561 band modes on a support with no period: N n > _DENSE_STEP_MAX
+    cfg = FeedbackConfig(R=110.0, C=1.0, inf_F=0.0, alpha_R=55.0,
+                         alpha_tilde=55.0, lam=5.0, mu=2.0, predicted_rate=27.5)
+    mask = make_random_thick(g, 1.0, 0.5, seed=3)
+    return g, mask, (cfg if path == "matrix-free" else None)
+
+
+@pytest.mark.parametrize("path", ["fold", "matrix-free", "free"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_block_records_match_per_step_loop(path, adjoint):
+    # run_stabilization records in blocks of _RECORD_BLOCK // N states; a
+    # per-step loop over _Stepper.step with np.vdot norms is the reference
+    g, mask, cfg = _record_case(path)
+    F = halfheat()
+    rng = np.random.default_rng(11)
+    f0 = field_from_values(g, rng.standard_normal(g.shape)
+                           + 1j * rng.standard_normal(g.shape))
+    rows = _RECORD_BLOCK // g.points
+    assert rows == 64
+    dt = 0.5 * cfg.dt_max if cfg is not None else 1e-4
+    # shorter than a block, one step short of a block, exactly one block,
+    # and a partial last block
+    for n in (5, rows - 1, rows, 2 * rows + 10):
+        res = run_stabilization(f0, F, mask, cfg, n * dt, dt=dt,
+                                snapshot_every=7, adjoint_order=adjoint)
+        assert res.trajectory.times.size == n + 1
+        stepper = _Stepper(g, F, mask, cfg, res.dt, adjoint_order=adjoint)
+        assert (stepper.op is None) == (path != "fold")
+        c = stepper.enter(to_coefficients(f0))
+        norm_sq, low_sq, snaps = [], [], []
+        for k in range(n + 1):
+            if k:
+                stepper.step(c)
+            flat = c.reshape(-1)
+            low = flat[stepper.band]
+            norm_sq.append(np.vdot(flat, flat).real / g.box_measure)
+            low_sq.append(np.vdot(low, low).real / g.box_measure)
+            if k % 7 == 0 or k == n:
+                snaps.append((res.trajectory.times[k], stepper.leave(c)))
+        norm_sq, low_sq = np.array(norm_sq), np.array(low_sq)
+        mu = 1.0 if cfg is None else cfg.mu
+        lyap = mu * low_sq + np.maximum(norm_sq - low_sq, 0.0)
+        traj = res.trajectory
+        for got, want in ((traj.norms, np.sqrt(norm_sq)),
+                          (traj.low_norms, np.sqrt(low_sq)),
+                          (traj.lyapunov, lyap)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert len(traj.snapshots) == len(snaps)
+        for (t, got), (t_want, want) in zip(traj.snapshots, snaps):
+            assert t == t_want and np.array_equal(got, want)
 
 
 def test_trajectory_csv_stride(tmp_path):
