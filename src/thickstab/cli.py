@@ -32,8 +32,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grid import (field_from_values, from_coefficients, make_grid, norm,
-                   semigroup_multiplier, to_coefficients, write_field)
+from .grid import (_write_csv, _write_json, field_from_values,
+                   from_coefficients, make_grid, norm, semigroup_multiplier,
+                   to_coefficients, write_field)
 from .observe import (classify_cubes, estimate_observability_constant,
                       kovrijkine_empirical, make_probe_set,
                       necessity_probe_scan, negative_limit_experiment,
@@ -114,16 +115,6 @@ _SYMBOL_KEYS = {
     "value": _Key(_float, None, "constant symbol value"),
 }
 
-# which optional symbol keys each family consumes
-_SYMBOL_PARAMS = {
-    "fractional": ("s",),
-    "halfheat": (),
-    "loglog": ("s", "delta"),
-    "iterated": ("p",),
-    "saturating": ("knee", "span"),
-    "constant": ("value",),
-}
-
 _MASK_KEYS = {
     "kind": _Key(_choice("full", "periodic", "ball-complement", "random"),
                  help="support family"),
@@ -134,20 +125,6 @@ _MASK_KEYS = {
     "gamma": _Key(_float, None, "random thickness target"),
     "L": _Key(_float, None, "random block length"),
     "seed": _Key(_int, None, "random mask seed"),
-}
-
-_MASK_PARAMS = {
-    "full": (),
-    "periodic": ("period", "fill"),
-    "ball-complement": ("radius", "cert_scale"),
-    "random": ("gamma", "L", "seed"),
-}
-
-_MASK_REQUIRED = {
-    "full": (),
-    "periodic": ("period", "fill"),
-    "ball-complement": ("radius",),
-    "random": ("gamma", "L", "seed"),
 }
 
 
@@ -187,49 +164,43 @@ def _hash_file(path: Path) -> str:
 
 
 def _build_symbol(scfg: dict):
+    # family -> (constructor, its keys and defaults in argument order); built
+    # per call, like the mask table, so wrappers on these names (bench/) run
     family = scfg["family"]
-    used = _SYMBOL_PARAMS[family]
+    make, params = {
+        "fractional": (fractional, {"s": 1.0}),
+        "halfheat": (halfheat, {}),
+        "loglog": (loglog, {"s": 1.0, "delta": 0.5}),
+        "iterated": (iterated, {"p": 2}),
+        "saturating": (saturating, {"knee": 1.0, "span": 200.0}),
+        "constant": (constant, {"value": 0.0}),
+    }[family]
     for key, val in scfg.items():
-        if key != "family" and val is not None and key not in used:
+        if key != "family" and val is not None and key not in params:
             raise ValidationError(
                 f"key 'symbol.{key}' does not apply to family '{family}'")
-    p = {k: scfg[k] for k in used}
-    if family == "fractional":
-        return fractional(p["s"] if p["s"] is not None else 1.0)
-    if family == "halfheat":
-        return halfheat()
-    if family == "loglog":
-        return loglog(p["s"] if p["s"] is not None else 1.0,
-                      p["delta"] if p["delta"] is not None else 0.5)
-    if family == "iterated":
-        return iterated(p["p"] if p["p"] is not None else 2)
-    if family == "saturating":
-        return saturating(p["knee"] if p["knee"] is not None else 1.0,
-                          p["span"] if p["span"] is not None else 200.0)
-    return constant(p["value"] if p["value"] is not None else 0.0)
+    return make(*(d if scfg[k] is None else scfg[k] for k, d in params.items()))
 
 
 def _build_mask(grid, mcfg: dict):
+    # kind -> (constructor, required keys, optional keys)
     kind = mcfg["kind"]
-    used = _MASK_PARAMS[kind]
+    make, required, optional = {
+        "full": (make_full, (), ()),
+        "periodic": (make_periodic_thick, ("period", "fill"), ()),
+        "ball-complement": (make_ball_complement, ("radius",), ("cert_scale",)),
+        "random": (make_random_thick, ("gamma", "L", "seed"), ()),
+    }[kind]
     for key, val in mcfg.items():
-        if key != "kind" and val is not None and key not in used:
+        if key != "kind" and val is not None and key not in required + optional:
             raise ValidationError(
                 f"key 'mask.{key}' does not apply to kind '{kind}'")
-    for key in _MASK_REQUIRED[kind]:
-        if mcfg.get(key) is None:
+    for key in required:
+        if mcfg[key] is None:
             raise ValidationError(
                 f"mask kind '{kind}' needs key 'mask.{key}'")
-    if kind == "full":
-        return make_full(grid)
-    if kind == "periodic":
-        return make_periodic_thick(grid, mcfg["period"], mcfg["fill"])
-    if kind == "ball-complement":
-        if mcfg["cert_scale"] is not None:
-            return make_ball_complement(grid, mcfg["radius"],
-                                        cert_scale=mcfg["cert_scale"])
-        return make_ball_complement(grid, mcfg["radius"])
-    return make_random_thick(grid, mcfg["L"], mcfg["gamma"], mcfg["seed"])
+    return make(grid, **{k: mcfg[k] for k in required + optional
+                         if mcfg[k] is not None})
 
 
 def _build_field(grid, rcfg: dict, prefix: str):
@@ -304,10 +275,7 @@ def _run_simulate(cfg, inp, out):
         if i:
             c = c * step
         norms[i] = math.sqrt(float(np.vdot(c, c).real) / grid.box_measure)
-    with open(out / "evolution.csv", "w", newline="") as fh:
-        fh.write("t,norm\n")
-        for t, n in zip(times, norms):
-            fh.write(f"{float(t)!r},{float(n)!r}\n")
+    _write_csv(out / "evolution.csv", "t,norm", zip(times, norms))
     write_field(out / "final.tsf", from_coefficients(grid, c))
     return ({"initial_norm": float(norms[0]), "final_norm": float(norms[-1])},
             ["evolution.csv", "final.tsf"])
@@ -316,6 +284,11 @@ def _run_simulate(cfg, inp, out):
 def _run_stabilize(cfg, inp, out):
     F, mask, f0 = inp.F, inp.mask, inp.field
     run = cfg["run"]
+    if run["dt"] is not None and run["dt"] <= 0:
+        raise ValidationError(f"key 'run.dt' must be positive, got {run['dt']}")
+    for key in ("csv_stride", "snapshot_every"):
+        if run[key] < 0:
+            raise ValidationError(f"key 'run.{key}' must be >= 0, got {run[key]}")
     derived = {"mask_hash": mask_hash(mask)}
     C = run["C"]
     if C == "auto":
@@ -347,30 +320,28 @@ def _run_observability(cfg, inp, out):
                                              run["epsilon"], probes,
                                              run["quadrature_steps"])
     write_report_json(report, out / "report.json")
-    with open(out / "probes.csv", "w", newline="") as fh:
-        fh.write("index,center,frequency,width,lhs,obs_integral,required_C\n")
-        for r in report.probe_results:
-            p = report.probes[r.index]
-            ctr = ";".join(repr(float(v)) for v in p.center)
-            frq = ";".join(repr(float(v)) for v in p.frequency)
-            fh.write(f"{r.index},{ctr},{frq},{float(p.width)!r},"
-                     f"{float(r.lhs)!r},{float(r.obs_integral)!r},"
-                     f"{float(r.required_C)!r}\n")
+    _write_csv(out / "probes.csv",
+               "index,center,frequency,width,lhs,obs_integral,required_C",
+               ((r.index, ";".join(map(repr, probes[r.index].center)),
+                 ";".join(map(repr, probes[r.index].frequency)),
+                 probes[r.index].width, r.lhs, r.obs_integral, r.required_C)
+                for r in report.probe_results))
     return ({"C_est": report.C_est, "mask_hash": mask_hash(inp.mask)},
             ["report.json", "probes.csv"])
 
 
 def _run_necessity(cfg, inp, out):
     run = cfg["run"]
+    if run["center_count"] < 1:
+        raise ValidationError(
+            f"key 'run.center_count' must be >= 1, got {run['center_count']}")
     centers = np.linspace(run["center_start"], run["center_stop"],
                           run["center_count"])
     scan = necessity_probe_scan(inp.F, inp.mask, run["T"], run["epsilon"],
                                 run["C"], centers, run["width"],
                                 run["quadrature_steps"])
-    with open(out / "necessity.csv", "w", newline="") as fh:
-        fh.write("center,required_C\n")
-        for c, rc in zip(scan.centers, scan.required):
-            fh.write(f"{float(c)!r},{float(rc)!r}\n")
+    _write_csv(out / "necessity.csv", "center,required_C",
+               zip(scan.centers, scan.required))
     derived = {
         "mask_hash": mask_hash(inp.mask),
         "xi0": list(scan.xi0),
@@ -386,10 +357,8 @@ def _run_negative_limit(cfg, inp, out):
     curve = negative_limit_experiment(inp.F, inp.field, run["radius"],
                                       run["T0"], run["h_ladder"],
                                       run["quadrature_steps"])
-    with open(out / "curve.csv", "w", newline="") as fh:
-        fh.write("h,constant,integral\n")
-        for h, c, itg in zip(curve.h_values, curve.constants, curve.integrals):
-            fh.write(f"{float(h)!r},{float(c)!r},{float(itg)!r}\n")
+    _write_csv(out / "curve.csv", "h,constant,integral",
+               zip(curve.h_values, curve.constants, curve.integrals))
     return ({"growth_ratio": float(curve.constants[-1] / curve.constants[0])},
             ["curve.csv"])
 
@@ -412,10 +381,8 @@ def _run_thick_check(cfg, inp, out):
     measured = thickness_certificate(mask, run["L"], run["stride"])
     claimed = mask.certificate[0] if mask.certificate else float("nan")
     write_mask(out / "mask.tsm", mask)
-    with open(out / "thickness.csv", "w", newline="") as fh:
-        fh.write("L,stride,gamma_measured,gamma_claimed\n")
-        fh.write(f"{float(run['L'])!r},{run['stride']},{float(measured)!r},"
-                 f"{float(claimed)!r}\n")
+    _write_csv(out / "thickness.csv", "L,stride,gamma_measured,gamma_claimed",
+               [(run["L"], run["stride"], measured, claimed)])
     derived = {"mask_hash": mask_hash(mask),
                "gamma_measured": measured,
                "measure_fraction": mask.measure_fraction,
@@ -446,18 +413,14 @@ def _run_synthesize(cfg, inp, out):
                              slices=run["slices"], tol=run["tol"],
                              max_cg=run["max_cg"], penalty0=run["penalty0"],
                              max_penalty_steps=run["max_penalty_steps"])
-    files = []
-    ctl_dir = out / "controls"
-    ctl_dir.mkdir(exist_ok=True)
-    with open(out / "control.csv", "w", newline="") as fh:
-        fh.write("slice,t_start,t_end,control_norm\n")
-        for i, values in enumerate(res.controls):
-            h = field_from_values(grid, values)
-            name = f"controls/slice_{i:03d}.tsf"
-            write_field(out / name, h)
-            files.append(name)
-            fh.write(f"{i},{float(res.times[i])!r},{float(res.times[i + 1])!r},"
-                     f"{float(norm(h))!r}\n")
+    files, rows = [], []
+    (out / "controls").mkdir(exist_ok=True)
+    for i, values in enumerate(res.controls):
+        h = field_from_values(grid, values)
+        files.append(f"controls/slice_{i:03d}.tsf")
+        write_field(out / files[-1], h)
+        rows.append((i, res.times[i], res.times[i + 1], norm(h)))
+    _write_csv(out / "control.csv", "slice,t_start,t_end,control_norm", rows)
     write_field(out / "final.tsf", res.final_field)
     derived = {"cost": res.cost, "ratio": res.ratio, "penalty": res.penalty,
                "cg_iterations": res.cg_iterations,
@@ -468,10 +431,8 @@ def _run_synthesize(cfg, inp, out):
 def _run_kovrijkine(cfg, inp, out):
     run = cfg["run"]
     fit = kovrijkine_empirical(inp.mask, run["R_ladder"], C_n=run["C_n"])
-    with open(out / "kovrijkine.csv", "w", newline="") as fh:
-        fh.write("R,c_emp,log_c_emp\n")
-        for r, c in zip(fit.R_values, fit.constants):
-            fh.write(f"{float(r)!r},{float(c)!r},{float(math.log(c))!r}\n")
+    _write_csv(out / "kovrijkine.csv", "R,c_emp,log_c_emp",
+               ((r, c, math.log(c)) for r, c in zip(fit.R_values, fit.constants)))
     derived = {"slope": fit.slope, "intercept": fit.intercept,
                "reference_slope": fit.reference_slope,
                "mask_hash": mask_hash(inp.mask)}
@@ -657,9 +618,7 @@ def _apply_overrides(raw: dict, sets: list) -> None:
 def _jsonable(value):
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -709,9 +668,7 @@ def _run(scenario: str, config_path: Path, out_dir: Path, sets: list) -> int:
         "derived": _jsonable(derived),
         "outputs": {name: _hash_file(out_dir / name) for name in sorted(files)},
     }
-    with open(out_dir / "manifest.json", "w", newline="") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return 0
 
 

@@ -17,6 +17,7 @@ holds exactly on the lattice.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ import numpy as np
 from .errors import ValidationError
 
 _TSF1_MAGIC = b"TSF1"
+_SNAPSHOT_HEADER = "<4sIId"
+_FLOATS = (float, np.floating)  # CSV cells written with repr(float(v))
 
 
 @dataclass(frozen=True)
@@ -252,27 +255,58 @@ def sample_probe(grid: Grid, probe: GaussianProbe) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot format: magic "TSF1", u32 dim, u32 points, f64 extent, then
-# points^dim little-endian complex128 values (re, im interleaved, row-major).
+# Artifact formats. CSV: a header line, then one comma-joined line per row,
+# LF endings, floats written with repr so reruns compare byte for byte. JSON:
+# indent 2, sorted keys, trailing LF. Snapshots: magic, u32 dim, u32 points,
+# f64 extent, then points^dim little-endian values, row-major; TSF1 holds
+# complex128 field values (re, im interleaved), TSM1 f64 cell fractions.
+
+
+def _write_csv(path, header: str, rows) -> None:
+    lines = [header] + [",".join([repr(float(v)) if isinstance(v, _FLOATS) else str(v)
+                                  for v in row]) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", newline="") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _snapshot_bytes(magic: bytes, grid: Grid, values, dtype: str) -> bytes:
+    header = struct.pack(_SNAPSHOT_HEADER, magic, grid.dim, grid.points, grid.extent)
+    return header + np.ascontiguousarray(values, dtype=dtype).tobytes()
+
+
+def _read_snapshot(path, magic: bytes, dtype: str) -> tuple:
+    """(grid, values) from a snapshot file; ValidationError on a bad magic
+    or on a file shorter than its header says."""
+    name = magic.decode()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    start = struct.calcsize(_SNAPSHOT_HEADER)
+    if len(raw) < start:
+        raise ValidationError(f"truncated {name} file")
+    got, dim, points, extent = struct.unpack_from(_SNAPSHOT_HEADER, raw)
+    if got != magic:
+        raise ValidationError(f"not a {name} file: bad magic {got!r}")
+    grid = make_grid(dim, extent, points)
+    size = np.dtype(dtype).itemsize * points**dim
+    body = raw[start:start + size]
+    if len(body) != size:
+        raise ValidationError(f"truncated {name} file")
+    return grid, np.frombuffer(body, dtype=dtype).reshape(grid.shape)
 
 
 def write_field(path, f: SpectralField) -> None:
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIId", _TSF1_MAGIC, f.grid.dim, f.grid.points, f.grid.extent))
-        fh.write(np.ascontiguousarray(f.values, dtype="<c16").tobytes())
+        fh.write(_snapshot_bytes(_TSF1_MAGIC, f.grid, f.values, "<c16"))
 
 
 def read_field(path) -> SpectralField:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIId"))
-        magic, dim, points, extent = struct.unpack("<4sIId", header)
-        if magic != _TSF1_MAGIC:
-            raise ValidationError(f"not a TSF1 file: bad magic {magic!r}")
-        grid = make_grid(dim, extent, points)
-        raw = fh.read(16 * points**dim)
-        if len(raw) != 16 * points**dim:
-            raise ValidationError("truncated TSF1 file")
-        values = np.frombuffer(raw, dtype="<c16").reshape(grid.shape)
+    grid, values = _read_snapshot(path, _TSF1_MAGIC, "<c16")
     return SpectralField(grid=grid, values=values)
 
 

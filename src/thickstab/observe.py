@@ -17,16 +17,15 @@ tested orders, a bound the report states alongside the labels.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .grid import (GaussianProbe, Grid, SpectralField, from_coefficients,
-                   probe_admissible, sample_probe, semigroup_multiplier,
-                   to_coefficients)
+from .grid import (GaussianProbe, Grid, SpectralField, _write_csv,
+                   _write_json, from_coefficients, probe_admissible,
+                   sample_probe, semigroup_multiplier, to_coefficients)
 from .qa import log_moment
 from .stabilize import _mask_form, estimate_spectral_constant
 from .symbols import MultiplierSymbol, shifted
@@ -204,9 +203,7 @@ def write_report_json(report: ObservabilityReport, path) -> None:
             for r in report.probe_results
         ],
     }
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def shift_observability_identity_check(report: ObservabilityReport,
@@ -261,6 +258,10 @@ def necessity_probe_scan(F: MultiplierSymbol, mask: SupportMask, T: float,
     epsilon = _check_epsilon(epsilon)
     if not (np.isfinite(C) and C > 0):
         raise ValidationError(f"C must be positive, got {C}")
+    if quadrature_steps < 1:
+        raise ValidationError(f"need at least 1 quadrature step, got {quadrature_steps}")
+    if len(centers) == 0:
+        raise ValidationError("the schedule of probe centers is empty")
     grid = mask.grid
     xi_max = grid.xi_max
     if not (0 < width and 6.0 * width <= 0.5 * grid.extent
@@ -466,14 +467,11 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
 
 
 def write_cube_csv(report: CubeReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("cube,label,worst_beta,ratio\n")
-        labels = report.labels.ravel()
-        ratios = report.worst_ratio.ravel()
-        for i in range(labels.size):
-            beta = ";".join(str(b) for b in report.worst_beta[i])
-            fh.write(f"{i},{'good' if labels[i] else 'bad'},{beta},"
-                     f"{float(ratios[i])!r}\n")
+    _write_csv(path, "cube,label,worst_beta,ratio",
+               ((i, "good" if good else "bad", ";".join(map(str, beta)), ratio)
+                for i, (good, beta, ratio) in enumerate(zip(
+                    report.labels.ravel(), report.worst_beta,
+                    report.worst_ratio.ravel()))))
 
 
 # ---------------------------------------------------------------------------
@@ -636,6 +634,8 @@ def negative_limit_experiment(F: MultiplierSymbol, psi: SpectralField,
             f"the symbol must approach a finite non-negative limit, got {lim}")
     if not (np.isfinite(T0) and T0 > 0):
         raise ValidationError(f"T0 must be positive, got {T0}")
+    if quadrature_steps < 1:
+        raise ValidationError(f"need at least 1 quadrature step, got {quadrature_steps}")
     h_values = tuple(float(h) for h in h_ladder)
     if not h_values or any(h <= 0 for h in h_values):
         raise ValidationError("h ladder must be positive")

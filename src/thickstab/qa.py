@@ -23,6 +23,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import ConvergenceError, IntegrationError, MomentDivergenceError, ValidationError
+from .grid import _write_csv
 from .symbols import IteratedLogAux, MultiplierSymbol, inf_F, iterated
 
 _S_LO = -50.0
@@ -325,8 +326,6 @@ def write_moments_csv(seq: QASequence, path) -> None:
     logs = np.array(seq.log_moments + (seq.tail_log_moment,))
     ratios = np.exp(logs[:-1] - logs[1:])
     partial = np.cumsum(ratios)
-    with open(path, "w", newline="") as fh:
-        fh.write("k,log_moment,argmax,ratio,dc_partial_sum\n")
-        for k in range(seq.k_max + 1):
-            fh.write(f"{k},{seq.log_moments[k]!r},{seq.argmax_locations[k]!r},"
-                     f"{float(ratios[k])!r},{float(partial[k])!r}\n")
+    _write_csv(path, "k,log_moment,argmax,ratio,dc_partial_sum",
+               zip(range(seq.k_max + 1), seq.log_moments,
+                   seq.argmax_locations, ratios, partial))

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .grid import (Grid, SpectralField, apply_semigroup, ball_multiplier,
-                   from_coefficients, semigroup_multiplier, to_coefficients)
+from .grid import (Grid, SpectralField, _write_csv, apply_semigroup,
+                   ball_multiplier, from_coefficients, semigroup_multiplier,
+                   to_coefficients)
 from .symbols import MultiplierSymbol, alpha_R as tail_inf
 from .thick import SupportMask
 
@@ -543,9 +544,6 @@ def write_trajectory_csv(result: StabilizationResult, path,
     idx = list(range(0, n, stride))
     if idx[-1] != n - 1:
         idx.append(n - 1)
-    with open(path, "w", newline="") as fh:
-        fh.write("t,norm,lyapunov,low_norm,high_norm\n")
-        for i in idx:
-            row = (traj.times[i], traj.norms[i], traj.lyapunov[i],
-                   traj.low_norms[i], traj.high_norms[i])
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(path, "t,norm,lyapunov,low_norm,high_norm",
+               ((traj.times[i], traj.norms[i], traj.lyapunov[i],
+                 traj.low_norms[i], traj.high_norms[i]) for i in idx))

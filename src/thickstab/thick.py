@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid, _readonly, make_grid
+from .grid import Grid, _read_snapshot, _readonly, _snapshot_bytes
 
 _TSM1_MAGIC = b"TSM1"
 
@@ -258,35 +257,20 @@ def thickness_certificate(mask: SupportMask, L: float, stride: int = 1) -> float
 
 
 # ---------------------------------------------------------------------------
-# Mask snapshot format: magic "TSM1", u32 dim, u32 points, f64 extent, then
-# points^dim little-endian f64 cell fractions, row-major.
+# Mask snapshots: the TSM1 layout of grid.py, with f64 cell fractions.
 
 
 def write_mask(path, mask: SupportMask) -> None:
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIId", _TSM1_MAGIC, mask.grid.dim,
-                             mask.grid.points, mask.grid.extent))
-        fh.write(np.ascontiguousarray(mask.cell_fraction, dtype="<f8").tobytes())
+        fh.write(_snapshot_bytes(_TSM1_MAGIC, mask.grid, mask.cell_fraction, "<f8"))
 
 
 def read_mask(path) -> SupportMask:
-    with open(path, "rb") as fh:
-        header = fh.read(struct.calcsize("<4sIId"))
-        magic, dim, points, extent = struct.unpack("<4sIId", header)
-        if magic != _TSM1_MAGIC:
-            raise ValidationError(f"not a TSM1 file: bad magic {magic!r}")
-        grid = make_grid(dim, extent, points)
-        raw = fh.read(8 * points**dim)
-        if len(raw) != 8 * points**dim:
-            raise ValidationError("truncated TSM1 file")
-        frac = np.frombuffer(raw, dtype="<f8").reshape(grid.shape)
+    grid, frac = _read_snapshot(path, _TSM1_MAGIC, "<f8")
     return SupportMask(grid=grid, cell_fraction=frac)
 
 
 def mask_hash(mask: SupportMask) -> str:
-    """Content hash of the mask (same bytes the TSM1 writer emits)."""
-    h = hashlib.sha256()
-    h.update(struct.pack("<4sIId", _TSM1_MAGIC, mask.grid.dim,
-                         mask.grid.points, mask.grid.extent))
-    h.update(np.ascontiguousarray(mask.cell_fraction, dtype="<f8").tobytes())
-    return h.hexdigest()
+    """Content hash of the mask: sha256 of the bytes write_mask writes."""
+    data = _snapshot_bytes(_TSM1_MAGIC, mask.grid, mask.cell_fraction, "<f8")
+    return hashlib.sha256(data).hexdigest()

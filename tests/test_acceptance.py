@@ -152,6 +152,7 @@ def test_criterion_07_scaling_inequality():
     _verdict(7, ok, "rescaled-moment inequality over 16 cases")
 
 
+@pytest.mark.slow
 def test_criterion_08_stabilization_certificate():
     # the long run: ~1.2M steps at dt = 0.1/lam, about a minute
     g = make_grid(1, 16.0, 1024)

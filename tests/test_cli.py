@@ -75,6 +75,42 @@ R_ladder = 2.0, 4.0
 seed = 0
 """
 
+NEC_CFG = """\
+[grid]
+extent = 16.0
+points = 256
+
+[symbol]
+family = halfheat
+
+[mask]
+kind = periodic
+period = 16.0
+fill = 0.5
+
+[run]
+T = 0.5
+epsilon = 0.25
+C = 1.0
+center_start = 6.0
+center_stop = 12.0
+width = 0.7
+"""
+
+NEG_CFG = """\
+[grid]
+extent = 32.0
+points = 512
+
+[symbol]
+family = saturating
+knee = 1.0
+
+[run]
+radius = 0.9
+T0 = 1.0
+"""
+
 
 def write_cfg(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
@@ -191,6 +227,22 @@ def test_validation_exit_codes(tmp_path, capsys):
     # malformed INI
     broken = write_cfg(tmp_path, "family = halfheat\n", "broken.ini")
     assert main(["qa", "--config", str(broken), "--out", str(out)]) == 2
+    # out-of-range values caught before they reach a division or an index
+    stab = write_cfg(tmp_path, STAB_CFG, "stab.ini")
+    nec = write_cfg(tmp_path, NEC_CFG, "nec.ini")
+    neg = write_cfg(tmp_path, NEG_CFG, "neg.ini")
+    for scenario, path, bad in [
+        ("stabilize", stab, "run.dt=0"),
+        ("stabilize", stab, "run.csv_stride=-1"),
+        ("stabilize", stab, "run.snapshot_every=-1"),
+        ("necessity", nec, "run.center_count=0"),
+        ("necessity", nec, "run.center_count=-1"),
+        ("necessity", nec, "run.quadrature_steps=0"),
+        ("negative-limit", neg, "run.quadrature_steps=0"),
+    ]:
+        assert main([scenario, "--config", str(path), "--out", str(out),
+                     "--set", bad]) == 2, bad
+        assert "error:" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -350,27 +402,7 @@ stride = 32
 
 
 def test_necessity_cli(tmp_path):
-    cfg = write_cfg(tmp_path, """\
-[grid]
-extent = 16.0
-points = 256
-
-[symbol]
-family = halfheat
-
-[mask]
-kind = periodic
-period = 16.0
-fill = 0.5
-
-[run]
-T = 0.5
-epsilon = 0.25
-C = 1.0
-center_start = 6.0
-center_stop = 12.0
-width = 0.7
-""")
+    cfg = write_cfg(tmp_path, NEC_CFG)
     out = tmp_path / "out"
     assert main(["necessity", "--config", str(cfg), "--out", str(out)]) == 0
     d = json.loads((out / "manifest.json").read_text())["derived"]
@@ -382,19 +414,7 @@ width = 0.7
 
 
 def test_negative_limit_cli(tmp_path):
-    cfg = write_cfg(tmp_path, """\
-[grid]
-extent = 32.0
-points = 512
-
-[symbol]
-family = saturating
-knee = 1.0
-
-[run]
-radius = 0.9
-T0 = 1.0
-""")
+    cfg = write_cfg(tmp_path, NEG_CFG)
     out = tmp_path / "out"
     assert main(["negative-limit", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())

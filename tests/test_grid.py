@@ -1,17 +1,20 @@
 """Grid, field, semigroup, and probe behavior against closed forms."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from thickstab.errors import ValidationError
-from thickstab.grid import (GaussianProbe, apply_semigroup, ball_multiplier,
+from thickstab.grid import (GaussianProbe, _write_csv, _write_json,
+                            apply_semigroup, ball_multiplier,
                             field_from_values, from_coefficients, inner,
                             make_grid, norm, probe_admissible, project_ball,
                             read_field, restricted_norm, sample_probe,
                             to_coefficients, write_field, zero_field)
 from thickstab.symbols import fractional, halfheat
+from thickstab.thick import make_periodic_thick, mask_hash, write_mask
 
 
 def test_grid_validation():
@@ -183,9 +186,35 @@ def test_field_snapshot_roundtrip(tmp_path):
     with pytest.raises(ValidationError):
         read_field(bad)
     trunc = tmp_path / "trunc.tsf"
-    trunc.write_bytes(p.read_bytes()[:-8])
-    with pytest.raises(ValidationError):
-        read_field(trunc)
+    for data in (p.read_bytes()[:-8], b"TSF1"):  # short body, short header
+        trunc.write_bytes(data)
+        with pytest.raises(ValidationError, match="truncated TSF1 file"):
+            read_field(trunc)
+
+
+def test_artifact_format_pins(tmp_path):
+    # the bytes every CSV, JSON and snapshot artifact is built from; the
+    # manifests hash these, so any change here changes every recorded run
+    csv = tmp_path / "pin.csv"
+    _write_csv(csv, "a,b,c,d", [(1.5, np.float64(2.0), 0.1, 1e-300),
+                                (float("nan"), 7, np.int64(-3), "x;y")])
+    assert csv.read_bytes() == b"a,b,c,d\n1.5,2.0,0.1,1e-300\nnan,7,-3,x;y\n"
+    js = tmp_path / "pin.json"
+    _write_json(js, {"b": 0.1, "a": [1]})
+    assert js.read_bytes() == b'{\n  "a": [\n    1\n  ],\n  "b": 0.1\n}\n'
+
+    g = make_grid(1, 16.0, 8)
+    tsf = tmp_path / "pin.tsf"
+    write_field(tsf, zero_field(g))
+    raw = tsf.read_bytes()
+    assert raw[:20] == (b"TSF1" + b"\x01\0\0\0" + b"\x08\0\0\0"
+                        + b"\0\0\0\0\0\0\x30\x40")  # dim 1, 8 points, 16.0
+    assert len(raw) == 20 + 16 * 8
+    m = make_periodic_thick(g, 2.0, 0.5)
+    tsm = tmp_path / "pin.tsm"
+    write_mask(tsm, m)
+    assert tsm.read_bytes()[:4] == b"TSM1"
+    assert mask_hash(m) == hashlib.sha256(tsm.read_bytes()).hexdigest()
 
 
 def test_field_values_immutable():

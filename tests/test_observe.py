@@ -196,6 +196,10 @@ def test_necessity_scan_validation():
     # a symbol pinned above -log(eps)/(2T) leaves no eligible modulation
     with pytest.raises(ValidationError, match="modulation"):
         necessity_probe_scan(constant(5.0), mask, 0.5, 0.25, 1.0, [7.0], 0.7)
+    with pytest.raises(ValidationError, match="empty"):
+        necessity_probe_scan(halfheat(), mask, 0.5, 0.25, 1.0, [], 0.7)
+    with pytest.raises(ValidationError, match="quadrature step"):
+        necessity_probe_scan(halfheat(), mask, 0.5, 0.25, 1.0, [7.0], 0.7, 0)
 
 
 def test_kovrijkine_growth():
@@ -507,6 +511,8 @@ def test_negative_limit_validation():
                                   0.9, 1.0, (1.0, 0.5))
     with pytest.raises(ValidationError, match="does not fit"):
         negative_limit_experiment(saturating(1.0), psi, 0.9, 1.0, (0.05,))
+    with pytest.raises(ValidationError, match="quadrature step"):
+        negative_limit_experiment(saturating(1.0), psi, 0.9, 1.0, (1.0,), 0)
     with pytest.raises(ValidationError):
         negative_limit_experiment(saturating(1.0), psi, 0.9, 0.0, (1.0,))
     with pytest.raises(ValidationError):

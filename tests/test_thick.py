@@ -166,6 +166,11 @@ def test_mask_snapshot_roundtrip(tmp_path):
     bad.write_bytes(b"XXXX" + p.read_bytes()[4:])
     with pytest.raises(ValidationError):
         read_mask(bad)
+    trunc = tmp_path / "trunc.tsm"
+    for data in (p.read_bytes()[:-8], b"TSM1"):  # short body, short header
+        trunc.write_bytes(data)
+        with pytest.raises(ValidationError, match="truncated TSM1 file"):
+            read_mask(trunc)
 
 
 def test_mask_hash_distinguishes():
