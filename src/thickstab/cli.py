@@ -79,6 +79,16 @@ def _choice(*options):
     return convert
 
 
+def _at_least(convert, lo, strict=False):
+    """convert, then require a value above lo (strict) or at least lo."""
+    def checked(raw: str):
+        v = convert(raw)
+        if v < lo or (strict and v == lo):
+            raise ValueError(f"must be {'>' if strict else '>='} {lo}")
+        return v
+    return checked
+
+
 def _float_or_auto(raw: str):
     v = raw.strip()
     if v == "auto":
@@ -132,7 +142,8 @@ def _field_keys(prefix: str, what: str) -> dict:
     return {
         prefix: _Key(_choice("gaussian", "mode", "constant"), "gaussian",
                      f"{what}: gaussian bump, cosine mode, or constant"),
-        f"{prefix}_width": _Key(_float, 1.0, "gaussian width"),
+        f"{prefix}_width": _Key(_at_least(_float, 0, strict=True), 1.0,
+                                "gaussian width"),
         f"{prefix}_center": _Key(_float, None,
                                  "gaussian center (default: box center)"),
         f"{prefix}_frequency": _Key(_float, 0.0,
@@ -213,12 +224,8 @@ def _build_field(grid, rcfg: dict, prefix: str):
                          for _ in range(grid.dim)), indexing="ij") \
         if grid.dim > 1 else [np.arange(grid.points) * grid.dx]
     if kind == "gaussian":
-        width = rcfg[f"{prefix}_width"]
-        if width <= 0:
-            raise ValidationError(
-                f"key 'run.{prefix}_width' must be positive, got {width}")
         sq = sum((ax - center) ** 2 for ax in axes)
-        vals = np.exp(-sq / (2.0 * width ** 2))
+        vals = np.exp(-sq / (2.0 * rcfg[f"{prefix}_width"] ** 2))
         freq = rcfg[f"{prefix}_frequency"]
         if freq != 0.0:
             vals = vals * np.cos(freq * (axes[0] - center))
@@ -263,10 +270,6 @@ def _build_inputs(spec: _Scenario, cfg: dict) -> _Inputs:
 def _run_simulate(cfg, inp, out):
     grid, F, f0 = inp.grid, inp.F, inp.field
     T, rows = cfg["run"]["T"], cfg["run"]["snapshots"]
-    if T <= 0:
-        raise ValidationError(f"key 'run.T' must be positive, got {T}")
-    if rows < 2:
-        raise ValidationError(f"key 'run.snapshots' must be >= 2, got {rows}")
     step = semigroup_multiplier(grid, F, T / (rows - 1))
     c = to_coefficients(f0)
     times = np.linspace(0.0, T, rows)
@@ -284,11 +287,6 @@ def _run_simulate(cfg, inp, out):
 def _run_stabilize(cfg, inp, out):
     F, mask, f0 = inp.F, inp.mask, inp.field
     run = cfg["run"]
-    if run["dt"] is not None and run["dt"] <= 0:
-        raise ValidationError(f"key 'run.dt' must be positive, got {run['dt']}")
-    for key in ("csv_stride", "snapshot_every"):
-        if run[key] < 0:
-            raise ValidationError(f"key 'run.{key}' must be >= 0, got {run[key]}")
     derived = {"mask_hash": mask_hash(mask)}
     C = run["C"]
     if C == "auto":
@@ -332,9 +330,6 @@ def _run_observability(cfg, inp, out):
 
 def _run_necessity(cfg, inp, out):
     run = cfg["run"]
-    if run["center_count"] < 1:
-        raise ValidationError(
-            f"key 'run.center_count' must be >= 1, got {run['center_count']}")
     centers = np.linspace(run["center_start"], run["center_stop"],
                           run["center_count"])
     scan = necessity_probe_scan(inp.F, inp.mask, run["T"], run["epsilon"],
@@ -365,9 +360,6 @@ def _run_negative_limit(cfg, inp, out):
 
 def _run_qa(cfg, inp, out):
     run = cfg["run"]
-    if run["k_max"] < 1:
-        raise ValidationError(
-            f"key 'run.k_max' must be >= 1, got {run['k_max']}")
     seq = build_sequence(inp.F, run["k_max"], run["scale"])
     write_moments_csv(seq, out / "moments.csv")
     return ({"ratio_bound": seq.ratio_bound,
@@ -443,8 +435,10 @@ _SCENARIOS = {
     "simulate": _Scenario(
         "free evolution under exp(-t F(|D|)): norm history and final field",
         {"grid": _GRID_KEYS, "symbol": _SYMBOL_KEYS,
-         "run": {"T": _Key(_float, help="final time"),
-                 "snapshots": _Key(_int, 129, "rows in evolution.csv"),
+         "run": {"T": _Key(_at_least(_float, 0, strict=True),
+                           help="final time"),
+                 "snapshots": _Key(_at_least(_int, 2), 129,
+                                   "rows in evolution.csv"),
                  **_field_keys("f0", "initial data")}},
         _run_simulate, "f0"),
     "stabilize": _Scenario(
@@ -455,9 +449,12 @@ _SCENARIOS = {
                  "C": _Key(_float_or_auto, "auto",
                            "restriction constant, or auto to measure it"),
                  "T": _Key(_float, help="final time"),
-                 "dt": _Key(_float, None, "time step (default: stability cap)"),
-                 "snapshot_every": _Key(_int, 0, "coefficient snapshot stride"),
-                 "csv_stride": _Key(_int, 0, "CSV row stride (0 = auto)"),
+                 "dt": _Key(_at_least(_float, 0, strict=True), None,
+                            "time step (default: stability cap)"),
+                 "snapshot_every": _Key(_at_least(_int, 0), 0,
+                                        "coefficient snapshot stride"),
+                 "csv_stride": _Key(_at_least(_int, 0), 0,
+                                    "CSV row stride (0 = auto)"),
                  "trials": _Key(_int, 4, "no effect (the eigensolve is dense)"),
                  "iterations": _Key(_int, 200, "no effect (the eigensolve is dense)"),
                  "seed": _Key(_int, None, "no effect (the eigensolve is dense)"),
@@ -485,7 +482,7 @@ _SCENARIOS = {
                  "C": _Key(_float, help="constant the scan tries to defeat"),
                  "center_start": _Key(_float, help="first probe center"),
                  "center_stop": _Key(_float, help="last probe center"),
-                 "center_count": _Key(_int, 9, "schedule length"),
+                 "center_count": _Key(_at_least(_int, 1), 9, "schedule length"),
                  "width": _Key(_float, help="probe width"),
                  "quadrature_steps": _Key(_int, 64, "time quadrature steps")}},
         _run_necessity),
@@ -504,7 +501,8 @@ _SCENARIOS = {
         "Bernstein moments M_k = sup_r r^k e^{-F(r)}: the sequence, its "
         "ratios, and the divergence partial sums",
         {"symbol": _SYMBOL_KEYS,
-         "run": {"k_max": _Key(_int, help="largest moment order"),
+         "run": {"k_max": _Key(_at_least(_int, 1),
+                               help="largest moment order"),
                  "scale": _Key(_float, 1.0, "time scale inside the exponent")}},
         _run_qa),
     "thick-check": _Scenario(
@@ -615,16 +613,6 @@ def _apply_overrides(raw: dict, sets: list) -> None:
         raw.setdefault(section.strip(), {})[key.strip()] = value.strip()
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, (tuple, list)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _print_catalog(as_json: bool) -> None:
     if as_json:
         payload = []
@@ -636,7 +624,7 @@ def _print_catalog(as_json: bool) -> None:
                     if ks.required:
                         required.append(f"{section}.{key}")
                     else:
-                        optional[f"{section}.{key}"] = _jsonable(ks.default)
+                        optional[f"{section}.{key}"] = ks.default
             payload.append({"name": name, "summary": sc.blurb,
                             "required": required, "optional": optional})
         print(json.dumps({"scenarios": payload}, indent=2, sort_keys=True))
@@ -660,12 +648,12 @@ def _run(scenario: str, config_path: Path, out_dir: Path, sets: list) -> int:
     derived, files = spec.run(resolved, _build_inputs(spec, resolved), out_dir)
     manifest = {
         "scenario": scenario,
-        "config": _jsonable(resolved),
+        "config": resolved,
         "inputs": {
             "config_path": str(config_path),
             "config_sha256": _hash_file(config_path),
         },
-        "derived": _jsonable(derived),
+        "derived": derived,
         "outputs": {name: _hash_file(out_dir / name) for name in sorted(files)},
     }
     _write_json(out_dir / "manifest.json", manifest)

@@ -270,8 +270,9 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _write_json(path, payload) -> None:
+    # numpy scalars are written as the Python values their .item() gives
     with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, default=np.generic.item)
         fh.write("\n")
 
 
@@ -282,7 +283,7 @@ def _snapshot_bytes(magic: bytes, grid: Grid, values, dtype: str) -> bytes:
 
 def _read_snapshot(path, magic: bytes, dtype: str) -> tuple:
     """(grid, values) from a snapshot file; ValidationError on a bad magic
-    or on a file shorter than its header says."""
+    or on a file whose length is not the one its header says."""
     name = magic.decode()
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -294,9 +295,12 @@ def _read_snapshot(path, magic: bytes, dtype: str) -> tuple:
         raise ValidationError(f"not a {name} file: bad magic {got!r}")
     grid = make_grid(dim, extent, points)
     size = np.dtype(dtype).itemsize * points**dim
-    body = raw[start:start + size]
-    if len(body) != size:
+    body = raw[start:]
+    if len(body) < size:
         raise ValidationError(f"truncated {name} file")
+    if len(body) > size:
+        raise ValidationError(
+            f"{name} file has {len(body) - size} bytes past its {size}-byte body")
     return grid, np.frombuffer(body, dtype=dtype).reshape(grid.shape)
 
 

@@ -66,31 +66,23 @@ def _check_epsilon(epsilon: float) -> float:
 
 def _restricted_march(grid: Grid, c: np.ndarray, e_step: np.ndarray,
                       frac: np.ndarray, steps: int) -> np.ndarray:
-    """Restricted squared norms ||e^{-k dt F} f||^2_omega for k = 0..steps.
+    """Restricted squared norms ||e^{-k dt F} f||^2_omega for k = 0..steps,
+    one row per field.
 
-    c holds the coefficients of f and is advanced in place by the one-step
-    multiplier e_step, so it ends as the coefficients at the final time.
+    c stacks the coefficients of the fields along its first axis and is
+    advanced in place by the one-step multiplier e_step, so it ends as the
+    coefficients at the final time. e_step and frac broadcast against c:
+    either one array shared by every field or one row per field.
     """
-    integrand = np.empty(steps + 1)
+    axes = tuple(range(1, c.ndim))
+    integrand = np.empty((len(c), steps + 1))
     for k in range(steps + 1):
         if k > 0:
             c *= e_step
-        vals = np.fft.ifftn(c) / grid.cell_measure
-        integrand[k] = float(np.sum(frac * (vals.real**2 + vals.imag**2))) \
-            * grid.cell_measure
+        vals = np.fft.ifftn(c, axes=axes) / grid.cell_measure
+        sq = frac * (vals.real**2 + vals.imag**2)
+        integrand[:, k] = sq.reshape(len(c), -1).sum(axis=1) * grid.cell_measure
     return integrand
-
-
-def _probe_curves(symbol, mask, T, steps, probe):
-    """March the probe through the semigroup; return (norm_g^2, lhs, integrand)."""
-    grid = mask.grid
-    c = to_coefficients(sample_probe(grid, probe))
-    box = grid.box_measure
-    g_sq = float(np.vdot(c, c).real) / box
-    e_step = semigroup_multiplier(grid, symbol, T / steps)
-    integrand = _restricted_march(grid, c, e_step, mask.cell_fraction, steps)
-    lhs = float(np.vdot(c, c).real) / box
-    return g_sq, lhs, integrand
 
 
 def _required_constant(lhs, g_sq, integral, epsilon):
@@ -106,7 +98,10 @@ def estimate_observability_constant(F: MultiplierSymbol, mask: SupportMask,
                                     T: float, epsilon: float, probes,
                                     quadrature_steps: int = 64) -> ObservabilityReport:
     """Certified lower bound on the constant relating ||e^{-TF}g||^2 to the
-    restricted time integral, maximized over a Gaussian probe dictionary."""
+    restricted time integral, maximized over a Gaussian probe dictionary.
+
+    All probes are marched through the semigroup together, one row each.
+    """
     epsilon = _check_epsilon(epsilon)
     if not (np.isfinite(T) and T > 0):
         raise ValidationError(f"T must be positive, got {T}")
@@ -124,22 +119,25 @@ def estimate_observability_constant(F: MultiplierSymbol, mask: SupportMask,
                 f"width={p.width}) is not admissible "
                 "on this grid: it needs 6 l <= extent/2 and |xi0| + 3/l within "
                 "the frequency lattice")
+    box = grid.box_measure
+    c = np.stack([to_coefficients(sample_probe(grid, p)) for p in probes])
+    g_sq = [float(np.vdot(row, row).real) / box for row in c]
+    e_step = semigroup_multiplier(grid, F, T / quadrature_steps)
+    integrands = _restricted_march(grid, c, e_step, mask.cell_fraction,
+                                   quadrature_steps)
     times = np.linspace(0.0, T, quadrature_steps + 1)
-    results, integrands = [], []
-    c_est = 0.0
-    for i, p in enumerate(probes):
-        g_sq, lhs, integrand = _probe_curves(F, mask, T, quadrature_steps, p)
-        integral = float(np.trapezoid(integrand, times))
-        req = _required_constant(lhs, g_sq, integral, epsilon)
-        results.append(ProbeResult(index=i, lhs=lhs, obs_integral=integral,
-                                   required_C=req))
-        integrands.append(tuple(integrand))
-        c_est = max(c_est, req)
+    integrals = [float(v) for v in np.trapezoid(integrands, times, axis=1)]
+    lhs = [float(np.vdot(row, row).real) / box for row in c]
+    results = tuple(
+        ProbeResult(index=i, lhs=a, obs_integral=v,
+                    required_C=_required_constant(a, g, v, epsilon))
+        for i, (a, g, v) in enumerate(zip(lhs, g_sq, integrals)))
     return ObservabilityReport(
         symbol=F, mask=mask, T=float(T), epsilon=epsilon,
         quadrature_steps=int(quadrature_steps), probes=probes,
-        times=tuple(float(t) for t in times), integrands=tuple(integrands),
-        probe_results=tuple(results), C_est=c_est)
+        times=tuple(float(t) for t in times),
+        integrands=tuple(map(tuple, integrands)), probe_results=results,
+        C_est=max(0.0, *(r.required_C for r in results)))
 
 
 def make_probe_set(grid: Grid, count: int, seed: int,
@@ -252,14 +250,17 @@ def necessity_probe_scan(F: MultiplierSymbol, mask: SupportMask, T: float,
 
     The modulation xi0 is picked on the frequency lattice to minimize F
     subject to e^{-2 T F(|xi0|)} > epsilon, the regime where the left side
-    cannot be absorbed by the eps ||g||^2 slack. Returns the per-center
-    required constants and the first center whose probe defeats C.
+    cannot be absorbed by the eps ||g||^2 slack. The required constants come
+    from estimate_observability_constant on the scheduled probes, so the
+    scan shares its rules, among them at least 32 quadrature steps. Returns
+    the per-center required constants and the first center whose probe
+    defeats C.
     """
     epsilon = _check_epsilon(epsilon)
+    if not (np.isfinite(T) and T > 0):
+        raise ValidationError(f"T must be positive, got {T}")
     if not (np.isfinite(C) and C > 0):
         raise ValidationError(f"C must be positive, got {C}")
-    if quadrature_steps < 1:
-        raise ValidationError(f"need at least 1 quadrature step, got {quadrature_steps}")
     if len(centers) == 0:
         raise ValidationError("the schedule of probe centers is empty")
     grid = mask.grid
@@ -286,21 +287,13 @@ def necessity_probe_scan(F: MultiplierSymbol, mask: SupportMask, T: float,
         i, j = np.unravel_index(pick, grid.shape)
         xi0 = (float(grid.axis_xi[i]), float(grid.axis_xi[j]))
 
-    req = []
-    witness = None
-    times = np.linspace(0.0, T, quadrature_steps + 1)
-    for k, x0 in enumerate(centers):
-        x0t = (float(x0),) if np.ndim(x0) == 0 else tuple(float(v) for v in x0)
-        probe = GaussianProbe(width=float(width), center=x0t, frequency=xi0)
-        if not probe_admissible(grid, probe):
-            raise ValidationError(f"scan probe at x0={x0t} is not admissible")
-        g_sq, lhs, integrand = _probe_curves(F, mask, T, quadrature_steps, probe)
-        integral = float(np.trapezoid(integrand, times))
-        r = _required_constant(lhs, g_sq, integral, epsilon)
-        req.append(r)
-        if witness is None and r > C:
-            witness = k
-    return NecessityScan(centers=tuple(centers), required=tuple(req),
+    probes = [GaussianProbe(width=float(width), center=x0, frequency=xi0)
+              for x0 in centers]
+    report = estimate_observability_constant(F, mask, T, epsilon, probes,
+                                             quadrature_steps)
+    req = tuple(r.required_C for r in report.probe_results)
+    witness = next((k for k, r in enumerate(req) if r > C), None)
+    return NecessityScan(centers=tuple(centers), required=req,
                          xi0=xi0, width=float(width), witness_index=witness)
 
 
@@ -647,19 +640,17 @@ def negative_limit_experiment(F: MultiplierSymbol, psi: SpectralField,
                 "the radius or enlarge the grid")
     c_psi = to_coefficients(psi)
     psi_sq = float(np.vdot(c_psi, c_psi).real) / grid.box_measure
+    e_step = np.stack([semigroup_multiplier(grid, F, T0 / quadrature_steps,
+                                            freq_scale=1.0 / h)
+                       for h in h_values])
+    frac = np.stack([make_ball_complement(grid, radius / h).cell_fraction
+                     for h in h_values])
+    c = np.repeat(c_psi[None], len(h_values), axis=0)
+    integrands = _restricted_march(grid, c, e_step, frac, quadrature_steps)
     times = np.linspace(0.0, T0, quadrature_steps + 1)
-    constants, integrals, rows = [], [], []
-    for h in h_values:
-        omega = make_ball_complement(grid, radius / h)
-        e_step = semigroup_multiplier(grid, F, T0 / quadrature_steps,
-                                      freq_scale=1.0 / h)
-        integrand = _restricted_march(grid, c_psi.copy(), e_step,
-                                      omega.cell_fraction, quadrature_steps)
-        integral = float(np.trapezoid(integrand, times))
-        integrals.append(integral)
-        constants.append(psi_sq / integral if integral > 0 else math.inf)
-        rows.append(tuple(integrand))
+    integrals = tuple(float(v) for v in np.trapezoid(integrands, times, axis=1))
+    constants = tuple(psi_sq / v if v > 0 else math.inf for v in integrals)
     return NegativeLimitCurve(
-        h_values=h_values, constants=tuple(constants),
-        integrals=tuple(integrals), times=tuple(float(t) for t in times),
-        integrands=tuple(rows))
+        h_values=h_values, constants=constants, integrals=integrals,
+        times=tuple(float(t) for t in times),
+        integrands=tuple(map(tuple, integrands)))

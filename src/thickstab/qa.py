@@ -27,6 +27,8 @@ from .grid import _write_csv
 from .symbols import IteratedLogAux, MultiplierSymbol, inf_F, iterated
 
 _S_LO = -50.0
+_GRID_POINTS = 4096  # coarse log-radius grid that seeds the golden search
+_K_FLOOR = 100.0  # smallest k at which the asymptotic depth bounds are tested
 _GOLDEN_ITERS = 80
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -51,15 +53,15 @@ def _check_scale(scale) -> float:
     return scale
 
 
-def _moment_batch(symbol: MultiplierSymbol, ks: np.ndarray, scale: float,
-                  grid_points: int) -> tuple:
+def _moment_batch(symbol: MultiplierSymbol, ks: np.ndarray,
+                  scale: float) -> tuple:
     """log M_k and argmax radius for an ascending array of k > 0."""
     if symbol.family == "shifted":
         mu = symbol.params[0]
-        logs, locs = _moment_batch(symbol.base, ks, scale, grid_points)
+        logs, locs = _moment_batch(symbol.base, ks, scale)
         return logs + scale * mu, locs
     s_hi = _s_cap(symbol)
-    s = np.linspace(_S_LO, s_hi, grid_points)
+    s = np.linspace(_S_LO, s_hi, _GRID_POINTS)
     fe = scale * symbol.eval(np.exp(s))
     idx = np.empty(len(ks), dtype=int)
     j0 = 0
@@ -67,8 +69,8 @@ def _moment_batch(symbol: MultiplierSymbol, ks: np.ndarray, scale: float,
         # grid argmax of k*s - fe over j >= j0; the maximizer never moves left
         j0 += int(np.argmax(k * s[j0:] - fe[j0:]))
         idx[i] = j0
-    if np.any(idx >= grid_points - 2):
-        bad = float(ks[int(np.argmax(idx >= grid_points - 2))])
+    if np.any(idx >= _GRID_POINTS - 2):
+        bad = float(ks[int(np.argmax(idx >= _GRID_POINTS - 2))])
         raise MomentDivergenceError(
             f"supremum of r^k e^(-scale F) appears infinite for k={bad}: "
             f"maximizer ran into the search cap r={math.exp(s_hi):.3g}")
@@ -104,8 +106,7 @@ def _moment_batch(symbol: MultiplierSymbol, ks: np.ndarray, scale: float,
     return vals, np.exp(s_star)
 
 
-def log_moment(symbol: MultiplierSymbol, k, scale: float = 1.0, *,
-               grid_points: int = 4096) -> tuple:
+def log_moment(symbol: MultiplierSymbol, k, scale: float = 1.0) -> tuple:
     """(log M_k, argmax radius) for M_k = sup_{r>=0} r^k e^{-scale F(r)}.
 
     Raises MomentDivergenceError when the supremum is infinite, which happens
@@ -119,7 +120,7 @@ def log_moment(symbol: MultiplierSymbol, k, scale: float = 1.0, *,
     if k == 0:
         res = inf_F(symbol)
         return -scale * res.value, res.location
-    logs, locs = _moment_batch(symbol, np.array([k]), scale, grid_points)
+    logs, locs = _moment_batch(symbol, np.array([k]), scale)
     return float(logs[0]), float(locs[0])
 
 
@@ -154,8 +155,8 @@ class QASequence:
         return math.exp(self.log_moments[k] - self.log_moment_at(k + 1))
 
 
-def build_sequence(symbol: MultiplierSymbol, k_max: int, scale: float = 1.0, *,
-                   grid_points: int = 4096) -> QASequence:
+def build_sequence(symbol: MultiplierSymbol, k_max: int,
+                   scale: float = 1.0) -> QASequence:
     """Compute M_0 .. M_{k_max+1} and package them, checking log-convexity."""
     if not (isinstance(k_max, (int, np.integer)) and k_max >= 1):
         raise ValidationError(f"k_max must be an integer >= 1, got {k_max}")
@@ -164,7 +165,7 @@ def build_sequence(symbol: MultiplierSymbol, k_max: int, scale: float = 1.0, *,
         raise MomentDivergenceError(
             f"supremum infinite: {symbol.describe()} is bounded, so the moment sequence diverges")
     ks = np.arange(1, k_max + 2, dtype=float)
-    logs, locs = _moment_batch(symbol, ks, scale, grid_points)
+    logs, locs = _moment_batch(symbol, ks, scale)
     zero = inf_F(symbol)
     log_all = np.concatenate([[-scale * zero.value], logs])
     loc_all = np.concatenate([[zero.location], locs])
@@ -268,22 +269,22 @@ def scaling_inequality_check(symbol: MultiplierSymbol, T: float, p: float, k) ->
     return lhs, rhs, bool(holds)
 
 
-def _check_depth_index(p, k, k_floor):
+def _check_depth_index(p, k):
     if not (isinstance(p, (int, np.integer)) and 1 <= p <= 8):
         raise ValidationError(f"iteration depth p must be an integer in [1, 8], got {p}")
     k = _check_k(k)
-    if k < k_floor:
-        raise ValidationError(f"bound is asymptotic: need k >= {k_floor}, got {k:g}")
+    if k < _K_FLOOR:
+        raise ValidationError(f"bound is asymptotic: need k >= {_K_FLOOR}, got {k:g}")
     return int(p), k
 
 
-def tk_bound_check(p: int, k, k_floor: float = 100.0) -> tuple:
+def tk_bound_check(p: int, k) -> tuple:
     """Solve t F_p'(t) = k for the symbol F_p = r / phi_p(r), check t_k <= 2 k phi_p(k).
 
     The derivative is taken by central differences on the public evaluation,
     h = max(1e-6 t, 1e-6); returns (t_k, bound, holds).
     """
-    p, k = _check_depth_index(p, k, k_floor)
+    p, k = _check_depth_index(p, k)
     symbol = iterated(p)
 
     def psi(t):
@@ -311,11 +312,11 @@ def tk_bound_check(p: int, k, k_floor: float = 100.0) -> tuple:
     return t_k, bound, bool(t_k <= bound * (1.0 + 1e-9))
 
 
-def ratio_lower_bound_check(p: int, k, k_floor: float = 100.0) -> bool:
+def ratio_lower_bound_check(p: int, k) -> bool:
     """Check M_{k-1} / M_k >= 1 / (2 k phi_p(k)) for F_p = r / phi_p(r)."""
-    p, k = _check_depth_index(p, k, k_floor)
+    p, k = _check_depth_index(p, k)
     symbol = iterated(p)
-    logs, _ = _moment_batch(symbol, np.array([k - 1.0, k]), 1.0, 4096)
+    logs, _ = _moment_batch(symbol, np.array([k - 1.0, k]), 1.0)
     ratio = math.exp(logs[0] - logs[1])
     bound = 1.0 / (2.0 * k * float(IteratedLogAux(p).phi(k)))
     return bool(ratio >= bound * (1.0 - 1e-9))

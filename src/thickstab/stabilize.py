@@ -373,7 +373,7 @@ def step_closed_loop(f: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     """Advance one step of d/dt f = -F(|D|) f - lam 1_omega K_R f."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValidationError(f"dt must be positive, got {dt}")
-    if cfg is None or cfg.lam == 0.0:
+    if cfg is None:
         return apply_semigroup(f, F, dt)
     stepper = _Stepper(f.grid, F, mask, cfg, dt, adjoint_order)
     c = stepper.step(stepper.enter(to_coefficients(f)))
@@ -391,10 +391,6 @@ class Trajectory:
     low_norms: np.ndarray
     high_norms: np.ndarray
     snapshots: tuple = ()
-
-    def snapshot_field(self, i: int) -> SpectralField:
-        t, coef = self.snapshots[i]
-        return from_coefficients(self.grid, coef)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ValidationError
 
 _FAMILIES = ("fractional", "halfheat", "loglog", "iterated", "shifted", "custom")
+_SCAN_POINTS = 4096  # grid of the infimum scans before golden refinement
 
 
 @dataclass(frozen=True)
@@ -304,17 +305,17 @@ def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple:
     x = c if fc <= fd else d
     return x, fn(x)
 
-def _scan_min(symbol: MultiplierSymbol, lo: float, hi: float, grid_points: int) -> InfResult:
-    grid = np.linspace(lo, hi, grid_points)
+def _scan_min(symbol: MultiplierSymbol, lo: float, hi: float) -> InfResult:
+    grid = np.linspace(lo, hi, _SCAN_POINTS)
     vals = symbol.eval(grid)
     i = int(np.argmin(vals))
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
+    b = grid[min(i + 1, _SCAN_POINTS - 1)]
     x, v = _golden_min(lambda r: float(symbol.eval(r)), a, b, tol=1e-10 * (1.0 + hi - lo))
     # keep the exact grid value when refinement does not beat it
     if vals[i] <= v:
         x, v = float(grid[i]), float(vals[i])
-    at_edge = i >= grid_points - 2
+    at_edge = i >= _SCAN_POINTS - 2
     return InfResult(value=float(v), location=float(x), reliable=symbol.monotone_tail or not at_edge)
 
 
@@ -326,26 +327,26 @@ def _default_hi(symbol: MultiplierSymbol, lo: float) -> float:
     return max(1e4, lo + 10.0)
 
 
-def inf_F(symbol: MultiplierSymbol, r_max: float | None = None, grid_points: int = 4096) -> InfResult:
+def inf_F(symbol: MultiplierSymbol, r_max: float | None = None) -> InfResult:
     """Numeric inf of F over [0, r_max] (shifted symbols recurse exactly)."""
     if symbol.family == "shifted":
-        base = inf_F(symbol.base, r_max=r_max, grid_points=grid_points)
+        base = inf_F(symbol.base, r_max=r_max)
         return InfResult(base.value - symbol.params[0], base.location, base.reliable)
     hi = float(r_max) if r_max is not None else _default_hi(symbol, 0.0)
     if hi <= 0:
         raise ValidationError(f"r_max must be > 0, got {hi}")
-    return _scan_min(symbol, 0.0, hi, grid_points)
+    return _scan_min(symbol, 0.0, hi)
 
 
-def alpha_R(symbol: MultiplierSymbol, R: float, r_max: float | None = None,
-            grid_points: int = 4096) -> InfResult:
+def alpha_R(symbol: MultiplierSymbol, R: float,
+            r_max: float | None = None) -> InfResult:
     """Numeric tail infimum inf_{r >= R} F(r), scanned on [R, r_max]."""
     if not (np.isfinite(R) and R >= 0):
         raise ValidationError(f"R must be >= 0 and finite, got {R}")
     if symbol.family == "shifted":
-        base = alpha_R(symbol.base, R, r_max=r_max, grid_points=grid_points)
+        base = alpha_R(symbol.base, R, r_max=r_max)
         return InfResult(base.value - symbol.params[0], base.location, base.reliable)
     hi = float(r_max) if r_max is not None else _default_hi(symbol, R)
     if hi <= R:
         raise ValidationError(f"r_max={hi} must exceed R={R}")
-    return _scan_min(symbol, R, hi, grid_points)
+    return _scan_min(symbol, R, hi)

@@ -26,6 +26,7 @@ from .errors import ValidationError
 from .grid import Grid, _read_snapshot, _readonly, _snapshot_bytes
 
 _TSM1_MAGIC = b"TSM1"
+_SUBSAMPLES = 16  # sub-cell lattice per axis on cells a ball boundary cuts
 
 
 def _periods(frac: np.ndarray) -> tuple:
@@ -129,12 +130,11 @@ def _axis_cyclic_extremes(grid: Grid, center: float) -> tuple:
 
 
 def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
-                         cert_scale: float | None = None,
-                         subsamples: int = 16) -> SupportMask:
+                         cert_scale: float | None = None) -> SupportMask:
     """Everything outside the (cyclic) ball of the given radius.
 
     Cells fully inside or outside are classified exactly from per-axis
-    distance extremes; cells the sphere cuts are measured on a subsamples^dim
+    distance extremes; cells the sphere cuts are measured on a 16^dim
     lattice of sub-cell centers. Pass cert_scale to have the thickness of the
     result measured at that window side and attached as its certificate.
     """
@@ -157,7 +157,7 @@ def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
     frac = np.where(hi2 <= r2, 0.0, 1.0)  # fully inside the ball -> excluded
     cut = (lo2 < r2) & (hi2 > r2)
     if np.any(cut):
-        offs = (np.arange(subsamples) + 0.5) / subsamples * grid.dx
+        offs = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES * grid.dx
         idx = np.argwhere(cut)
         for cell in idx:
             pts = [grid.axis_x[cell[k]] + offs for k in range(grid.dim)]
@@ -167,7 +167,7 @@ def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
                 d2 = (_cyc_delta(pts[0], center[0], grid.extent)[:, None] ** 2
                       + _cyc_delta(pts[1], center[1], grid.extent)[None, :] ** 2)
             outside = np.count_nonzero(d2 > r2)
-            frac[tuple(cell)] = outside / subsamples**grid.dim
+            frac[tuple(cell)] = outside / _SUBSAMPLES**grid.dim
     spec = {"kind": "ball-complement", "radius": float(radius), "center": center}
     cert = None
     if cert_scale is not None:

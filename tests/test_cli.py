@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from thickstab import cli
 from thickstab.cli import main
 from thickstab.grid import make_grid, norm, read_field
 from thickstab.stabilize import estimate_spectral_constant
@@ -194,7 +195,7 @@ def test_set_overrides(tmp_path):
                  "--set", "k_max=5"]) == 2
 
 
-def test_validation_exit_codes(tmp_path, capsys):
+def test_validation_exit_codes(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, OBS_CFG)
     out = tmp_path / "out"
     assert main(["frobnicate", "--config", str(cfg), "--out", str(out)]) == 2
@@ -231,13 +232,34 @@ def test_validation_exit_codes(tmp_path, capsys):
     stab = write_cfg(tmp_path, STAB_CFG, "stab.ini")
     nec = write_cfg(tmp_path, NEC_CFG, "nec.ini")
     neg = write_cfg(tmp_path, NEG_CFG, "neg.ini")
+    sim_t = write_cfg(tmp_path, "[grid]\nextent = 16.0\npoints = 64\n"
+                      "[symbol]\nfamily = halfheat\n[run]\nT = 0.5\n",
+                      "sim_t.ini")
+    qa = write_cfg(tmp_path, QA_CFG, "qa.ini")
+    # range rules sit beside their keys: nothing is built for these
+    def never_built(*args):
+        raise AssertionError("inputs built for an out-of-range key")
+
+    monkeypatch.setattr(cli, "_build_inputs", never_built)
     for scenario, path, bad in [
         ("stabilize", stab, "run.dt=0"),
         ("stabilize", stab, "run.csv_stride=-1"),
         ("stabilize", stab, "run.snapshot_every=-1"),
+        ("stabilize", stab, "run.f0_width=0"),
         ("necessity", nec, "run.center_count=0"),
         ("necessity", nec, "run.center_count=-1"),
+        ("simulate", sim_t, "run.T=0"),
+        ("simulate", sim_t, "run.snapshots=1"),
+        ("qa", qa, "run.k_max=0"),
+    ]:
+        assert main([scenario, "--config", str(path), "--out", str(out),
+                     "--set", bad]) == 2, bad
+        assert f"error: key '{bad.split('=')[0]}'" in capsys.readouterr().err
+    monkeypatch.undo()
+    # rules that need the built inputs are the library's
+    for scenario, path, bad in [
         ("necessity", nec, "run.quadrature_steps=0"),
+        ("necessity", nec, "run.T=0"),
         ("negative-limit", neg, "run.quadrature_steps=0"),
     ]:
         assert main([scenario, "--config", str(path), "--out", str(out),

@@ -190,6 +190,9 @@ def test_field_snapshot_roundtrip(tmp_path):
         trunc.write_bytes(data)
         with pytest.raises(ValidationError, match="truncated TSF1 file"):
             read_field(trunc)
+    trunc.write_bytes(p.read_bytes() + bytes(128))  # bytes past the body
+    with pytest.raises(ValidationError, match="128 bytes past"):
+        read_field(trunc)
 
 
 def test_artifact_format_pins(tmp_path):
@@ -202,6 +205,9 @@ def test_artifact_format_pins(tmp_path):
     js = tmp_path / "pin.json"
     _write_json(js, {"b": 0.1, "a": [1]})
     assert js.read_bytes() == b'{\n  "a": [\n    1\n  ],\n  "b": 0.1\n}\n'
+    # numpy scalars are written as their Python values, tuples as lists
+    _write_json(js, {"n": (np.int64(3), np.float64(0.1), np.bool_(True))})
+    assert js.read_bytes() == b'{\n  "n": [\n    3,\n    0.1,\n    true\n  ]\n}\n'
 
     g = make_grid(1, 16.0, 8)
     tsf = tmp_path / "pin.tsf"

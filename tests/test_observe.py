@@ -12,6 +12,7 @@ controls through exact slice propagators.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,6 +201,39 @@ def test_necessity_scan_validation():
         necessity_probe_scan(halfheat(), mask, 0.5, 0.25, 1.0, [], 0.7)
     with pytest.raises(ValidationError, match="quadrature step"):
         necessity_probe_scan(halfheat(), mask, 0.5, 0.25, 1.0, [7.0], 0.7, 0)
+    for T in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValidationError, match="T must be positive"):
+            necessity_probe_scan(halfheat(), mask, T, 0.25, 1.0, [7.0], 0.7)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
+def test_batched_probes_match_one_probe_reports(dim, points):
+    # marching the probes together changes no bit of any probe's result
+    g = make_grid(dim, 16.0, points)
+    mask = make_random_thick(g, 2.0, 0.3, 7)
+    F = shifted(halfheat(), -0.4)
+    probes = make_probe_set(g, 5, 3)
+    batch = estimate_observability_constant(F, mask, 0.5, 0.25, probes)
+    for i, p in enumerate(probes):
+        one = estimate_observability_constant(F, mask, 0.5, 0.25, [p])
+        assert batch.probe_results[i] == replace(one.probe_results[0], index=i)
+        assert batch.integrands[i] == one.integrands[0]
+        assert batch.times == one.times
+    assert batch.C_est == max(r.required_C for r in batch.probe_results)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
+def test_necessity_scan_reads_the_estimate(dim, points):
+    g = make_grid(dim, 16.0, points)
+    mask = make_periodic_thick(g, 16.0, 0.5)
+    centers = [(c,) * dim for c in np.linspace(6.0, 12.0, 5)]
+    scan = necessity_probe_scan(halfheat(), mask, 0.5, 0.25, 1.0, centers,
+                                0.7, 48)
+    probes = [GaussianProbe(width=0.7, center=c, frequency=scan.xi0)
+              for c in centers]
+    report = estimate_observability_constant(halfheat(), mask, 0.5, 0.25,
+                                             probes, 48)
+    assert scan.required == tuple(r.required_C for r in report.probe_results)
 
 
 def test_kovrijkine_growth():

@@ -3,10 +3,10 @@
 The closed-form band Gram, fiber block by fiber block, must act like the
 FFT-applied mask form on the band, the closed-loop stepper (fiber fold or
 matrix-free) must agree with a Strang step written out from that form and
-commute with a shift by one period of the mask, and the restricted-norm
-march must agree with a plain per-step loop through the public field
-functions. The cube classifier's window sums must match a loop over the
-cubes. The coefficient transform must keep Parseval's identity, and the
+commute with a shift by one period of the mask, and each row of a stacked
+restricted-norm march must agree with a plain per-step loop through the
+public field functions. The cube classifier's window sums must match a loop
+over the cubes. The coefficient transform must keep Parseval's identity, and the
 semigroup multipliers must compose. The control synthesizer's FFT-applied
 Gramian must match its dense closed form, and a dense solve of the dual
 system must give the synthesizer's ratio and cost.
@@ -80,23 +80,37 @@ def test_band_gram_matches_fft_matvec(case, r_fraction):
 
 @PROPERTY_SETTINGS
 @given(grid_and_mask(), st.sampled_from(("halfheat", "fractional")),
-       st.floats(0.01, 1.0), st.integers(1, 12))
-def test_restricted_march_matches_per_step_loop(case, family, dt, steps):
+       st.floats(0.01, 1.0), st.integers(1, 12), st.integers(1, 4),
+       st.booleans(), st.booleans())
+def test_restricted_march_matches_per_step_loop(case, family, dt, steps, rows,
+                                                row_steps, row_masks):
+    # each row of the stack against its own loop; the multiplier and the
+    # mask are either shared by every row or given one per row
     grid, mask, rng = case
     F = halfheat() if family == "halfheat" else fractional(1.0)
-    e_step = semigroup_multiplier(grid, F, dt)
-    c0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    steps_by_row = [semigroup_multiplier(grid, F, dt / (j + 1) if row_steps
+                                         else dt) for j in range(rows)]
+    masks = [SupportMask(grid=grid,
+                         cell_fraction=rng.uniform(0.0, 1.0, grid.shape))
+             if row_masks else mask for _ in range(rows)]
+    e_step = np.stack(steps_by_row) if row_steps else steps_by_row[0]
+    frac = (np.stack([m.cell_fraction for m in masks]) if row_masks
+            else mask.cell_fraction)
+    shape = (rows,) + grid.shape
+    c0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     c = c0.copy()
-    got = _restricted_march(grid, c, e_step, mask.cell_fraction, steps)
+    got = _restricted_march(grid, c, e_step, frac, steps)
+    assert got.shape == (rows, steps + 1)
 
-    ref = c0.copy()
-    want = np.empty(steps + 1)
-    for k in range(steps + 1):
-        if k > 0:
-            ref = ref * e_step
-        want[k] = restricted_norm(from_coefficients(grid, ref), mask) ** 2
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    assert np.array_equal(c, ref)
+    for j in range(rows):
+        ref = c0[j].copy()
+        want = np.empty(steps + 1)
+        for k in range(steps + 1):
+            if k > 0:
+                ref = ref * steps_by_row[j]
+            want[k] = restricted_norm(from_coefficients(grid, ref), masks[j]) ** 2
+        np.testing.assert_allclose(got[j], want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(c[j], ref)
 
 
 # (fiber fold?, dim, points, R range as a fraction of xi_max, tile periods);

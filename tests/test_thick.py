@@ -171,6 +171,9 @@ def test_mask_snapshot_roundtrip(tmp_path):
         trunc.write_bytes(data)
         with pytest.raises(ValidationError, match="truncated TSM1 file"):
             read_mask(trunc)
+    trunc.write_bytes(p.read_bytes() + bytes(8))  # bytes past the body
+    with pytest.raises(ValidationError, match="8 bytes past"):
+        read_mask(trunc)
 
 
 def test_mask_hash_distinguishes():
