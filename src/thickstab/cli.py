@@ -469,7 +469,7 @@ _SCENARIOS = {
                  "probes": _Key(_int, 8, "dictionary size"),
                  "seed": _Key(_int, help="probe dictionary seed"),
                  "quadrature_steps": _Key(_int, 64, "time quadrature steps"),
-                 "xi_fraction": _Key(_float, 0.1,
+                 "xi_fraction": _Key(_at_least(_float, 0), 0.1,
                                      "modulation spread as a fraction of the "
                                      "frequency headroom")}},
         _run_observability),
@@ -518,7 +518,7 @@ _SCENARIOS = {
         {"grid": _GRID_KEYS, "symbol": _SYMBOL_KEYS,
          "run": {"T": _Key(_float, help="smoothing time"),
                  "epsilon": _Key(_float, help="mass budget fraction, in (0,1)"),
-                 "L": _Key(_float, help="cube side length"),
+                 "L": _Key(_at_least(_float, 0, strict=True), help="cube side length"),
                  "beta_max": _Key(_int, 3, "largest tested derivative order"),
                  **_field_keys("g", "field to classify")}},
         _run_cubes, "g"),

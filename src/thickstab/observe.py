@@ -153,6 +153,8 @@ def make_probe_set(grid: Grid, count: int, seed: int,
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    if not 0.0 <= xi_fraction <= 1.0:
+        raise ValidationError(f"xi_fraction must be in [0, 1], got {xi_fraction}")
     rng = np.random.default_rng(seed)
     xi_max = grid.xi_max
     l_hi = min(l_bounds[1], grid.extent / 12.0 * 0.999)
@@ -391,10 +393,10 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
             f"beta_max must be an integer in [0, 8], got {beta_max}")
     grid = g.grid
     W = L / grid.dx
-    if abs(W - round(W)) > 1e-9 or grid.points % int(round(W)) != 0:
+    if not 0.5 < W < grid.points + 0.5 or abs(W - round(W)) > 1e-9 or grid.points % int(round(W)):
         raise ValidationError(
-            f"cube side must be a whole number of cells tiling the box "
-            f"(L/dx = {W})")
+            f"cube side L must be a positive whole number of cells tiling "
+            f"the box (L = {L}, L/dx = {W})")
     W = int(round(W))
     n = grid.dim
     base = shifted(F, F.inf_value)  # G = F - inf F, zero infimum

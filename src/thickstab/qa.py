@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConvergenceError, IntegrationError, MomentDivergenceError, ValidationError
 from .grid import _write_csv
@@ -223,6 +222,7 @@ def log_convexity_report(seq: QASequence) -> ConvexityReport:
 
 def integral_test(symbol: MultiplierSymbol, t_max: float) -> float:
     """Partial integral of F(t) / (1 + t^2) over [0, t_max], by decade."""
+    from scipy.integrate import quad  # the only SciPy use: keep it off import
     t_max = float(t_max)
     if not (np.isfinite(t_max) and t_max > 0):
         raise ValidationError(f"t_max must be positive and finite, got {t_max}")

@@ -236,6 +236,10 @@ def test_validation_exit_codes(tmp_path, capsys, monkeypatch):
                       "[symbol]\nfamily = halfheat\n[run]\nT = 0.5\n",
                       "sim_t.ini")
     qa = write_cfg(tmp_path, QA_CFG, "qa.ini")
+    obs = write_cfg(tmp_path, OBS_CFG, "obs.ini")
+    cubes = write_cfg(tmp_path, "[grid]\nextent = 16.0\npoints = 64\n"
+                      "[symbol]\nfamily = halfheat\n[run]\nT = 1.0\n"
+                      "epsilon = 0.25\nL = 0.5\ng = mode\n", "cubes.ini")
     # range rules sit beside their keys: nothing is built for these
     def never_built(*args):
         raise AssertionError("inputs built for an out-of-range key")
@@ -251,6 +255,9 @@ def test_validation_exit_codes(tmp_path, capsys, monkeypatch):
         ("simulate", sim_t, "run.T=0"),
         ("simulate", sim_t, "run.snapshots=1"),
         ("qa", qa, "run.k_max=0"),
+        ("observability", obs, "run.xi_fraction=-1"),
+        ("cubes", cubes, "run.L=0"),
+        ("cubes", cubes, "run.L=-16"),
     ]:
         assert main([scenario, "--config", str(path), "--out", str(out),
                      "--set", bad]) == 2, bad
@@ -261,10 +268,22 @@ def test_validation_exit_codes(tmp_path, capsys, monkeypatch):
         ("necessity", nec, "run.quadrature_steps=0"),
         ("necessity", nec, "run.T=0"),
         ("negative-limit", neg, "run.quadrature_steps=0"),
+        ("cubes", cubes, "run.L=0.3"),
     ]:
         assert main([scenario, "--config", str(path), "--out", str(out),
                      "--set", bad]) == 2, bad
         assert "error:" in capsys.readouterr().err
+
+
+def test_observability_xi_fraction_range(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, OBS_CFG)
+    out = tmp_path / "out"
+    for bad in ("-1", "5"):
+        assert main(["observability", "--config", str(cfg), "--out", str(out),
+                     "--set", f"run.xi_fraction={bad}"]) == 2, bad
+        assert "xi_fraction" in capsys.readouterr().err
+    assert main(["observability", "--config", str(cfg), "--out", str(out),
+                 "--set", "run.xi_fraction=1"]) == 0
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

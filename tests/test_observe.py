@@ -116,6 +116,11 @@ def test_probe_set_anchor_and_determinism():
         make_probe_set(g, 0, seed=1)
     with pytest.raises(ValidationError, match="admissible width"):
         make_probe_set(g, 4, seed=1, l_bounds=(2.0, 3.0))
+    for xi_fraction in (-1.0, 5.0, float("nan")):
+        with pytest.raises(ValidationError, match="xi_fraction"):
+            make_probe_set(g, 4, seed=1, xi_fraction=xi_fraction)
+    assert all(probe_admissible(g, p)
+               for p in make_probe_set(g, 8, seed=1, xi_fraction=1.0))
 
 
 def test_quadrature_doubling_stability():
@@ -323,6 +328,9 @@ def test_cubes_validation_and_csv(tmp_path):
     f = field_from_values(g, np.ones(g.shape))
     with pytest.raises(ValidationError, match="whole number"):
         classify_cubes(f, halfheat(), 1.0, 0.25, 0.3, 2)
+    for L in (0.0, -0.25, -16.0, float("nan"), float("inf"), 32.0):
+        with pytest.raises(ValidationError, match="cube side L"):
+            classify_cubes(f, halfheat(), 1.0, 0.25, L, 2)
     with pytest.raises(ValidationError):
         classify_cubes(f, halfheat(), 1.0, 0.25, 0.5, 9)
     with pytest.raises(ValidationError):

@@ -8,6 +8,10 @@ can be accumulated without touching the library's optimizer.
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,22 @@ def test_integral_signature():
     assert integral_test(loglog(1.0, 2.0), 1e8) < 1.3
     with pytest.raises(ValidationError):
         integral_test(halfheat(), -1.0)
+
+
+def test_import_loads_no_scipy():
+    # SciPy is loaded by integral_test alone, on its first call; a fresh
+    # interpreter that imports the package and its CLI must not pay for it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, thickstab, thickstab.cli\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "             or m == 'numpy.f2py' or m.startswith('numpy.f2py.')))\n"
+        "print(repr(thickstab.qa.integral_test(thickstab.halfheat(), 1e4)))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out[0] == "[]"
+    assert float(out[1]) == pytest.approx(0.5 * math.log(1 + 1e8), rel=1e-10)
 
 
 def test_bounded_symbols_have_no_moments():
