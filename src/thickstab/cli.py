@@ -220,9 +220,8 @@ def _build_field(grid, rcfg: dict, prefix: str):
     center = rcfg[f"{prefix}_center"]
     if center is None:
         center = grid.extent / 2.0
-    axes = np.meshgrid(*(np.arange(grid.points) * grid.dx
-                         for _ in range(grid.dim)), indexing="ij") \
-        if grid.dim > 1 else [np.arange(grid.points) * grid.dx]
+    axes = np.meshgrid(*[np.arange(grid.points) * grid.dx] * grid.dim,
+                       indexing="ij")
     if kind == "gaussian":
         sq = sum((ax - center) ** 2 for ax in axes)
         vals = np.exp(-sq / (2.0 * rcfg[f"{prefix}_width"] ** 2))
@@ -287,7 +286,7 @@ def _run_simulate(cfg, inp, out):
 def _run_stabilize(cfg, inp, out):
     F, mask, f0 = inp.F, inp.mask, inp.field
     run = cfg["run"]
-    derived = {"mask_hash": mask_hash(mask)}
+    derived = {}
     C = run["C"]
     if C == "auto":
         c_emp = estimate_spectral_constant(mask, run["R"])
@@ -324,8 +323,7 @@ def _run_observability(cfg, inp, out):
                  ";".join(map(repr, probes[r.index].frequency)),
                  probes[r.index].width, r.lhs, r.obs_integral, r.required_C)
                 for r in report.probe_results))
-    return ({"C_est": report.C_est, "mask_hash": mask_hash(inp.mask)},
-            ["report.json", "probes.csv"])
+    return {"C_est": report.C_est}, ["report.json", "probes.csv"]
 
 
 def _run_necessity(cfg, inp, out):
@@ -338,7 +336,6 @@ def _run_necessity(cfg, inp, out):
     _write_csv(out / "necessity.csv", "center,required_C",
                zip(scan.centers, scan.required))
     derived = {
-        "mask_hash": mask_hash(inp.mask),
         "xi0": list(scan.xi0),
         "witness_index": scan.witness_index,
         "growth_ratio": (float(scan.required[-1] / scan.required[0])
@@ -375,8 +372,7 @@ def _run_thick_check(cfg, inp, out):
     write_mask(out / "mask.tsm", mask)
     _write_csv(out / "thickness.csv", "L,stride,gamma_measured,gamma_claimed",
                [(run["L"], run["stride"], measured, claimed)])
-    derived = {"mask_hash": mask_hash(mask),
-               "gamma_measured": measured,
+    derived = {"gamma_measured": measured,
                "measure_fraction": mask.measure_fraction,
                "certificate": list(mask.certificate) if mask.certificate else None}
     return derived, ["mask.tsm", "thickness.csv"]
@@ -415,8 +411,7 @@ def _run_synthesize(cfg, inp, out):
     _write_csv(out / "control.csv", "slice,t_start,t_end,control_norm", rows)
     write_field(out / "final.tsf", res.final_field)
     derived = {"cost": res.cost, "ratio": res.ratio, "penalty": res.penalty,
-               "cg_iterations": res.cg_iterations,
-               "mask_hash": mask_hash(mask)}
+               "cg_iterations": res.cg_iterations}
     return derived, ["control.csv", "final.tsf"] + files
 
 
@@ -426,8 +421,7 @@ def _run_kovrijkine(cfg, inp, out):
     _write_csv(out / "kovrijkine.csv", "R,c_emp,log_c_emp",
                ((r, c, math.log(c)) for r, c in zip(fit.R_values, fit.constants)))
     derived = {"slope": fit.slope, "intercept": fit.intercept,
-               "reference_slope": fit.reference_slope,
-               "mask_hash": mask_hash(inp.mask)}
+               "reference_slope": fit.reference_slope}
     return derived, ["kovrijkine.csv"]
 
 
@@ -645,7 +639,10 @@ def _run(scenario: str, config_path: Path, out_dir: Path, sets: list) -> int:
     resolved = _resolve(scenario, raw)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = _SCENARIOS[scenario]
-    derived, files = spec.run(resolved, _build_inputs(spec, resolved), out_dir)
+    inputs = _build_inputs(spec, resolved)
+    derived, files = spec.run(resolved, inputs, out_dir)
+    if inputs.mask is not None:
+        derived["mask_hash"] = mask_hash(inputs.mask)
     manifest = {
         "scenario": scenario,
         "config": resolved,

@@ -241,8 +241,7 @@ def sample_probe(grid: Grid, probe: GaussianProbe) -> SpectralField:
             "inadmissible probe: need 6*width <= extent/2 and |xi0| + 3/width <= xi_max"
         )
     l2 = probe.width**2
-    axes = [grid.axis_x] * grid.dim
-    mesh = np.meshgrid(*axes, indexing="ij") if grid.dim > 1 else [grid.axis_x]
+    mesh = np.meshgrid(*[grid.axis_x] * grid.dim, indexing="ij")
     total = np.zeros(grid.shape, dtype=complex)
     offsets = (-grid.extent, 0.0, grid.extent)
     for shift in np.stack(np.meshgrid(*[offsets] * grid.dim, indexing="ij"), axis=-1).reshape(-1, grid.dim):

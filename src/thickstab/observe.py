@@ -283,11 +283,8 @@ def necessity_probe_scan(F: MultiplierSymbol, mask: SupportMask, T: float,
             "this scan needs the symbol to dip below -log(epsilon)/(2T) "
             "(satisfied whenever inf F <= 0), or a larger epsilon / smaller T")
     pick = np.flatnonzero(ok)[np.argmin(np.where(eligible, fvals, np.inf))]
-    if grid.dim == 1:
-        xi0 = (float(grid.axis_xi[pick]),)
-    else:
-        i, j = np.unravel_index(pick, grid.shape)
-        xi0 = (float(grid.axis_xi[i]), float(grid.axis_xi[j]))
+    xi0 = tuple(float(grid.axis_xi[i])
+                for i in np.unravel_index(pick, grid.shape))
 
     probes = [GaussianProbe(width=float(width), center=x0, frequency=xi0)
               for x0 in centers]
@@ -362,17 +359,15 @@ class CubeReport:
 
 
 def _multi_indices(dim: int, beta_max: int):
-    if dim == 1:
-        return [(b,) for b in range(beta_max + 1)]
-    return [(b1, b2) for b1 in range(beta_max + 1)
-            for b2 in range(beta_max + 1 - b1)]
+    """Every beta with |beta| <= beta_max, in lexicographic order."""
+    return [beta for beta in np.ndindex(*(beta_max + 1,) * dim)
+            if sum(beta) <= beta_max]
 
 
 def _cube_sums(sq: np.ndarray, W: int, dim: int) -> np.ndarray:
-    if dim == 1:
-        return sq.reshape(-1, W).sum(axis=1)
+    """Sums over the W^dim blocks of sq, viewed as (n, W, n, W, ...)."""
     n = sq.shape[0] // W
-    return sq.reshape(n, W, n, W).sum(axis=(1, 3))
+    return sq.reshape((n, W) * dim).sum(axis=tuple(range(1, 2 * dim, 2)))
 
 
 def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
@@ -421,11 +416,7 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
     u_vals = np.fft.ifftn(cu) / grid.cell_measure
     u_sq = _cube_sums(u_vals.real**2 + u_vals.imag**2, W, n) * grid.cell_measure
 
-    if n == 1:
-        xi_axes = (grid.axis_xi,)
-    else:
-        xi_axes = (grid.axis_xi[:, None], grid.axis_xi[None, :])
-
+    xi_axes = np.ix_(*[grid.axis_xi] * n)
     shape = u_sq.shape
     worst_margin = np.full(shape, -np.inf)
     worst_beta = np.zeros(shape + (n,), dtype=int)

@@ -32,12 +32,6 @@ _GOLDEN_ITERS = 80
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _s_cap(symbol: MultiplierSymbol) -> float:
-    if symbol.family == "shifted":
-        return _s_cap(symbol.base)
-    return math.log(symbol.r_cap)
-
-
 def _check_k(k) -> float:
     k = float(k)
     if not (np.isfinite(k) and k >= 0):
@@ -55,11 +49,7 @@ def _check_scale(scale) -> float:
 def _moment_batch(symbol: MultiplierSymbol, ks: np.ndarray,
                   scale: float) -> tuple:
     """log M_k and argmax radius for an ascending array of k > 0."""
-    if symbol.family == "shifted":
-        mu = symbol.params[0]
-        logs, locs = _moment_batch(symbol.base, ks, scale)
-        return logs + scale * mu, locs
-    s_hi = _s_cap(symbol)
+    s_hi = math.log(symbol.r_cap)
     s = np.linspace(_S_LO, s_hi, _GRID_POINTS)
     fe = scale * symbol.eval(np.exp(s))
     idx = np.empty(len(ks), dtype=int)

@@ -485,16 +485,15 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
 
 
 def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
-                     mask: SupportMask, cfg: FeedbackConfig | None = None,
-                     max_points: int | None = None) -> float:
+                     mask: SupportMask, max_points: int | None = None) -> float:
     """Check the run against e^{-T(A+B)} f0 = e^{-TA} f0 - int_0^T e^{-(T-t)A} B f(t) dt.
 
     The right side is rebuilt from the stored snapshots with exact
     multipliers and a trapezoid rule over the snapshot times; the returned
     value is the relative coefficient-space mismatch. B is the feedback
-    operator lam 1_omega K_R of the run.
+    operator lam 1_omega K_R of the run's config (none for a free run).
     """
-    cfg = result.config if cfg is None else cfg
+    cfg = result.config
     traj = result.trajectory
     if len(traj.snapshots) < 3:
         raise ValidationError(

@@ -1,12 +1,13 @@
 """Radial multiplier symbols F(|xi|) and their elementary calculus.
 
 Families: fractional powers r^{2s}, the half-heat symbol r, log-damped
-powers r^s / log^delta(e + r), iterated-log quotients r / phi_p(r),
-constant shifts of any base symbol, and tabulated symbols with linear
-interpolation. Symbols evaluate vectorized over radius arrays; beyond
-`r_cap` (default 1e8) evaluation continues linearly along the local trend
-at r_cap, which for tabulated symbols (flat extrapolation) means staying
-flat. Infima and tail infima are computed numerically, by coarse scan plus
+powers r^s / log^delta(e + r), iterated-log quotients r / phi_p(r), and
+tabulated symbols with linear interpolation. A symbol is one of these minus
+a constant, F(r) = F_family(r) - shift, so shifting a symbol changes only
+that number. Symbols evaluate vectorized over radius arrays; beyond `r_cap`
+(default 1e8) evaluation continues linearly along the local trend at r_cap,
+which for tabulated symbols (flat extrapolation) means staying flat.
+Infima and tail infima are computed numerically, by coarse scan plus
 golden-section refinement, even when closed forms exist; the closed forms
 serve as oracles in the tests.
 """
@@ -14,23 +15,24 @@ serve as oracles in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
 
-_FAMILIES = ("fractional", "halfheat", "loglog", "iterated", "shifted", "custom")
+_FAMILIES = ("fractional", "halfheat", "loglog", "iterated", "custom")
 _SCAN_POINTS = 4096  # grid of the infimum scans before golden refinement
 
 
 @dataclass(frozen=True)
 class MultiplierSymbol:
-    """One radial symbol. Build through the module constructors."""
+    """One radial symbol F(r) = F_family(r) - shift. Build through the
+    module constructors; shifted() moves the shift."""
 
     family: str
     params: tuple = ()
-    base: "MultiplierSymbol | None" = None
+    shift: float = 0.0
     table: tuple = ()
     monotone_tail: bool = True
     r_cap: float = 1e8
@@ -40,6 +42,8 @@ class MultiplierSymbol:
             raise ValidationError(f"unknown symbol family {self.family!r}")
         if not (np.isfinite(self.r_cap) and self.r_cap > 0):
             raise ValidationError(f"r_cap must be positive and finite, got {self.r_cap}")
+        if not np.isfinite(self.shift):
+            raise ValidationError(f"shift must be finite, got {self.shift}")
         if self.family == "custom":
             object.__setattr__(self, "_nodes", (
                 np.array([q[0] for q in self.table]),
@@ -59,6 +63,7 @@ class MultiplierSymbol:
             h = cap * 1e-6
             slope = (self._raw(cap) - self._raw(cap - h)) / h
             out = np.where(over, self._raw(cap) + slope * (arr - cap), out)
+        out = out - self.shift
         return out if isinstance(r, np.ndarray) else float(out)
 
     def _raw(self, r):
@@ -74,9 +79,6 @@ class MultiplierSymbol:
         if self.family == "iterated":
             (p,) = self.params
             return r / IteratedLogAux(int(p)).phi(r)
-        if self.family == "shifted":
-            (mu,) = self.params
-            return self.base._raw(r) - mu
         # custom: piecewise linear, flat beyond the table (np.interp clamps)
         return np.interp(r, *self._nodes)
 
@@ -85,33 +87,21 @@ class MultiplierSymbol:
     @property
     def convex_in_log(self) -> bool:
         """True when F(e^s) is convex in s, enabling ternary moment search."""
-        if self.family in ("fractional", "halfheat"):
-            return True
-        if self.family == "shifted":
-            return self.base.convex_in_log
-        return False
+        return self.family in ("fractional", "halfheat")
 
     def is_bounded(self) -> bool:
-        if self.family == "custom":
-            return True
-        if self.family == "shifted":
-            return self.base.is_bounded()
-        return False
+        return self.family == "custom"
 
     def sup_value(self) -> float:
         if not self.is_bounded():
             raise ValidationError(f"{self.family} symbol is unbounded")
-        if self.family == "shifted":
-            return self.base.sup_value() - self.params[0]
-        return float(max(q[1] for q in self.table))
+        return float(max(q[1] for q in self.table) - self.shift)
 
     def limit_value(self) -> float:
         """Value of the flat tail (bounded symbols only)."""
         if not self.is_bounded():
             raise ValidationError(f"{self.family} symbol is unbounded")
-        if self.family == "shifted":
-            return self.base.limit_value() - self.params[0]
-        return float(self.table[-1][1])
+        return float(self.table[-1][1] - self.shift)
 
     @property
     def inf_value(self) -> float:
@@ -124,16 +114,16 @@ class MultiplierSymbol:
 
     def describe(self) -> str:
         if self.family == "fractional":
-            return f"fractional(s={self.params[0]})"
-        if self.family == "halfheat":
-            return "halfheat"
-        if self.family == "loglog":
-            return f"loglog(s={self.params[0]}, delta={self.params[1]})"
-        if self.family == "iterated":
-            return f"iterated(p={self.params[0]})"
-        if self.family == "shifted":
-            return f"shifted({self.base.describe()}, mu={self.params[0]})"
-        return f"custom({len(self.table)} nodes)"
+            name = f"fractional(s={self.params[0]})"
+        elif self.family == "halfheat":
+            name = "halfheat"
+        elif self.family == "loglog":
+            name = f"loglog(s={self.params[0]}, delta={self.params[1]})"
+        elif self.family == "iterated":
+            name = f"iterated(p={self.params[0]})"
+        else:
+            name = f"custom({len(self.table)} nodes)"
+        return f"shifted({name}, mu={self.shift})" if self.shift else name
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +162,7 @@ def shifted(base: MultiplierSymbol, mu: float) -> MultiplierSymbol:
     """F(r) = base(r) - mu."""
     if not isinstance(base, MultiplierSymbol):
         raise ValidationError("shifted base must be a MultiplierSymbol")
-    if not np.isfinite(mu):
-        raise ValidationError(f"shift mu must be finite, got {mu}")
-    return MultiplierSymbol(
-        family="shifted", params=(float(mu),), base=base,
-        monotone_tail=base.monotone_tail, r_cap=base.r_cap,
-    )
+    return replace(base, shift=base.shift + float(mu))
 
 
 def custom(table, monotone_tail: bool = True) -> MultiplierSymbol:
@@ -322,16 +307,11 @@ def _scan_min(symbol: MultiplierSymbol, lo: float, hi: float) -> InfResult:
 def _default_hi(symbol: MultiplierSymbol, lo: float) -> float:
     if symbol.family == "custom":
         return max(symbol.table[-1][0], lo + 1.0)
-    if symbol.family == "shifted":
-        return _default_hi(symbol.base, lo)
     return max(1e4, lo + 10.0)
 
 
 def inf_F(symbol: MultiplierSymbol, r_max: float | None = None) -> InfResult:
-    """Numeric inf of F over [0, r_max] (shifted symbols recurse exactly)."""
-    if symbol.family == "shifted":
-        base = inf_F(symbol.base, r_max=r_max)
-        return InfResult(base.value - symbol.params[0], base.location, base.reliable)
+    """Numeric inf of F over [0, r_max]."""
     hi = float(r_max) if r_max is not None else _default_hi(symbol, 0.0)
     if hi <= 0:
         raise ValidationError(f"r_max must be > 0, got {hi}")
@@ -343,9 +323,6 @@ def alpha_R(symbol: MultiplierSymbol, R: float,
     """Numeric tail infimum inf_{r >= R} F(r), scanned on [R, r_max]."""
     if not (np.isfinite(R) and R >= 0):
         raise ValidationError(f"R must be >= 0 and finite, got {R}")
-    if symbol.family == "shifted":
-        base = alpha_R(symbol.base, R, r_max=r_max)
-        return InfResult(base.value - symbol.params[0], base.location, base.reliable)
     hi = float(r_max) if r_max is not None else _default_hi(symbol, R)
     if hi <= R:
         raise ValidationError(f"r_max={hi} must exceed R={R}")

@@ -101,7 +101,7 @@ def make_periodic_thick(grid: Grid, period: float, fill: float) -> SupportMask:
     edges = np.arange(grid.points + 1) * grid.dx
     cov = _periodic_coverage(edges, period, width)
     axis = (cov[1:] - cov[:-1]) / grid.dx
-    frac = axis if grid.dim == 1 else np.outer(axis, axis)
+    frac = math.prod(np.ix_(*[axis] * grid.dim))  # outer product over the axes
     return SupportMask(
         grid=grid, cell_fraction=frac,
         certificate=(fill**grid.dim, period, 1),
@@ -146,13 +146,9 @@ def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
     center = tuple(float(c) for c in center)
     if len(center) != grid.dim:
         raise ValidationError(f"center needs {grid.dim} coordinates, got {len(center)}")
-    lo_hi = [_axis_cyclic_extremes(grid, c) for c in center]
-    if grid.dim == 1:
-        lo2 = lo_hi[0][0] ** 2
-        hi2 = lo_hi[0][1] ** 2
-    else:
-        lo2 = lo_hi[0][0][:, None] ** 2 + lo_hi[1][0][None, :] ** 2
-        hi2 = lo_hi[0][1][:, None] ** 2 + lo_hi[1][1][None, :] ** 2
+    lo, hi = zip(*(_axis_cyclic_extremes(grid, c) for c in center))
+    lo2 = sum(np.ix_(*[d**2 for d in lo]))  # sum over axes of the squares
+    hi2 = sum(np.ix_(*[d**2 for d in hi]))
     r2 = radius * radius
     frac = np.where(hi2 <= r2, 0.0, 1.0)  # fully inside the ball -> excluded
     cut = (lo2 < r2) & (hi2 > r2)
@@ -160,12 +156,8 @@ def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
         offs = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES * grid.dx
         idx = np.argwhere(cut)
         for cell in idx:
-            pts = [grid.axis_x[cell[k]] + offs for k in range(grid.dim)]
-            if grid.dim == 1:
-                d2 = _cyc_delta(pts[0], center[0], grid.extent) ** 2
-            else:
-                d2 = (_cyc_delta(pts[0], center[0], grid.extent)[:, None] ** 2
-                      + _cyc_delta(pts[1], center[1], grid.extent)[None, :] ** 2)
+            d2 = sum(np.ix_(*[_cyc_delta(grid.axis_x[i] + offs, c, grid.extent) ** 2
+                              for i, c in zip(cell, center)]))
             outside = np.count_nonzero(d2 > r2)
             frac[tuple(cell)] = outside / _SUBSAMPLES**grid.dim
     spec = {"kind": "ball-complement", "radius": float(radius), "center": center}
@@ -199,15 +191,10 @@ def make_random_thick(grid: Grid, L: float, gamma: float, seed: int) -> SupportM
     m = int(math.ceil(gamma * cells_per_block - 1e-9))
     rng = np.random.default_rng(seed)
     frac = np.zeros(grid.shape)
-    if grid.dim == 1:
-        for b in range(B):
-            chosen = rng.choice(cells_per_block, size=m, replace=False)
-            frac[b * W + chosen] = 1.0
-    else:
-        for bi in range(B):
-            for bj in range(B):
-                chosen = rng.choice(cells_per_block, size=m, replace=False)
-                frac[bi * W + chosen // W, bj * W + chosen % W] = 1.0
+    for block in np.ndindex(*(B,) * grid.dim):  # row-major: the RNG draw order
+        chosen = rng.choice(cells_per_block, size=m, replace=False)
+        cells = np.unravel_index(chosen, (W,) * grid.dim)
+        frac[tuple(b * W + c for b, c in zip(block, cells))] = 1.0
     return SupportMask(
         grid=grid, cell_fraction=frac,
         certificate=(float(gamma), float(L), W),
@@ -243,7 +230,7 @@ def _window_min_fraction(frac: np.ndarray, grid: Grid, L: float, stride: int) ->
     sums = frac
     for axis in range(grid.dim):
         sums = _cyclic_window_sums_1d(sums, W, axis=axis)
-    sub = sums[::stride] if grid.dim == 1 else sums[::stride, ::stride]
+    sub = sums[(slice(None, None, stride),) * grid.dim]
     return float(sub.min() * grid.cell_measure / L**grid.dim)
 
 

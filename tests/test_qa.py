@@ -57,6 +57,12 @@ def test_moment_scale_argument():
     lm, loc = log_moment(halfheat(), 5, scale=0.25)
     assert lm == pytest.approx(5 * math.log(20.0) - 5.0, abs=1e-8)
     assert loc == pytest.approx(20.0, rel=1e-6)
+    # F - mu multiplies every moment by e^{scale mu}
+    for F in (halfheat(), fractional(1.0), loglog(1.0, 0.5)):
+        for k, scale in ((0, 2.0), (1, 1.0), (5, 0.25), (40, 3.0)):
+            want = log_moment(F, k, scale)[0] + scale * 0.7
+            got = log_moment(shifted(F, 0.7), k, scale)[0]
+            assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_dc_partial_sums_match_ratio_oracle():

@@ -66,6 +66,8 @@ def test_constructor_validation():
         shifted(halfheat(), float("inf"))
     with pytest.raises(ValidationError):
         MultiplierSymbol(family="made-up")
+    with pytest.raises(ValidationError):  # a shift is a field, not a family
+        MultiplierSymbol(family="shifted")
     with pytest.raises(ValidationError):
         saturating(1.0, 1.5)
 
@@ -78,6 +80,15 @@ def test_inf_closed_forms():
 
     res = inf_F(shifted(halfheat(), 2.0))
     assert res.value == pytest.approx(-2.0, abs=1e-12)
+    # shifting twice is shifting once by the sum
+    for F in (halfheat(), fractional(1.0), loglog(1.0, 0.5), saturating(1.0)):
+        twice, once = shifted(shifted(F, 0.3), -1.1), shifted(F, 0.3 - 1.1)
+        r = np.array([0.0, 0.5, 3.0, 250.0])
+        assert np.allclose(twice.eval(r), once.eval(r), rtol=1e-12, atol=0)
+        assert inf_F(twice).value == pytest.approx(inf_F(once).value, rel=1e-12)
+        assert alpha_R(twice, 2.0).value == pytest.approx(
+            alpha_R(once, 2.0).value, rel=1e-12)
+        assert twice.describe() == once.describe()
 
     # interior dip: min of the table is exact
     F = custom(((0.0, 3.0), (1.0, -1.0), (2.0, 4.0)))
@@ -127,6 +138,9 @@ def test_bounded_metadata():
     G = shifted(F, 0.25)
     assert G.is_bounded()
     assert G.limit_value() == pytest.approx(200.0 / 201.0 - 0.25)
+    twice = shifted(shifted(F, 0.5), -0.25)
+    assert twice.sup_value() == pytest.approx(G.sup_value(), rel=1e-12)
+    assert twice.limit_value() == pytest.approx(G.limit_value(), rel=1e-12)
     with pytest.raises(ValidationError):
         halfheat().sup_value()
     with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ import pytest
 
 from thickstab.errors import ValidationError
 from thickstab.grid import make_grid
+from thickstab.observe import _multi_indices
 from thickstab.thick import (SupportMask, make_ball_complement, make_full,
                              make_periodic_thick, make_random_thick,
                              mask_hash, read_mask, thickness_certificate,
@@ -187,3 +188,30 @@ def test_mask_hash_distinguishes():
     c = make_full(g)
     d = make_full(g2)
     assert mask_hash(c) != mask_hash(d)
+
+
+def test_seeded_lattice_objects_pinned():
+    # frozen bytes: the RNG draw order of random masks, the sub-cell sums
+    # on cut cells and the product fractions, in 1-D and 2-D
+    g1, g2 = make_grid(1, 64.0, 1024), make_grid(2, 16.0, 64)
+    pins = [
+        (make_random_thick(g1, 2.0, 0.3, 0),
+         "17834df8e6365a79a2a530d44aeb16335ba1622848814d15e0c0950b81065155"),
+        (make_random_thick(g1, 2.0, 0.3, 7),
+         "dd4f71923d4250e23f546876cb7921b0d9930172a90974853ff06fe16649c26f"),
+        (make_random_thick(g2, 2.0, 0.3, 0),
+         "f3d84b00d0745ead1acae639939f96fa5c90d8f13ac00fa52e9910507c7025c0"),
+        (make_random_thick(g2, 2.0, 0.3, 7),
+         "713dc4abe3170e16d1c7cfb4280fcda31db8b9fe94802aff3c824aca9d91d3c8"),
+        (make_ball_complement(make_grid(1, 32.0, 512), 0.9),
+         "d0923c782389e45bab5806bf1aff41a3912f8df3d6899a0aa81ecd32a16d80ae"),
+        (make_ball_complement(g2, 2.0),
+         "4704184ad014267f1850ccc408c6bd02327f92ae74249e1abeb91ec2c51f4612"),
+        (make_periodic_thick(make_grid(2, 8.0, 64), 1.0, 0.3),
+         "3a1151a45a7f029c314565322acec92bd5334bcd6115f436e9c4bef334978f81"),
+    ]
+    for mask, want in pins:
+        assert mask_hash(mask) == want, mask.spec
+    # cube classification breaks worst-beta ties in this order
+    assert _multi_indices(2, 3) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
+                                    (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]
