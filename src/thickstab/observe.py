@@ -27,7 +27,7 @@ from .grid import (GaussianProbe, Grid, SpectralField, _write_csv,
                    _write_json, from_coefficients, probe_admissible,
                    sample_probe, semigroup_multiplier, to_coefficients)
 from .qa import log_moment
-from .stabilize import _mask_form, estimate_spectral_constant
+from .stabilize import estimate_spectral_constant
 from .symbols import MultiplierSymbol, shifted
 from .thick import SupportMask, make_ball_complement, mask_hash
 
@@ -402,17 +402,16 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
     # chain is airtight on this grid
     rho_flat = grid.rho.ravel()
     g_rho = np.maximum(base.eval(rho_flat), 0.0)
-    damp_half = np.exp(-t_half * g_rho)
+    with np.errstate(divide="ignore"):
+        log_rho = np.where(rho_flat > 0, np.log(rho_flat), -np.inf)
     log_m = {}
     for k in range(beta_max + 1):
         lm, _ = log_moment(base, k, scale=t_half)
-        with np.errstate(divide="ignore"):
-            grid_lm = np.max(k * np.where(rho_flat > 0, np.log(rho_flat), -np.inf)
-                             - t_half * g_rho) if k > 0 else -t_half * g_rho.min()
+        grid_lm = np.max(k * log_rho - t_half * g_rho) if k > 0 \
+            else -t_half * g_rho.min()
         log_m[k] = max(lm + math.log1p(1e-9), float(grid_lm))
 
-    mult = np.exp(-T * np.maximum(base.eval(grid.rho), 0.0))
-    cu = to_coefficients(g) * mult
+    cu = to_coefficients(g) * np.exp(-T * g_rho).reshape(grid.shape)
     u_vals = np.fft.ifftn(cu) / grid.cell_measure
     u_sq = _cube_sums(u_vals.real**2 + u_vals.imag**2, W, n) * grid.cell_measure
 
@@ -476,13 +475,32 @@ class ControlResult:
 
 
 def _phi1(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a, dtype=float)
-    small = np.abs(a) < 1e-8
-    asm = a[small]
-    out[small] = 1.0 - asm / 2.0 + asm * asm / 6.0
-    big = ~small
-    out[big] = -np.expm1(-a[big]) / a[big]
-    return out
+    """(1 - e^{-a}) / a, with its limit 1 at a = 0 (expm1 keeps small a
+    accurate)."""
+    return np.divide(-np.expm1(-a), a, out=np.ones_like(a, dtype=float),
+                     where=a != 0)
+
+
+_GRAM_STACK = 2 ** 12  # complex entries per stacked Gramian FFT pair
+
+
+def _gramian_apply(theta, frac, z):
+    """G z = sum_i theta_i 1_omega theta_i z. Stacking slices, _GRAM_STACK
+    entries per FFT pair, spares call overhead on small grids; larger stacks
+    transform slower, and a lone slice goes fastest as a plain array."""
+    k = max(1, _GRAM_STACK // z.size)
+    axes = tuple(range(1, theta.ndim)) if k > 1 else None
+    gz = np.zeros_like(z)
+    for s in range(0, len(theta), k):
+        t = theta[s] if k == 1 else theta[s:s + k]
+        u = t * np.fft.fftn(frac * np.fft.ifftn(t * z, axes=axes), axes=axes)
+        gz += u if k == 1 else u.sum(axis=0)
+    return gz
+
+
+def _gramian_diagonal(theta, frac):
+    """diag G: every diagonal entry of the mask form is the mean of frac."""
+    return float(np.mean(frac)) * (theta * theta).sum(axis=0)
 
 
 def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
@@ -495,12 +513,14 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
     Minimizes sum_i dt ||h_i||^2_omega + (K/eps) ||f(T)||^2 over controls
     constant on each time slice, raising K tenfold from penalty0 until the
     target ratio is met. Each rung solves the HUM dual (dt + kappa G) z =
-    e^{-TF} c0, kappa = K/eps, by conjugate gradients (relative residual
-    tol, at most max_cg iterations) warm-started from the last rung. G =
-    sum_i theta_i 1_omega theta_i is the controllability Gramian, theta_i
-    the exact propagator of slice i, so there is one unknown per lattice
-    mode. Then h_i = -kappa theta_i z on omega, and f(T) = dt z + r with r
-    the solve's residual.
+    e^{-TF} c0, kappa = K/eps, by conjugate gradients preconditioned with
+    dt + kappa diag G (Jacobi) and warm-started from the last rung, to an
+    unpreconditioned relative residual tol within max_cg iterations;
+    cg_iterations sums the iterations over the rungs. G = sum_i theta_i
+    1_omega theta_i is the controllability Gramian, theta_i the exact
+    propagator of slice i, applied to the slices in stacks: one unknown per
+    lattice mode. Then h_i = -kappa theta_i z on omega, and f(T) = dt z + r
+    with r the solve's residual.
     """
     epsilon = _check_epsilon(epsilon)
     if not (np.isfinite(T) and T > 0):
@@ -532,12 +552,7 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
     y = np.exp(-T * f_rho) * c0
     y_norm = math.sqrt(float(np.vdot(y, y).real))
     frac = mask.cell_fraction
-
-    def apply_dual(z, kappa):
-        gz = np.zeros_like(z)
-        for t in theta:
-            gz += t * _mask_form(frac, t * z)
-        return dt * z + kappa * gz
+    gram_diag = _gramian_diagonal(theta, frac)
 
     z = np.zeros_like(y)
     penalty = penalty0
@@ -545,33 +560,38 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
     total_iters = 0
     for _ in range(max_penalty_steps):
         kappa = penalty / epsilon
-        r = y - apply_dual(z, kappa)
-        p = r.copy()
-        rs = float(np.vdot(r, r).real)
+        precond = 1.0 / (dt + kappa * gram_diag)
+        r = y - (dt * z + kappa * _gramian_apply(theta, frac, z))
+        p = precond * r
+        rs = float(np.vdot(r, p).real)
+        res = math.sqrt(float(np.vdot(r, r).real))
         for iters in range(1, max_cg + 1):
-            ap = apply_dual(p, kappa)
+            ap = dt * p + kappa * _gramian_apply(theta, frac, p)
             denom = float(np.vdot(p, ap).real)
             if denom <= 0:
                 break
             a = rs / denom
             z += a * p
             r -= a * ap
-            rs, rs_old = float(np.vdot(r, r).real), rs
-            if math.sqrt(rs) <= tol * y_norm:
+            res = math.sqrt(float(np.vdot(r, r).real))
+            if res <= tol * y_norm:
                 break
-            p = r + (rs / rs_old) * p
-        if not math.sqrt(rs) <= tol * y_norm:
+            w = precond * r
+            rs, rs_old = float(np.vdot(r, w).real), rs
+            p = w + (rs / rs_old) * p
+        if not res <= tol * y_norm:
             raise ConvergenceError(
                 f"control solve stalled after {iters} conjugate-gradient "
-                f"iterations (relative residual {math.sqrt(rs) / y_norm:.3e})",
-                residual=math.sqrt(rs) / y_norm)
+                f"iterations (relative residual {res / y_norm:.3e})",
+                residual=res / y_norm)
         total_iters += iters
         c_final = dt * z + r
         ratio = math.sqrt(float(np.vdot(c_final, c_final).real) / box) / f0_norm
         best_ratio = min(best_ratio, ratio)
         if ratio <= epsilon * (1.0 + 1e-9):
-            controls = tuple(np.where(frac > 0, -kappa * np.fft.ifftn(t * z)
-                                      / grid.cell_measure, 0.0) for t in theta)
+            controls = tuple(np.where(frac > 0, -kappa * np.fft.ifftn(
+                theta * z, axes=tuple(range(1, theta.ndim)))
+                / grid.cell_measure, 0.0))
             cost = dt * grid.cell_measure * sum(
                 float(np.vdot(h, frac * h).real) for h in controls)
             return ControlResult(

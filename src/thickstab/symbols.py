@@ -45,9 +45,17 @@ class MultiplierSymbol:
         if not np.isfinite(self.shift):
             raise ValidationError(f"shift must be finite, got {self.shift}")
         if self.family == "custom":
-            object.__setattr__(self, "_nodes", (
-                np.array([q[0] for q in self.table]),
-                np.array([q[1] for q in self.table])))
+            if len(self.table) < 2:
+                raise ValidationError("custom table needs at least 2 nodes")
+            xs = np.array([q[0] for q in self.table], dtype=float)
+            vs = np.array([q[1] for q in self.table], dtype=float)
+            if np.any(xs[1:] <= xs[:-1]):
+                raise ValidationError("custom table radii must be strictly increasing")
+            if xs[0] < 0:
+                raise ValidationError("custom table radii must be >= 0")
+            if not np.all(np.isfinite(vs)):
+                raise ValidationError("custom table values must be finite")
+            object.__setattr__(self, "_nodes", (xs, vs))
 
     # -- evaluation --------------------------------------------------------
 
@@ -168,15 +176,6 @@ def shifted(base: MultiplierSymbol, mu: float) -> MultiplierSymbol:
 def custom(table, monotone_tail: bool = True) -> MultiplierSymbol:
     """Tabulated symbol: linear interpolation, flat extrapolation."""
     rows = tuple((float(r), float(v)) for r, v in table)
-    if len(rows) < 2:
-        raise ValidationError("custom table needs at least 2 nodes")
-    xs = [r for r, _ in rows]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValidationError("custom table radii must be strictly increasing")
-    if xs[0] < 0:
-        raise ValidationError("custom table radii must be >= 0")
-    if not all(np.isfinite(v) for _, v in rows):
-        raise ValidationError("custom table values must be finite")
     return MultiplierSymbol(family="custom", table=rows, monotone_tail=monotone_tail)
 
 

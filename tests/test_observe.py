@@ -393,7 +393,7 @@ def test_synthesize_thick_mask():
     assert abs(res.ratio - 0.021250203214616823) < 1e-6
     assert abs(res.cost - 3.0808118018205417) < 1e-5
     assert res.penalty == 10.0
-    assert 1 <= res.cg_iterations <= 100
+    assert 1 <= res.cg_iterations <= 24  # Jacobi-preconditioned; 32 without
     # controls live on the support only
     off = mask.cell_fraction == 0.0
     for h in res.controls:

@@ -7,15 +7,18 @@ commute with a shift by one period of the mask, and each row of a stacked
 restricted-norm march must agree with a plain per-step loop through the
 public field functions. The cube classifier's window sums must match a loop
 over the cubes. The coefficient transform must keep Parseval's identity, and the
-semigroup multipliers must compose. The control synthesizer's FFT-applied
-Gramian must match its dense closed form, and a dense solve of the dual
-system must give the synthesizer's ratio and cost.
+semigroup multipliers must compose. The control synthesizer's stacked
+Gramian apply must match its dense closed form at every stack size, its
+closed-form diagonal must match the dense diagonal, and a dense solve of the
+dual system must give the synthesizer's ratio and cost.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thickstab import observe
 from thickstab.errors import ConvergenceError
 from thickstab.grid import (field_from_values, from_coefficients, make_grid,
                             norm, restricted_norm, semigroup_multiplier,
@@ -24,7 +27,7 @@ from thickstab.observe import (_cube_sums, _restricted_march,
                                synthesize_control)
 from thickstab.stabilize import (_DENSE_STEP_MAX, FeedbackConfig, _Stepper,
                                  _apply_band_gram, _band_indices, _fiber_form,
-                                 _fibers, _mask_form)
+                                 _fibers)
 from thickstab.symbols import (constant, fractional, halfheat, iterated,
                                loglog, saturating)
 from thickstab.thick import SupportMask
@@ -307,11 +310,19 @@ def test_dense_dual_oracle(case):
     G = (np.fft.fftn(frac) / frac.size)[diff] * (theta.T @ theta)
     scale = max(np.abs(G).max(), np.finfo(float).tiny)
     assert np.abs(G - G.conj().T).max() <= 1e-12 * scale
+    # the synthesizer's stacked apply, with stacks of one slice, of three
+    # (a short last stack whenever 3 does not divide slices) and of all
+    theta_grid = theta.reshape((slices,) + grid.shape)
     z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    gz = sum(t.reshape(grid.shape)
-             * _mask_form(frac, t.reshape(grid.shape) * z) for t in theta)
-    assert np.linalg.norm(G @ z.ravel() - gz.ravel()) \
-        <= 1e-12 * np.linalg.norm(gz)
+    want = G @ z.ravel()
+    for per_stack in (1, 3, slices):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(observe, "_GRAM_STACK", per_stack * z.size)
+            gz = observe._gramian_apply(theta_grid, frac, z)
+        assert np.linalg.norm(want - gz.ravel()) <= 1e-12 * np.linalg.norm(want)
+    # the Jacobi preconditioner's closed-form diagonal
+    diag = observe._gramian_diagonal(theta_grid, frac).ravel()
+    assert np.abs(diag - np.diag(G).real).max() <= 1e-12 * scale
 
     f0 = field_from_values(grid, rng.standard_normal(grid.shape)
                            + 1j * rng.standard_normal(grid.shape))

@@ -46,6 +46,30 @@ def test_custom_interpolation():
         custom(((1.0, 0.0), (0.5, 1.0)))
 
 
+def test_custom_table_and_messages():
+    # the saturating table is the same tuple of Python floats as a row-by-row
+    # build from the node formula
+    knee, span = 1.0, 200.0
+    xs = np.concatenate([np.linspace(0.0, 2.0 * knee, 2001),
+                         np.geomspace(2.0 * knee, span, 2001)[1:]])
+    want = tuple((float(r), float(v)) for r, v in zip(xs, xs / (knee + xs)))
+    table = saturating(knee, span).table
+    assert table == want
+    assert all(type(r) is float and type(v) is float for r, v in table)
+    # and the interpolation nodes are its two columns
+    nodes = saturating(knee, span)._nodes
+    assert all(np.array_equal(a, b) for a, b in zip(nodes, zip(*want)))
+    # each rejection keeps its message, wherever in the table the fault sits
+    for bad, msg in ((((0.0, 1.0),), "at least 2 nodes"),
+                     (((0.0, 1.0), (1.0, 2.0), (1.0, 3.0)), "strictly increasing"),
+                     (((0.0, 1.0), (2.0, 2.0), (1.5, 3.0)), "strictly increasing"),
+                     (((-1.0, 1.0), (1.0, 2.0)), r"radii must be >= 0"),
+                     (((0.0, 1.0), (1.0, np.nan)), "values must be finite"),
+                     (((0.0, np.inf), (1.0, 1.0)), "values must be finite")):
+        with pytest.raises(ValidationError, match=msg):
+            custom(bad)
+
+
 def test_eval_rejects_negative_radius():
     with pytest.raises(ValidationError):
         halfheat().eval(-0.1)
