@@ -31,6 +31,13 @@ _SNAPSHOT_HEADER = "<4sIId"
 _FLOATS = (float, np.floating)  # CSV cells written with repr(float(v))
 
 
+def _check_positive(**values) -> None:
+    """Reject any keyword value that is not finite and > 0, by its name."""
+    for name, x in values.items():
+        if not (np.isfinite(x) and x > 0):
+            raise ValidationError(f"{name} must be positive, got {x}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, extent)^dim.

@@ -23,13 +23,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .grid import (GaussianProbe, Grid, SpectralField, _write_csv,
-                   _write_json, from_coefficients, probe_admissible,
+from .grid import (GaussianProbe, Grid, SpectralField, _check_positive,
+                   _write_csv, _write_json, from_coefficients, probe_admissible,
                    sample_probe, semigroup_multiplier, to_coefficients)
 from .qa import log_moment
-from .stabilize import estimate_spectral_constant
+from .stabilize import _mask_form, estimate_spectral_constant
 from .symbols import MultiplierSymbol, shifted
 from .thick import SupportMask, make_ball_complement, mask_hash
+
+# complex entries per stacked FFT of the control Gramian: one call per stack
+# of time slices spares the per-call overhead that dominates on small grids
+_GRAM_STACK = 2 ** 12
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +107,7 @@ def estimate_observability_constant(F: MultiplierSymbol, mask: SupportMask,
     All probes are marched through the semigroup together, one row each.
     """
     epsilon = _check_epsilon(epsilon)
-    if not (np.isfinite(T) and T > 0):
-        raise ValidationError(f"T must be positive, got {T}")
+    _check_positive(T=T)
     if quadrature_steps < 32:
         raise ValidationError(
             f"need at least 32 quadrature steps, got {quadrature_steps}")
@@ -259,10 +262,7 @@ def necessity_probe_scan(F: MultiplierSymbol, mask: SupportMask, T: float,
     defeats C.
     """
     epsilon = _check_epsilon(epsilon)
-    if not (np.isfinite(T) and T > 0):
-        raise ValidationError(f"T must be positive, got {T}")
-    if not (np.isfinite(C) and C > 0):
-        raise ValidationError(f"C must be positive, got {C}")
+    _check_positive(T=T, C=C)
     if len(centers) == 0:
         raise ValidationError("the schedule of probe centers is empty")
     grid = mask.grid
@@ -381,8 +381,7 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
     budget that mass is guaranteed to respect over the tested orders.
     """
     epsilon = _check_epsilon(epsilon)
-    if not (np.isfinite(T) and T > 0):
-        raise ValidationError(f"T must be positive, got {T}")
+    _check_positive(T=T)
     if not isinstance(beta_max, (int, np.integer)) or not (0 <= beta_max <= 8):
         raise ValidationError(
             f"beta_max must be an integer in [0, 8], got {beta_max}")
@@ -402,13 +401,11 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
     # chain is airtight on this grid
     rho_flat = grid.rho.ravel()
     g_rho = np.maximum(base.eval(rho_flat), 0.0)
-    with np.errstate(divide="ignore"):
-        log_rho = np.where(rho_flat > 0, np.log(rho_flat), -np.inf)
+    log_rho = np.log(rho_flat, out=np.full_like(rho_flat, -np.inf), where=rho_flat > 0)
     log_m = {}
     for k in range(beta_max + 1):
         lm, _ = log_moment(base, k, scale=t_half)
-        grid_lm = np.max(k * log_rho - t_half * g_rho) if k > 0 \
-            else -t_half * g_rho.min()
+        grid_lm = np.max(k * log_rho - t_half * g_rho) if k > 0 else -t_half * g_rho.min()
         log_m[k] = max(lm + math.log1p(1e-9), float(grid_lm))
 
     cu = to_coefficients(g) * np.exp(-T * g_rho).reshape(grid.shape)
@@ -475,27 +472,19 @@ class ControlResult:
 
 
 def _phi1(a: np.ndarray) -> np.ndarray:
-    """(1 - e^{-a}) / a, with its limit 1 at a = 0 (expm1 keeps small a
-    accurate)."""
-    return np.divide(-np.expm1(-a), a, out=np.ones_like(a, dtype=float),
-                     where=a != 0)
+    """(1 - e^{-a}) / a by expm1, with its limit 1 at a = 0."""
+    return np.divide(-np.expm1(-a), a, out=np.ones_like(a, dtype=float), where=a != 0)
 
 
-_GRAM_STACK = 2 ** 12  # complex entries per stacked Gramian FFT pair
+def _stacks(theta):
+    """theta's slices in stacks of _GRAM_STACK entries, one slice at least."""
+    k = max(1, _GRAM_STACK // theta[0].size)
+    return [theta[s:s + k] for s in range(0, len(theta), k)]
 
 
 def _gramian_apply(theta, frac, z):
-    """G z = sum_i theta_i 1_omega theta_i z. Stacking slices, _GRAM_STACK
-    entries per FFT pair, spares call overhead on small grids; larger stacks
-    transform slower, and a lone slice goes fastest as a plain array."""
-    k = max(1, _GRAM_STACK // z.size)
-    axes = tuple(range(1, theta.ndim)) if k > 1 else None
-    gz = np.zeros_like(z)
-    for s in range(0, len(theta), k):
-        t = theta[s] if k == 1 else theta[s:s + k]
-        u = t * np.fft.fftn(frac * np.fft.ifftn(t * z, axes=axes), axes=axes)
-        gz += u if k == 1 else u.sum(axis=0)
-    return gz
+    """G z = sum_i theta_i 1_omega theta_i z, one FFT pair per stack."""
+    return sum((t * _mask_form(frac, t * z)).sum(axis=0) for t in _stacks(theta))
 
 
 def _gramian_diagonal(theta, frac):
@@ -514,19 +503,15 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
     constant on each time slice, raising K tenfold from penalty0 until the
     target ratio is met. Each rung solves the HUM dual (dt + kappa G) z =
     e^{-TF} c0, kappa = K/eps, by conjugate gradients preconditioned with
-    dt + kappa diag G (Jacobi) and warm-started from the last rung, to an
-    unpreconditioned relative residual tol within max_cg iterations;
-    cg_iterations sums the iterations over the rungs. G = sum_i theta_i
-    1_omega theta_i is the controllability Gramian, theta_i the exact
-    propagator of slice i, applied to the slices in stacks: one unknown per
-    lattice mode. Then h_i = -kappa theta_i z on omega, and f(T) = dt z + r
-    with r the solve's residual.
+    dt + kappa diag G (Jacobi), warm-started from the last rung, to an
+    unpreconditioned relative residual tol in at most max_cg iterations;
+    cg_iterations sums them over the rungs. G = sum_i theta_i 1_omega theta_i
+    is the controllability Gramian, theta_i the exact propagator of slice i,
+    applied to stacks of slices: one unknown per lattice mode. Then h_i =
+    -kappa theta_i z on omega, and f(T) = dt z + r, r the solve's residual.
     """
     epsilon = _check_epsilon(epsilon)
-    if not (np.isfinite(T) and T > 0):
-        raise ValidationError(f"T must be positive, got {T}")
-    if not (np.isfinite(penalty0) and penalty0 > 0):
-        raise ValidationError(f"penalty0 must be positive, got {penalty0}")
+    _check_positive(T=T, penalty0=penalty0)
     if not 0 < tol < 1:
         raise ValidationError(f"tol must lie in (0, 1), got {tol}")
     for name, count in (("slices", slices), ("max_cg", max_cg),
@@ -589,8 +574,9 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
         ratio = math.sqrt(float(np.vdot(c_final, c_final).real) / box) / f0_norm
         best_ratio = min(best_ratio, ratio)
         if ratio <= epsilon * (1.0 + 1e-9):
-            controls = tuple(np.where(frac > 0, -kappa * np.fft.ifftn(
-                theta * z, axes=tuple(range(1, theta.ndim)))
+            axes = tuple(range(1, theta.ndim))
+            controls = tuple(h for t in _stacks(theta) for h in np.where(
+                frac > 0, -kappa * np.fft.ifftn(t * z, grid.shape, axes)
                 / grid.cell_measure, 0.0))
             cost = dt * grid.cell_measure * sum(
                 float(np.vdot(h, frac * h).real) for h in controls)
@@ -638,8 +624,7 @@ def negative_limit_experiment(F: MultiplierSymbol, psi: SpectralField,
     if not np.isfinite(lim) or lim < 0:
         raise ValidationError(
             f"the symbol must approach a finite non-negative limit, got {lim}")
-    if not (np.isfinite(T0) and T0 > 0):
-        raise ValidationError(f"T0 must be positive, got {T0}")
+    _check_positive(T0=T0)
     if quadrature_steps < 1:
         raise ValidationError(f"need at least 1 quadrature step, got {quadrature_steps}")
     h_values = tuple(float(h) for h in h_ladder)

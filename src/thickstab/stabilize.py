@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .grid import (Grid, SpectralField, _write_csv, apply_semigroup,
-                   ball_multiplier, from_coefficients, semigroup_multiplier,
-                   to_coefficients)
+from .grid import (Grid, SpectralField, _check_positive, _write_csv,
+                   apply_semigroup, ball_multiplier, from_coefficients,
+                   semigroup_multiplier, to_coefficients)
 from .symbols import MultiplierSymbol, alpha_R as tail_inf
 from .thick import SupportMask
 
@@ -65,8 +65,7 @@ class FeedbackConfig:
     def __post_init__(self):
         if not (np.isfinite(self.C) and self.C >= 1.0):
             raise ValidationError(f"C must be >= 1, got {self.C}")
-        if not (np.isfinite(self.R) and self.R > 0):
-            raise ValidationError(f"R must be positive, got {self.R}")
+        _check_positive(R=self.R)
         if not (self.alpha_tilde > 0):
             raise ValidationError(
                 f"alpha_tilde must be positive, got {self.alpha_tilde}")
@@ -120,8 +119,7 @@ def calibrate_constant(c_emp: float, R: float) -> float:
     """
     if not (np.isfinite(c_emp) and c_emp > 0):
         raise ValidationError(f"spectral constant must be positive, got {c_emp}")
-    if not (np.isfinite(R) and R > 0):
-        raise ValidationError(f"R must be positive, got {R}")
+    _check_positive(R=R)
     target = 2.0 * math.log(c_emp)
 
     def g(c):
@@ -178,8 +176,11 @@ def _fiber_form(fhat: np.ndarray, rows: np.ndarray, cols: np.ndarray):
 
 
 def _mask_form(frac: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """1_omega (the cell fractions) on a coefficient array: one FFT pair."""
-    return np.fft.fftn(frac * np.fft.ifftn(c))
+    """1_omega (the cell fractions) on a coefficient array, or on each of a
+    stack of them (leading axes): one FFT pair. Passing shape and axes keeps
+    a lone array at the plain transform's per-call cost."""
+    axes = tuple(range(c.ndim - frac.ndim, c.ndim))
+    return np.fft.fftn(frac * np.fft.ifftn(c, frac.shape, axes), frac.shape, axes)
 
 
 def _apply_band_gram(grid: Grid, frac: np.ndarray, idx: np.ndarray,
@@ -371,8 +372,7 @@ def step_closed_loop(f: SpectralField, F: MultiplierSymbol, mask: SupportMask,
                      cfg: FeedbackConfig | None, dt: float,
                      adjoint_order: bool = False) -> SpectralField:
     """Advance one step of d/dt f = -F(|D|) f - lam 1_omega K_R f."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be positive, got {dt}")
+    _check_positive(dt=dt)
     if cfg is None:
         return apply_semigroup(f, F, dt)
     stepper = _Stepper(f.grid, F, mask, cfg, dt, adjoint_order)
@@ -421,15 +421,13 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     whose errors name the first non-finite step or the first step at which
     V rises.
     """
-    if not (np.isfinite(T) and T > 0):
-        raise ValidationError(f"T must be positive, got {T}")
+    _check_positive(T=T)
     if not (0 < tail_fraction <= 1):
         raise ValidationError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     lam = 0.0 if cfg is None else cfg.lam
     if dt is None:
         dt = min(T / 1000.0, cfg.dt_max) if lam > 0 else T / 1000.0
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValidationError(f"dt must be positive, got {dt}")
+    _check_positive(dt=dt)
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     dt = T / n_steps
     grid = f0.grid

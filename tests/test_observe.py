@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thickstab import observe
 from thickstab.errors import ConvergenceError, ValidationError
 from thickstab.grid import (GaussianProbe, field_from_values, make_grid, norm,
                             project_ball, restricted_norm, to_coefficients,
@@ -381,7 +382,7 @@ def test_synthesize_zero_initial_data():
     assert norm(res.final_field) == 0.0
 
 
-def test_synthesize_thick_mask():
+def test_synthesize_thick_mask(monkeypatch):
     g = make_grid(1, 16.0, 128)
     mask = make_periodic_thick(g, 1.0, 0.5)
     F = fractional(1.0)
@@ -399,6 +400,14 @@ def test_synthesize_thick_mask():
     for h in res.controls:
         assert np.max(np.abs(h[off])) == 0.0
     assert abs(norm(res.final_field) / norm(f0) - res.ratio) < 1e-12
+    # stacks of three slices, the last one short, give the same solve
+    monkeypatch.setattr(observe, "_GRAM_STACK", 3 * g.points)
+    again = synthesize_control(f0, F, mask, 1.0, 0.1, slices=32)
+    assert again.cg_iterations == res.cg_iterations
+    scale = max(np.abs(h).max() for h in res.controls)
+    for a, b in zip(res.controls, again.controls, strict=True):
+        assert np.abs(a - b).max() <= 1e-12 * scale
+    assert abs(again.cost - res.cost) <= 1e-12 * res.cost
 
     # duality sanity: no control can beat (||e^{-TF}f0|| - eps ||f0||)^2 / D
     # with D the observability integral of the normalized evolved state
