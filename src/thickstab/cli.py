@@ -608,29 +608,20 @@ def _apply_overrides(raw: dict, sets: list) -> None:
 
 
 def _print_catalog(as_json: bool) -> None:
-    if as_json:
-        payload = []
-        for name in sorted(_SCENARIOS):
-            sc = _SCENARIOS[name]
-            required, optional = [], {}
-            for section, keys in sc.sections.items():
-                for key, ks in keys.items():
-                    if ks.required:
-                        required.append(f"{section}.{key}")
-                    else:
-                        optional[f"{section}.{key}"] = ks.default
-            payload.append({"name": name, "summary": sc.blurb,
-                            "required": required, "optional": optional})
-        print(json.dumps({"scenarios": payload}, indent=2, sort_keys=True))
-        return
+    catalog = []
     for name in sorted(_SCENARIOS):
         sc = _SCENARIOS[name]
-        print(f"{name}")
-        print(f"    {sc.blurb}")
-        required = [f"{section}.{key}"
-                    for section, keys in sc.sections.items()
-                    for key, ks in keys.items() if ks.required]
-        print(f"    required: {', '.join(required) if required else '(none)'}")
+        keys = [(f"{section}.{key}", ks) for section, table in sc.sections.items()
+                for key, ks in table.items()]
+        catalog.append({"name": name, "summary": sc.blurb,
+                        "required": [k for k, ks in keys if ks.required],
+                        "optional": {k: ks.default for k, ks in keys if not ks.required}})
+    if as_json:
+        print(json.dumps({"scenarios": catalog}, indent=2, sort_keys=True))
+        return
+    for entry in catalog:
+        required = ", ".join(entry["required"]) or "(none)"
+        print(f"{entry['name']}\n    {entry['summary']}\n    required: {required}")
 
 
 def _run(scenario: str, config_path: Path, out_dir: Path, sets: list) -> int:

@@ -2,9 +2,10 @@
 
 Everything runs on the log scale: log M_k = sup_s [k s - scale F(e^s)], a
 supremum whose maximizer moves monotonically to the right as k grows. The
-batch optimizer exploits that with a shared coarse grid followed by a
-vectorized golden-section refinement, so ten-thousand-moment sequences cost
-fractions of a second.
+batch optimizer exploits that with a shared coarse grid, then refines all
+k at once with the symbols module's zoom search, which stops at a bracket
+width of 1e-8 in log radius; ten-thousand-moment sequences cost a fraction
+of a second.
 
 The module also hosts the sequence diagnostics used throughout: divergence of
 the ratio series sum M_k / M_{k+1} (the quasi-analyticity signature),
@@ -23,13 +24,12 @@ import numpy as np
 
 from .errors import ConvergenceError, IntegrationError, MomentDivergenceError, ValidationError
 from .grid import _write_csv
-from .symbols import IteratedLogAux, MultiplierSymbol, inf_F, iterated
+from .symbols import IteratedLogAux, MultiplierSymbol, _bracket_root, _refine_max, inf_F, iterated
 
 _S_LO = -50.0
-_GRID_POINTS = 4096  # coarse log-radius grid that seeds the golden search
+_GRID_POINTS = 4096  # coarse log-radius grid that seeds the refinement
+_S_TOL = 1e-8  # width in log radius at which the refinement stops
 _K_FLOOR = 100.0  # smallest k at which the asymptotic depth bounds are tested
-_GOLDEN_ITERS = 80
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_k(k) -> float:
@@ -67,31 +67,7 @@ def _moment_batch(symbol: MultiplierSymbol, ks: np.ndarray,
     def h(sv):
         return ks * sv - scale * symbol.eval(np.exp(sv))
 
-    lo = s[np.maximum(idx - 1, 0)]
-    hi = s[idx + 1]
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = h(c), h(d)
-    for _ in range(_GOLDEN_ITERS):
-        left = fc >= fd  # maximum sits in [lo, d]; otherwise in [c, hi]
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-        new_c = hi - _INVPHI * (hi - lo)
-        new_d = lo + _INVPHI * (hi - lo)
-        probe = np.where(left, new_c, new_d)
-        f_probe = h(probe)
-        c, d, fc, fd = (
-            np.where(left, new_c, d),
-            np.where(left, c, new_d),
-            np.where(left, f_probe, fd),
-            np.where(left, fc, f_probe),
-        )
-    s_star = np.where(fc >= fd, c, d)
-    vals = np.maximum(fc, fd)
-    grid_vals = ks * s[idx] - fe[idx]
-    keep_grid = grid_vals > vals
-    vals = np.where(keep_grid, grid_vals, vals)
-    s_star = np.where(keep_grid, s[idx], s_star)
+    s_star, vals = _refine_max(h, s, idx, ks * s[idx] - fe[idx], _S_TOL)
     return vals, np.exp(s_star)
 
 
@@ -281,22 +257,7 @@ def tk_bound_check(p: int, k) -> tuple:
         h = max(1e-6 * t, 1e-6)
         return t * (symbol.eval(t + h) - symbol.eval(max(t - h, 0.0))) / (2.0 * h)
 
-    lo, hi = 1.0, 2.0
-    expansions = 0
-    while psi(hi) < k:
-        lo, hi = hi, hi * 2.0
-        expansions += 1
-        if expansions > 200 or hi > symbol.r_cap:
-            raise ConvergenceError(
-                f"bisection bracket failure for t F'(t) = {k:g}: scanned [1, {hi:.3g}]")
-    for _ in range(200):
-        midt = 0.5 * (lo + hi)
-        if psi(midt) < k:
-            lo = midt
-        else:
-            hi = midt
-        if hi - lo <= 1e-12 * hi:
-            break
+    lo, hi = _bracket_root(lambda t: psi(t) - k, 1.0, 2.0, symbol.r_cap, f"t F'(t) = {k:g}")
     t_k = 0.5 * (lo + hi)
     bound = 2.0 * k * float(IteratedLogAux(p).phi(k))
     return t_k, bound, bool(t_k <= bound * (1.0 + 1e-9))

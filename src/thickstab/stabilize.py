@@ -30,7 +30,7 @@ from .errors import ConvergenceError, NumericalError, ValidationError
 from .grid import (Grid, SpectralField, _check_positive, _write_csv,
                    apply_semigroup, ball_multiplier, from_coefficients,
                    semigroup_multiplier, to_coefficients)
-from .symbols import MultiplierSymbol, alpha_R as tail_inf
+from .symbols import MultiplierSymbol, _bracket_root, alpha_R as tail_inf
 from .thick import SupportMask
 
 _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
@@ -127,16 +127,7 @@ def calibrate_constant(c_emp: float, R: float) -> float:
 
     if g(1.0) >= 0:
         return 1.0
-    lo, hi = 1.0, 2.0
-    while g(hi) < 0:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bracket_root(g, 1.0, 2.0, math.inf, "C e^(CR) = c_emp^2")[1]
 
 
 # ---------------------------------------------------------------------------

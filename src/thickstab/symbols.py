@@ -7,9 +7,12 @@ a constant, F(r) = F_family(r) - shift, so shifting a symbol changes only
 that number. Symbols evaluate vectorized over radius arrays; beyond `r_cap`
 (default 1e8) evaluation continues linearly along the local trend at r_cap,
 which for tabulated symbols (flat extrapolation) means staying flat.
-Infima and tail infima are computed numerically, by coarse scan plus
-golden-section refinement, even when closed forms exist; the closed forms
-serve as oracles in the tests.
+Infima and tail infima are computed numerically, even when closed forms
+exist (they serve as oracles in the tests): a coarse scan, then
+_refine_max, which zooms every bracket around a grid optimum down to a width
+tol and keeps the exact grid value unless the refinement beats it; qa's
+moment suprema use it too. _bracket_root, the one monotone root search,
+doubles a bracket and bisects it down to adjacent floats.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 
 _FAMILIES = ("fractional", "halfheat", "loglog", "iterated", "custom")
-_SCAN_POINTS = 4096  # grid of the infimum scans before golden refinement
+_SCAN_POINTS = 4096  # grid of the infimum scans before refinement
+_ZOOM_POINTS = 8  # samples per bracket in each zoom of _refine_max
+_MAX_ZOOMS = 40  # ends a zoom whose bracket cannot get below tol in floats
 
 
 @dataclass(frozen=True)
@@ -45,10 +50,7 @@ class MultiplierSymbol:
         if not np.isfinite(self.shift):
             raise ValidationError(f"shift must be finite, got {self.shift}")
         if self.family == "custom":
-            if len(self.table) < 2:
-                raise ValidationError("custom table needs at least 2 nodes")
-            xs = np.array([q[0] for q in self.table], dtype=float)
-            vs = np.array([q[1] for q in self.table], dtype=float)
+            xs, vs = _table_columns(self.table)
             if np.any(xs[1:] <= xs[:-1]):
                 raise ValidationError("custom table radii must be strictly increasing")
             if xs[0] < 0:
@@ -103,7 +105,7 @@ class MultiplierSymbol:
     def sup_value(self) -> float:
         if not self.is_bounded():
             raise ValidationError(f"{self.family} symbol is unbounded")
-        return float(max(q[1] for q in self.table) - self.shift)
+        return float(self._nodes[1].max() - self.shift)
 
     def limit_value(self) -> float:
         """Value of the flat tail (bounded symbols only)."""
@@ -173,9 +175,22 @@ def shifted(base: MultiplierSymbol, mu: float) -> MultiplierSymbol:
     return replace(base, shift=base.shift + float(mu))
 
 
+def _table_columns(table) -> np.ndarray:
+    """A custom table's (radius, value) rows as a 2 x n float array."""
+    try:
+        rows = tuple(table)
+        cols = np.array(tuple(zip(*rows, strict=True)), dtype=float).reshape(2, len(rows))
+    except (TypeError, ValueError):
+        raise ValidationError("custom table must be a sequence of (radius, value) rows") from None
+    if len(rows) < 2:
+        raise ValidationError("custom table needs at least 2 nodes")
+    return cols
+
+
 def custom(table, monotone_tail: bool = True) -> MultiplierSymbol:
-    """Tabulated symbol: linear interpolation, flat extrapolation."""
-    rows = tuple((float(r), float(v)) for r, v in table)
+    """Tabulated symbol: linear interpolation, flat extrapolation. The table
+    is kept as a tuple of (radius, value) float pairs."""
+    rows = tuple(zip(*_table_columns(table).tolist()))
     return MultiplierSymbol(family="custom", table=rows, monotone_tail=monotone_tail)
 
 
@@ -201,7 +216,8 @@ def saturating(r_knee: float = 1.0, r_span: float = 200.0) -> MultiplierSymbol:
         np.linspace(0.0, 2.0 * knee, 2001),
         np.geomspace(2.0 * knee, span, 2001)[1:],
     ])
-    return custom(tuple(zip(xs, xs / (knee + xs))))
+    rows = tuple(zip(xs.tolist(), (xs / (knee + xs)).tolist()))  # floats already
+    return MultiplierSymbol(family="custom", table=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -270,37 +286,62 @@ class InfResult:
     reliable: bool
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float) -> tuple:
-    """Golden-section minimum of a scalar function on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = c if fc <= fd else d
-    return x, fn(x)
+def _refine_max(h, grid, idx, vals, tol: float) -> tuple:
+    """Refine coarse grid maxima of h, many brackets at once.
+
+    Bracket i is [grid[idx[i] - 1], grid[idx[i] + 1]], clipped at the grid
+    ends, and vals[i] is h at grid[idx[i]]. h maps a (_ZOOM_POINTS, m) array
+    of abscissae, column i inside bracket i, to its values. Each zoom samples
+    every bracket at _ZOOM_POINTS even points and narrows it to the best
+    sample's neighbours, until all are narrower than tol. The exact grid
+    value is kept unless the refinement beats it. Returns (argmax, max).
+    """
+    a = grid[np.maximum(idx - 1, 0)]
+    b = grid[np.minimum(idx + 1, len(grid) - 1)]
+    n = np.arange(_ZOOM_POINTS, dtype=float)[:, None]
+    for _ in range(_MAX_ZOOMS):  # each zoom shrinks a bracket at least 3.5-fold
+        step = (b - a) / (_ZOOM_POINTS - 1)
+        x = a + step * n
+        y = h(x)
+        j = np.argmax(y, axis=0)
+        if np.all(b - a < tol):
+            break
+        a, b = a + step * np.maximum(j - 1, 0), a + step * np.minimum(j + 1, _ZOOM_POINTS - 1)
+    cols = np.arange(len(idx))
+    keep = vals >= y[j, cols]
+    return np.where(keep, grid[idx], x[j, cols]), np.where(keep, vals, y[j, cols])
+
 
 def _scan_min(symbol: MultiplierSymbol, lo: float, hi: float) -> InfResult:
     grid = np.linspace(lo, hi, _SCAN_POINTS)
     vals = symbol.eval(grid)
     i = int(np.argmin(vals))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, _SCAN_POINTS - 1)]
-    x, v = _golden_min(lambda r: float(symbol.eval(r)), a, b, tol=1e-10 * (1.0 + hi - lo))
-    # keep the exact grid value when refinement does not beat it
-    if vals[i] <= v:
-        x, v = float(grid[i]), float(vals[i])
-    at_edge = i >= _SCAN_POINTS - 2
-    return InfResult(value=float(v), location=float(x), reliable=symbol.monotone_tail or not at_edge)
+    (x,), (v,) = _refine_max(lambda r: -symbol.eval(r), grid, np.array([i]),
+                             -vals[i:i + 1], tol=1e-10 * (1.0 + hi - lo))
+    return InfResult(value=float(-v), location=float(x),
+                     reliable=symbol.monotone_tail or i < _SCAN_POINTS - 2)
+
+
+def _bracket_root(g, lo: float, hi: float, cap: float, what: str) -> tuple:
+    """Adjacent floats lo < hi with g(lo) < 0 <= g(hi), for increasing g.
+
+    Needs g(lo) < 0. Doubles hi until g changes sign, then bisects; raises
+    ConvergenceError when hi passes cap first.
+    """
+    start = lo
+    while g(hi) < 0:
+        lo, hi = hi, 2.0 * hi
+        if hi > cap:
+            raise ConvergenceError(
+                f"bisection bracket failure for {what}: scanned [{start:g}, {hi:.3g}]")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        if g(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _default_hi(symbol: MultiplierSymbol, lo: float) -> float:

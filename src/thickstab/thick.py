@@ -114,12 +114,7 @@ def _axis_cyclic_extremes(grid: Grid, center: float) -> tuple:
     ell = grid.extent
     a = grid.axis_x
     b = a + grid.dx
-
-    def d(x):
-        t = np.mod(x - center, ell)
-        return np.minimum(t, ell - t)
-
-    da, db = d(a), d(b)
+    da, db = _cyc_delta(a, center, ell), _cyc_delta(b, center, ell)
     lo = np.minimum(da, db)
     hi = np.maximum(da, db)
     contains_center = np.mod(center - a, ell) < grid.dx

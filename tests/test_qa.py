@@ -184,6 +184,10 @@ def test_iterated_depth_bounds():
             assert ratio_lower_bound_check(p, k)
     with pytest.raises(ValidationError):
         tk_bound_check(1, 50)
+    # t_k lies beyond r_cap: the doubling gives up and names what it scanned
+    with pytest.raises(ConvergenceError, match=r"bisection bracket failure for "
+                       r"t F'\(t\) = 1e\+09: scanned \[1, 1\.34e\+08\]"):
+        tk_bound_check(1, 1e9)
     with pytest.raises(ValidationError):
         ratio_lower_bound_check(9, 1e3)
 

@@ -92,6 +92,11 @@ def test_calibrate_constant():
     assert abs(c - 2.926271062443501) < 1e-9
     assert abs(math.log(c) + c * 1.0 - 4.0) < 1e-10
     assert math.log(c - 1e-6) + (c - 1e-6) * 1.0 < 4.0
+    # C is the smallest float meeting the target: its predecessor falls short
+    for c_emp, R in ((math.exp(2.0), 1.0), (50.0, 0.5), (1e3, 2.0), (1e6, 0.1), (3.0, 0.25)):
+        c = calibrate_constant(c_emp, R)
+        g = lambda x: math.log(x) + x * R - 2.0 * math.log(c_emp)
+        assert c > 1.0 and g(c) >= 0 > g(math.nextafter(c, 0.0)), (c_emp, R)
     with pytest.raises(ValidationError):
         calibrate_constant(0.0, 8.0)
     with pytest.raises(ValidationError):

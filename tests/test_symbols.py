@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from thickstab.errors import ValidationError
-from thickstab.symbols import (IteratedLogAux, MultiplierSymbol, alpha_R,
+from thickstab.symbols import (IteratedLogAux, MultiplierSymbol, _refine_max, alpha_R,
                                constant, custom, fractional, halfheat, inf_F,
                                iterated, loglog, saturating, shifted)
 
@@ -65,7 +65,15 @@ def test_custom_table_and_messages():
                      (((0.0, 1.0), (2.0, 2.0), (1.5, 3.0)), "strictly increasing"),
                      (((-1.0, 1.0), (1.0, 2.0)), r"radii must be >= 0"),
                      (((0.0, 1.0), (1.0, np.nan)), "values must be finite"),
-                     (((0.0, np.inf), (1.0, 1.0)), "values must be finite")):
+                     (((0.0, np.inf), (1.0, 1.0)), "values must be finite"),
+                     # malformed shapes name the rows they expect
+                     ((0.0, 1.0), r"\(radius, value\) rows"),
+                     (((0.0,), (1.0,)), r"\(radius, value\) rows"),
+                     (((0.0, 1.0, 2.0), (1.0, 2.0, 3.0)), r"\(radius, value\) rows"),
+                     (((0.0, 1.0), (1.0,)), r"\(radius, value\) rows"),
+                     (((0.0, 1.0), (1.0, 2.0, 3.0)), r"\(radius, value\) rows"),
+                     (((0.0, 1.0), (1.0, (2.0, 3.0))), r"\(radius, value\) rows"),
+                     (((0.0, 1.0), (1.0, "x")), r"\(radius, value\) rows")):
         with pytest.raises(ValidationError, match=msg):
             custom(bad)
 
@@ -131,6 +139,9 @@ def test_tail_infimum_closed_forms():
     # shifted recursion is exact
     res = alpha_R(shifted(fractional(1.0), 5.0), 3.0)
     assert res.value == pytest.approx(4.0, rel=1e-10)
+    # a bracket that floats cannot narrow to tol still ends, on the grid value
+    res = alpha_R(halfheat(), 1e12, r_max=1e12 + 1.0)
+    assert res.value == 1e12 and res.location == 1e12
     with pytest.raises(ValidationError):
         alpha_R(halfheat(), -1.0)
     with pytest.raises(ValidationError):
@@ -154,6 +165,26 @@ def test_unreliable_edge_minimum():
     res = inf_F(F)
     assert res.value == pytest.approx(0.25, abs=1e-9)
     assert not res.reliable
+
+
+def test_refine_max_many_brackets():
+    # h(x) = -(x - x0)^2, one x0 per bracket, all refined in one call: inside
+    # a bracket, at the grid's ends, just inside them, and on nodes
+    grid = np.linspace(-1.0, 2.0, 301)
+    step = grid[1] - grid[0]
+    x0 = np.concatenate([grid[5] + step * np.array([0.1, 0.37, 0.5, 0.93, -0.4]),
+                         grid[[0, -1, 1, -2, 7, 150]],
+                         [grid[0] + 1e-9, grid[-1] - 1e-9, grid[200] + 0.5 * step]])
+    idx = np.argmin(np.abs(grid[None, :] - x0[:, None]), axis=1)  # grid argmax
+    vals = -(grid[idx] - x0) ** 2
+    tol = 1e-10
+    x, v = _refine_max(lambda xs: -(xs - x0) ** 2, grid, idx, vals, tol)
+    assert np.all(np.abs(x - x0) <= tol)
+    assert np.all(v >= vals) and np.all(v <= 0.0)
+    node = np.isin(x0, grid)
+    assert np.count_nonzero(node) == 6
+    # a maximum on a node keeps the exact grid point and value
+    assert np.array_equal(x[node], x0[node]) and np.all(v[node] == 0.0)
 
 
 def test_bounded_metadata():
