@@ -145,14 +145,26 @@ def from_coefficients(grid: Grid, coef: np.ndarray) -> SpectralField:
 
 def semigroup_multiplier(grid: Grid, symbol, t: float, freq_scale: float = 1.0) -> np.ndarray:
     """Array e^{-t F(|xi| * freq_scale)} on the frequency lattice."""
-    if not np.isfinite(t):
-        raise ValidationError(f"time must be finite, got {t}")
-    if t < 0:
-        raise ValidationError(f"semigroup time must be >= 0, got {t}")
+    _check_times(t)
+    return np.exp(-t * _symbol_values(grid, symbol, freq_scale))
+
+
+def _check_times(t) -> None:
+    """Reject a semigroup time, or any of an array of them, that is not a
+    finite number >= 0, naming the first bad one."""
+    t = np.asarray(t, dtype=float)
+    for bad, what in ((~np.isfinite(t), "time must be finite"),
+                      (t < 0, "semigroup time must be >= 0")):
+        if np.any(bad):
+            raise ValidationError(f"{what}, got {t[bad][0]}")
+
+
+def _symbol_values(grid: Grid, symbol, freq_scale: float = 1.0) -> np.ndarray:
+    """F(|xi| * freq_scale) on the frequency lattice, checked finite."""
     vals = symbol.eval(grid.rho * freq_scale)
     if not np.all(np.isfinite(vals)):
         raise ValidationError("symbol evaluated to a non-finite value on the frequency lattice")
-    return np.exp(-t * vals)
+    return vals
 
 
 def apply_multiplier(f: SpectralField, multiplier: np.ndarray) -> SpectralField:

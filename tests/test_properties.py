@@ -1,9 +1,13 @@
 """Property checks on random grids, masks and radii (hypothesis).
 
 The closed-form band Gram, fiber block by fiber block, must act like the
-FFT-applied mask form on the band, the closed-loop stepper (fiber fold or
-matrix-free) must agree with a Strang step written out from that form and
-commute with a shift by one period of the mask, and each row of a stacked
+FFT-applied mask form on the band. For a support with no period, its real
+block in the basis cos(k.x), sin(k.x) must be exactly symmetric with the
+spectrum of the dense complex Gram, and the spectral constant must be
+1/sqrt of its least eigenvalue, Nyquist modes in the band or not. The
+closed-loop stepper (fiber fold or matrix-free) must agree with a Strang
+step written out from that form and commute with a shift by one period of
+the mask, and each row of a stacked
 restricted-norm march must agree with a plain per-step loop through the
 public field functions. The cube classifier's window sums must match a loop
 over the cubes. The coefficient transform must keep Parseval's identity, and the
@@ -27,10 +31,11 @@ from thickstab.observe import (_cube_sums, _restricted_march,
                                synthesize_control)
 from thickstab.stabilize import (_DENSE_STEP_MAX, FeedbackConfig, _Stepper,
                                  _apply_band_gram, _band_indices, _fiber_form,
-                                 _fibers)
+                                 _fibers, _real_form,
+                                 estimate_spectral_constant)
 from thickstab.symbols import (constant, fractional, halfheat, iterated,
                                loglog, saturating)
-from thickstab.thick import SupportMask
+from thickstab.thick import SupportMask, make_full
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -79,6 +84,70 @@ def test_band_gram_matches_fft_matvec(case, r_fraction):
             got = _fiber_form(fhat, fiber[None], fiber[None])[0] @ lattice[fiber]
             # the mask form is a contraction, so ||w|| is the scale
             assert np.linalg.norm(got - want[fiber]) <= 1e-12 * np.linalg.norm(w)
+
+
+def _dense_gram(mask, band):
+    """The complex band Gram G[a, b] = frac_hat(k_a - k_b) / N^dim."""
+    k = np.unravel_index(band, mask.grid.shape)
+    fhat = np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size
+    return fhat[tuple((a[:, None] - a[None, :]) % mask.grid.points for a in k)]
+
+
+REAL_FORM_GRIDS = ((1, 8), (1, 16), (1, 32), (1, 64), (1, 128), (2, 8),
+                   (2, 10), (2, 12), (2, 16), (2, 20))
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.floats(2.0, 40.0),
+       st.one_of(st.just(1.0), st.floats(1e-3, 1.0)), st.data())
+def test_real_form_keeps_the_band_spectrum(case, extent, r_fraction, data):
+    # one-fiber masks (period = points); r_fraction = 1 takes the Nyquist
+    # modes into the band, so it holds 2 (1-D) or 3 (2-D) fixed modes 2k = 0.
+    # The grid is a wide integer mod the grid count (see stepper_case)
+    dim, points = REAL_FORM_GRIDS[case % len(REAL_FORM_GRIDS)]
+    grid = make_grid(dim, extent, points)
+    mask, _ = _mask(data.draw, grid)
+    R = r_fraction * grid.xi_max
+    band = _band_indices(grid, R)
+    block = _real_form(np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size,
+                       band)
+    assert block.shape == (len(band),) * 2 and block.dtype == float
+    assert np.array_equal(block, block.T)
+    ev = np.linalg.eigvalsh(block)
+    want = np.linalg.eigvalsh(_dense_gram(mask, band))
+    assert np.abs(ev - want).max() <= 1e-12 * want[-1]
+    if mask.periods != grid.shape:  # a 0/1 draw can repeat on small grids
+        return
+    try:
+        c = estimate_spectral_constant(mask, R)
+    except ConvergenceError:
+        # more modes than support cells, or a numerically singular block
+        assert ev[0] <= len(band) * np.finfo(float).eps * ev[-1]
+    else:
+        assert abs(c - 1.0 / np.sqrt(ev[0])) <= 1e-12 * c
+
+
+@pytest.mark.parametrize("dim, points", [(1, 128), (2, 16)])
+def test_real_form_of_the_full_box(dim, points):
+    # the band at xi_max holds the fixed modes 0 and the Nyquist modes on
+    # the axes (2 in 1-D, 3 in 2-D); for the full box the block is the identity
+    grid = make_grid(dim, 16.0, points)
+    band = _band_indices(grid, grid.xi_max)
+    k = np.unravel_index(band, grid.shape)
+    assert np.count_nonzero(np.all([2 * a % points == 0 for a in k], axis=0)) \
+        == dim + 1
+    block = _real_form(np.fft.fftn(np.ones(grid.shape)) / points ** dim, band)
+    np.testing.assert_allclose(block, np.eye(len(band)), rtol=0.0, atol=1e-15)
+    assert estimate_spectral_constant(make_full(grid), grid.xi_max) == 1.0
+    # a one-fiber support of full-box fractions but one graded cell takes
+    # the real path and stays close to 1
+    frac = np.ones(grid.shape)
+    frac.flat[0] = 0.5
+    mask = SupportMask(grid=grid, cell_fraction=frac)
+    assert mask.periods == grid.shape
+    c = estimate_spectral_constant(mask, grid.xi_max)
+    assert abs(c - 1.0 / np.sqrt(np.linalg.eigvalsh(
+        _dense_gram(mask, band))[0])) <= 1e-12 * c
 
 
 @PROPERTY_SETTINGS

@@ -5,7 +5,8 @@ and eigvalsh, independent of the package's closed-form Gram gather.
 The Bloch-fiber constant is also checked against one dense eigvalsh of the
 whole closed-form band Gram. The stepping oracles are the commuting full-box
 case, where the feedback is exactly lam K_R and every mode evolves by a
-scalar exponential, and a Strang step written out with plain FFTs.
+scalar exponential, and a Strang step written out with plain FFTs. The
+stacked Duhamel residual is checked against a loop over the snapshots.
 """
 
 import math
@@ -451,6 +452,75 @@ def test_duhamel_residual_generic_and_adjoint():
     bare = run_stabilization(f0, F, mask, None, 0.5, dt=1e-3)
     with pytest.raises(ValidationError, match="snapshot"):
         duhamel_residual(bare, F, mask)
+
+
+def duhamel_loop(result, F, mask, max_points=None):
+    """The Duhamel residual one snapshot at a time through the public
+    multipliers, thinned like the package's. The residual is a difference of
+    nearly equal vectors, so its last digits follow the order of the sum:
+    the trapezoid sum is accumulated on its own and in time order."""
+    snaps = list(result.trajectory.snapshots)
+    if max_points is not None and len(snaps) > max_points:
+        keep = np.linspace(0, len(snaps) - 1, max_points).round().astype(int)
+        snaps = [snaps[i] for i in np.unique(keep)]
+    ts = np.array([t for t, _ in snaps])
+    g, T, cfg = result.trajectory.grid, ts[-1], result.config
+    rhs = semigroup_multiplier(g, F, T) * snaps[0][1]
+    if cfg is not None:
+        band = (g.rho <= cfg.R).astype(float)
+        frac = mask.cell_fraction
+        w = np.empty(len(ts))
+        w[0], w[-1] = 0.5 * (ts[1] - ts[0]), 0.5 * (ts[-1] - ts[-2])
+        w[1:-1] = 0.5 * (ts[2:] - ts[:-2])
+        acc = np.zeros(g.shape, dtype=complex)
+        for wi, (t, c) in zip(w, snaps):
+            if result.adjoint_order:
+                b = band * np.fft.fftn(frac * np.fft.ifftn(cfg.lam * c))
+            else:
+                b = np.fft.fftn(frac * np.fft.ifftn(cfg.lam * c * band))
+            acc += wi * semigroup_multiplier(g, F, T - t) * b
+        rhs = rhs - acc
+    return (np.linalg.norm((snaps[-1][1] - rhs).ravel())
+            / np.linalg.norm(snaps[0][1].ravel()))
+
+
+@pytest.mark.parametrize("dim, points", [(1, 128), (2, 32)])
+def test_duhamel_residual_matches_snapshot_loop(dim, points):
+    # the stacked residual against a loop over the snapshots: forward and
+    # adjoint order, thinned to 60 points and a free run. Stacks hold 32
+    # (1-D) or 4 (2-D) snapshots, so the run's 201 end in a short stack
+    g = make_grid(dim, 16.0, points)
+    F = halfheat()
+    mask = make_random_thick(g, 2.0, 0.3, 1)
+    cfg = design_feedback(F, 1.0, C=1.0)
+    rng = np.random.default_rng(9)
+    f0 = field_from_values(g, rng.standard_normal(g.shape)
+                           + 1j * rng.standard_normal(g.shape))
+    for conf, adjoint, max_points in ((cfg, False, None), (cfg, True, None),
+                                      (cfg, False, 60), (cfg, True, 60),
+                                      (None, False, None)):
+        res = run_stabilization(f0, F, mask, conf, 0.2, dt=1e-3,
+                                snapshot_every=1, adjoint_order=adjoint)
+        got = duhamel_residual(res, F, mask, max_points=max_points)
+        want = duhamel_loop(res, F, mask, max_points)
+        assert abs(got - want) <= 1e-10 * want
+
+
+def test_duhamel_max_points_validation():
+    # at least 3 snapshots, as the run itself must store: 0 used to end in an
+    # IndexError, -3 in a numpy ValueError and 1 in a misleading "span" error
+    g = make_grid(1, 16.0, 64)
+    F = halfheat()
+    mask = make_periodic_thick(g, 1.0, 0.5)
+    f0 = field_from_values(g, np.exp(-((g.axis_x - 8.0) ** 2)))
+    res = run_stabilization(f0, F, mask, design_feedback(F, 1.0), 0.05,
+                            dt=1e-3, snapshot_every=1)
+    for bad in (0, -3, 1, 2, 2.5, 60.0, "60", True):
+        with pytest.raises(ValidationError, match="max_points must be an "
+                           f"integer >= 3, got {bad!r}"):
+            duhamel_residual(res, F, mask, max_points=bad)
+    assert np.isfinite(duhamel_residual(res, F, mask, max_points=3))
+    assert duhamel_residual(res, F, mask, max_points=np.int64(40)) < 1e-4
 
 
 def test_duhamel_requires_spanning_snapshots():
