@@ -70,7 +70,7 @@ class Grid:
             ("axis_x", _readonly(axis_x)),
             ("axis_xi", _readonly(axis_xi)),
             ("rho", _readonly(rho)),
-            ("xi_max", np.pi * self.points / self.extent),
+            ("xi_max", float(np.abs(axis_xi).max())),  # Nyquist |xi|, as rho holds it
             ("cell_measure", dx**self.dim),
         ):
             object.__setattr__(self, name, value)
@@ -160,8 +160,10 @@ def _check_times(t) -> None:
 
 
 def _symbol_values(grid: Grid, symbol, freq_scale: float = 1.0) -> np.ndarray:
-    """F(|xi| * freq_scale) on the frequency lattice, checked finite."""
-    vals = symbol.eval(grid.rho * freq_scale)
+    """F(|xi| * freq_scale) on the frequency lattice, checked finite: the one
+    path from a symbol to the lattice, so an overflow ends in this error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = symbol.eval(grid.rho * freq_scale)
     if not np.all(np.isfinite(vals)):
         raise ValidationError("symbol evaluated to a non-finite value on the frequency lattice")
     return vals

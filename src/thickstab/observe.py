@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .grid import (GaussianProbe, Grid, SpectralField, _check_positive,
+from .grid import (GaussianProbe, Grid, SpectralField, _check_positive, _symbol_values,
                    _write_csv, _write_json, from_coefficients, probe_admissible,
                    sample_probe, semigroup_multiplier, to_coefficients)
 from .qa import log_moment
@@ -272,9 +272,8 @@ def necessity_probe_scan(F: MultiplierSymbol, mask: SupportMask, T: float,
         raise ValidationError(
             f"probe width {width} is not admissible on this grid")
     cap = xi_max - 3.0 / width
-    rho_flat = grid.rho.ravel()
-    ok = rho_flat <= cap
-    fvals = F.eval(rho_flat[ok])
+    ok = grid.rho.ravel() <= cap
+    fvals = _symbol_values(grid, F).ravel()[ok]
     cutoff = -math.log(epsilon) / (2.0 * T)
     eligible = fvals < cutoff
     if not np.any(eligible):
@@ -393,6 +392,7 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
             f"the box (L = {L}, L/dx = {W})")
     W = int(round(W))
     n = grid.dim
+    f_rho = _symbol_values(grid, F).ravel()  # checked before inf F is scanned
     base = shifted(F, F.inf_value)  # G = F - inf F, zero infimum
     t_half = 0.5 * T
 
@@ -400,7 +400,7 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
     # up by 1e-9 and floored by the exact lattice supremum so the bad-mass
     # chain is airtight on this grid
     rho_flat = grid.rho.ravel()
-    g_rho = np.maximum(base.eval(rho_flat), 0.0)
+    g_rho = np.maximum(f_rho - F.inf_value, 0.0)
     log_rho = np.log(rho_flat, out=np.full_like(rho_flat, -np.inf), where=rho_flat > 0)
     log_m = {}
     for k in range(beta_max + 1):
@@ -531,7 +531,7 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
                              cost=0.0, ratio=0.0, penalty=penalty0,
                              cg_iterations=0)
 
-    f_rho = F.eval(grid.rho)
+    f_rho = _symbol_values(grid, F)
     theta = np.stack([np.exp(-(T - (i + 1) * dt) * f_rho) * dt
                       * _phi1(dt * f_rho) for i in range(slices)])
     y = np.exp(-T * f_rho) * c0

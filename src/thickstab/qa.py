@@ -235,13 +235,13 @@ def scaling_inequality_check(symbol: MultiplierSymbol, T: float, p: float, k) ->
     return lhs, rhs, bool(holds)
 
 
-def _check_depth_index(p, k):
-    if not (isinstance(p, (int, np.integer)) and 1 <= p <= 8):
-        raise ValidationError(f"iteration depth p must be an integer in [1, 8], got {p}")
+def _depth_symbol(p, k) -> tuple:
+    """(F_p, p, k) for the depth bounds, which are asymptotic in k."""
+    symbol = iterated(p)  # validates the depth
     k = _check_k(k)
     if k < _K_FLOOR:
         raise ValidationError(f"bound is asymptotic: need k >= {_K_FLOOR}, got {k:g}")
-    return int(p), k
+    return symbol, symbol.params[0], k
 
 
 def tk_bound_check(p: int, k) -> tuple:
@@ -250,8 +250,7 @@ def tk_bound_check(p: int, k) -> tuple:
     The derivative is taken by central differences on the public evaluation,
     h = max(1e-6 t, 1e-6); returns (t_k, bound, holds).
     """
-    p, k = _check_depth_index(p, k)
-    symbol = iterated(p)
+    symbol, p, k = _depth_symbol(p, k)
 
     def psi(t):
         h = max(1e-6 * t, 1e-6)
@@ -265,8 +264,7 @@ def tk_bound_check(p: int, k) -> tuple:
 
 def ratio_lower_bound_check(p: int, k) -> bool:
     """Check M_{k-1} / M_k >= 1 / (2 k phi_p(k)) for F_p = r / phi_p(r)."""
-    p, k = _check_depth_index(p, k)
-    symbol = iterated(p)
+    symbol, p, k = _depth_symbol(p, k)
     logs, _ = _moment_batch(symbol, np.array([k - 1.0, k]), 1.0)
     ratio = math.exp(logs[0] - logs[1])
     bound = 1.0 / (2.0 * k * float(IteratedLogAux(p).phi(k)))

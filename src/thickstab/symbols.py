@@ -1,12 +1,15 @@
 """Radial multiplier symbols F(|xi|) and their elementary calculus.
 
-Families: fractional powers r^{2s}, the half-heat symbol r, log-damped
-powers r^s / log^delta(e + r), iterated-log quotients r / phi_p(r), and
-tabulated symbols with linear interpolation. A symbol is one of these minus
-a constant, F(r) = F_family(r) - shift, so shifting a symbol changes only
-that number. Symbols evaluate vectorized over radius arrays; beyond `r_cap`
-(default 1e8) evaluation continues linearly along the local trend at r_cap,
-which for tabulated symbols (flat extrapolation) means staying flat.
+One table, _FAMILIES, defines every family: its name maps to the formula
+F_family(r, *args) on float arrays and to the label describe() prints.
+The families are fractional powers r^{2s}, the half-heat symbol r,
+log-damped powers r^s / log^delta(e + r), iterated-log quotients
+r / phi_p(r), and tabulated symbols, linear through their nodes. A symbol
+is one of these minus a constant, F(r) = F_family(r) - shift, so shifting a
+symbol changes only that number. Symbols evaluate vectorized over radius
+arrays; beyond `r_cap` (default 1e8) evaluation continues linearly along
+the local trend at r_cap, which for tabulated symbols (flat extrapolation)
+means staying flat.
 Infima and tail infima are computed numerically, even when closed forms
 exist (they serve as oracles in the tests): a coarse scan, then
 _refine_max, which zooms every bracket around a grid optimum down to a width
@@ -24,7 +27,17 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
-_FAMILIES = ("fractional", "halfheat", "loglog", "iterated", "custom")
+# name: (F_family(r, *args), describe label). The args are the symbol's
+# params, except for custom: its node radii and values, which the label counts.
+_FAMILIES = {
+    "fractional": (lambda r, s: r ** (2.0 * s), "fractional(s={})"),
+    "halfheat": (lambda r: r, "halfheat"),
+    "loglog": (lambda r, s, delta: r**s / np.log(math.e + r) ** delta,
+               "loglog(s={}, delta={})"),
+    "iterated": (lambda r, p: r / IteratedLogAux(int(p)).phi(r), "iterated(p={})"),
+    # piecewise linear, flat beyond the table (np.interp clamps)
+    "custom": (np.interp, "custom({nodes} nodes)"),
+}
 _SCAN_POINTS = 4096  # grid of the infimum scans before refinement
 _ZOOM_POINTS = 8  # samples per bracket in each zoom of _refine_max
 _MAX_ZOOMS = 40  # ends a zoom whose bracket cannot get below tol in floats
@@ -77,27 +90,10 @@ class MultiplierSymbol:
         return out if isinstance(r, np.ndarray) else float(out)
 
     def _raw(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.family == "fractional":
-            (s,) = self.params
-            return r ** (2.0 * s)
-        if self.family == "halfheat":
-            return r.copy()
-        if self.family == "loglog":
-            s, delta = self.params
-            return r**s / np.log(math.e + r) ** delta
-        if self.family == "iterated":
-            (p,) = self.params
-            return r / IteratedLogAux(int(p)).phi(r)
-        # custom: piecewise linear, flat beyond the table (np.interp clamps)
-        return np.interp(r, *self._nodes)
+        args = self._nodes if self.family == "custom" else self.params
+        return _FAMILIES[self.family][0](np.asarray(r, dtype=float), *args)
 
     # -- metadata used by the experiments ----------------------------------
-
-    @property
-    def convex_in_log(self) -> bool:
-        """True when F(e^s) is convex in s, enabling ternary moment search."""
-        return self.family in ("fractional", "halfheat")
 
     def is_bounded(self) -> bool:
         return self.family == "custom"
@@ -123,16 +119,7 @@ class MultiplierSymbol:
         return cached
 
     def describe(self) -> str:
-        if self.family == "fractional":
-            name = f"fractional(s={self.params[0]})"
-        elif self.family == "halfheat":
-            name = "halfheat"
-        elif self.family == "loglog":
-            name = f"loglog(s={self.params[0]}, delta={self.params[1]})"
-        elif self.family == "iterated":
-            name = f"iterated(p={self.params[0]})"
-        else:
-            name = f"custom({len(self.table)} nodes)"
+        name = _FAMILIES[self.family][1].format(*self.params, nodes=len(self.table))
         return f"shifted({name}, mu={self.shift})" if self.shift else name
 
 

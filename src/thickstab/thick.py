@@ -49,7 +49,6 @@ class SupportMask:
     grid: Grid
     cell_fraction: np.ndarray
     certificate: tuple | None = None
-    spec: dict | None = None
 
     def __post_init__(self):
         frac = np.asarray(self.cell_fraction, dtype=float)
@@ -72,7 +71,7 @@ class SupportMask:
 def make_full(grid: Grid) -> SupportMask:
     """The whole box; certified gamma = 1 at the box scale."""
     return SupportMask(grid=grid, cell_fraction=np.ones(grid.shape),
-                       certificate=(1.0, grid.extent, 1), spec={"kind": "full"})
+                       certificate=(1.0, grid.extent, 1))
 
 
 def _periodic_coverage(x: np.ndarray, period: float, width: float) -> np.ndarray:
@@ -102,11 +101,7 @@ def make_periodic_thick(grid: Grid, period: float, fill: float) -> SupportMask:
     cov = _periodic_coverage(edges, period, width)
     axis = (cov[1:] - cov[:-1]) / grid.dx
     frac = math.prod(np.ix_(*[axis] * grid.dim))  # outer product over the axes
-    return SupportMask(
-        grid=grid, cell_fraction=frac,
-        certificate=(fill**grid.dim, period, 1),
-        spec={"kind": "periodic", "period": float(period), "fill": float(fill)},
-    )
+    return SupportMask(grid=grid, cell_fraction=frac, certificate=(fill**grid.dim, period, 1))
 
 
 def _axis_cyclic_extremes(grid: Grid, center: float) -> tuple:
@@ -155,12 +150,11 @@ def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
                               for i, c in zip(cell, center)]))
             outside = np.count_nonzero(d2 > r2)
             frac[tuple(cell)] = outside / _SUBSAMPLES**grid.dim
-    spec = {"kind": "ball-complement", "radius": float(radius), "center": center}
     cert = None
     if cert_scale is not None:
         gamma_min = _window_min_fraction(frac, grid, float(cert_scale), 1)
         cert = (gamma_min, float(cert_scale), 1)
-    return SupportMask(grid=grid, cell_fraction=frac, certificate=cert, spec=spec)
+    return SupportMask(grid=grid, cell_fraction=frac, certificate=cert)
 
 
 def _cyc_delta(x: np.ndarray, c: float, ell: float) -> np.ndarray:
@@ -190,11 +184,7 @@ def make_random_thick(grid: Grid, L: float, gamma: float, seed: int) -> SupportM
         chosen = rng.choice(cells_per_block, size=m, replace=False)
         cells = np.unravel_index(chosen, (W,) * grid.dim)
         frac[tuple(b * W + c for b, c in zip(block, cells))] = 1.0
-    return SupportMask(
-        grid=grid, cell_fraction=frac,
-        certificate=(float(gamma), float(L), W),
-        spec={"kind": "random", "L": float(L), "gamma": float(gamma), "seed": int(seed)},
-    )
+    return SupportMask(grid=grid, cell_fraction=frac, certificate=(float(gamma), float(L), W))
 
 
 def _cells_per_window(grid: Grid, L: float) -> int:

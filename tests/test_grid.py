@@ -13,6 +13,7 @@ from thickstab.grid import (GaussianProbe, _write_csv, _write_json,
                             make_grid, norm, probe_admissible, project_ball,
                             read_field, restricted_norm, sample_probe,
                             to_coefficients, write_field, zero_field)
+from thickstab.stabilize import _band_indices
 from thickstab.symbols import fractional, halfheat
 from thickstab.thick import make_periodic_thick, mask_hash, write_mask
 
@@ -131,6 +132,20 @@ def test_probe_admissibility_boundary():
         GaussianProbe(-1.0, (0.0,), (0.0,))
     with pytest.raises(ValidationError):
         GaussianProbe(1.0, (0.0, 1.0), (0.0,))
+
+
+def test_band_at_xi_max_holds_the_nyquist_modes():
+    # xi_max is the Nyquist |xi| that rho holds; pi N / extent can exceed it
+    # by an ulp (extent 5.3, N = 128) and drop those modes from the band
+    for dim, sizes in ((1, (8, 16, 128, 1024)), (2, (8, 16))):
+        for points in sizes:
+            for extent in np.arange(20, 401) / 10.0:
+                g = make_grid(dim, extent, points)
+                band = _band_indices(g, g.xi_max)
+                for axis in range(dim):
+                    k = np.zeros(dim, dtype=int)
+                    k[axis] = points // 2
+                    assert np.ravel_multi_index(k, g.shape) in band, (dim, points, extent)
 
 
 def test_ball_projection():

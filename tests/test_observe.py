@@ -253,8 +253,7 @@ def test_kovrijkine_growth():
     assert fit.slope > 0
     assert abs(fit.reference_slope - 10.0 * 1.0 * math.log(20.0)) < 1e-12
 
-    bare = SupportMask(grid=g, cell_fraction=mask.cell_fraction,
-                       certificate=None, spec=None)
+    bare = SupportMask(grid=g, cell_fraction=mask.cell_fraction, certificate=None)
     with pytest.raises(ValidationError, match="certificate"):
         kovrijkine_empirical(bare, (2.0, 4.0))
     with pytest.raises(ValidationError):
@@ -500,6 +499,24 @@ def test_synthesize_rejects_solver_inputs(bad):
     with pytest.raises(ValidationError, match=next(iter(bad))):
         synthesize_control(f0, fractional(1.0), make_periodic_thick(g, 1.0, 0.5),
                            1.0, 0.1, slices=8, **bad)
+
+
+def test_lattice_overflow_is_named():
+    # fractional(200) overflows on this lattice; each experiment stops at the
+    # lattice check instead of a NaN control solve or a divergent moment
+    g = make_grid(1, 16.0, 128)
+    F = fractional(200.0)
+    f0 = field_from_values(g, np.exp(-0.5 * ((g.axis_x - 5.0) / 1.2) ** 2))
+    calls = (
+        lambda: synthesize_control(f0, F, make_periodic_thick(g, 1.0, 0.5), 1.0, 0.1),
+        lambda: classify_cubes(f0, F, 1.0, 0.25, 0.5, 2),
+        lambda: necessity_probe_scan(F, make_periodic_thick(g, 16.0, 0.5), 0.5, 0.25,
+                                     1.0, [7.0], 0.7),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError,
+                           match="non-finite value on the frequency lattice"):
+            call()
 
 
 def test_synthesize_failure_paths():

@@ -135,8 +135,7 @@ def test_spectral_constant_validation():
         estimate_spectral_constant(mask, 0.0)
     with pytest.raises(ValidationError):
         estimate_spectral_constant(mask, g.xi_max * 1.01)
-    empty = SupportMask(grid=g, cell_fraction=np.zeros(g.shape),
-                        certificate=None, spec=None)
+    empty = SupportMask(grid=g, cell_fraction=np.zeros(g.shape), certificate=None)
     with pytest.raises(ValidationError, match="measure zero"):
         estimate_spectral_constant(empty, 4.0)
     # all 128 modes of the grid against 64 support cells: no finite constant
@@ -151,15 +150,13 @@ def test_spectral_constant_validation():
     with pytest.raises(ConvergenceError, match="5 modes, 3 of them in fiber "
                        "r = \\(0, 0\\) of 16 against 1 cells per period"):
         estimate_spectral_constant(
-            SupportMask(grid=g2, cell_fraction=line, certificate=None,
-                        spec=None), 0.5)
+            SupportMask(grid=g2, cell_fraction=line, certificate=None), 0.5)
     # graded along the line it has no shorter period and 16 cells for the 5
     # modes, so the count passes, but the 5-mode band Gram is singular
     line[0] = np.linspace(0.5, 1.0, 16)
     with pytest.raises(NumericalError, match="singular"):
         estimate_spectral_constant(
-            SupportMask(grid=g2, cell_fraction=line, certificate=None,
-                        spec=None), 0.5)
+            SupportMask(grid=g2, cell_fraction=line, certificate=None), 0.5)
 
 
 @pytest.mark.parametrize("dim, points, kind, R, want", [
@@ -385,14 +382,13 @@ def test_period_detection_is_exact():
     # one cell off by one ulp: no shorter period, one fiber
     frac = periodic.cell_fraction.copy()
     frac[37] = np.nextafter(frac[37], 0.5)
-    nudged = SupportMask(grid=g, cell_fraction=frac, certificate=None, spec=None)
+    nudged = SupportMask(grid=g, cell_fraction=frac, certificate=None)
     assert nudged.periods == (256,)
     check(nudged, 8.0, 1)
     # periodic along the second axis only: fibers along that axis only
     g2 = make_grid(2, 16.0, 32)
     frac2 = np.tile(rng.uniform(0.0, 1.0, (32, 8)), (1, 4))
-    one_axis = SupportMask(grid=g2, cell_fraction=frac2, certificate=None,
-                           spec=None)
+    one_axis = SupportMask(grid=g2, cell_fraction=frac2, certificate=None)
     assert one_axis.periods == (32, 8)
     check(one_axis, 6.0, 4)
 

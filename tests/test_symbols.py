@@ -214,14 +214,28 @@ def test_cap_continuation_is_linear():
 
 
 def test_describe_and_convexity_flags():
+    # report.json hashes these labels
     assert fractional(1.5).describe() == "fractional(s=1.5)"
     assert halfheat().describe() == "halfheat"
-    assert "loglog" in loglog(1.0, 0.5).describe()
-    assert "custom" in constant(0.0).describe()
-    assert fractional(2.0).convex_in_log
-    assert halfheat().convex_in_log
-    assert shifted(halfheat(), 1.0).convex_in_log
-    assert not loglog(1.0, 0.5).convex_in_log
+    assert loglog(1.0, 0.5).describe() == "loglog(s=1.0, delta=0.5)"
+    assert iterated(2).describe() == "iterated(p=2)"
+    assert shifted(halfheat(), 0.3).describe() == "shifted(halfheat, mu=0.3)"
+    assert saturating().describe() == "custom(4001 nodes)"
+    assert constant(0.0).describe() == "custom(2 nodes)"
+    # each family evaluates its formula bit for bit
+    r = np.concatenate([np.linspace(0.0, 50.0, 101), np.geomspace(1e-3, 1e7, 50)])
+    e = math.e
+    cases = [
+        (fractional(1.5), r**3.0),
+        (halfheat(), r),
+        (loglog(2.0, 0.5), r**2.0 / np.log(e + r) ** 0.5),
+        (iterated(2), r / (np.log(e + r) * np.log(e + np.log(e + r)))),
+        (shifted(loglog(1.0, 1.5), 0.3), r**1.0 / np.log(e + r) ** 1.5 - 0.3),
+        (custom([(0.0, 1.0), (1.0, 0.5), (3.0, 2.0)]),
+         np.interp(r, [0.0, 1.0, 3.0], [1.0, 0.5, 2.0])),
+    ]
+    for F, want in cases:
+        np.testing.assert_array_equal(F.eval(r), want, err_msg=F.describe())
 
 
 def test_iterated_log_derivative_oracle():

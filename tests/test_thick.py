@@ -143,7 +143,7 @@ def test_window_scan_matches_bruteforce():
     g = make_grid(1, 8.0, 32)
     rng = np.random.default_rng(2)
     frac = rng.uniform(0.0, 1.0, g.shape)
-    m = SupportMask(grid=g, cell_fraction=frac, certificate=None, spec=None)
+    m = SupportMask(grid=g, cell_fraction=frac, certificate=None)
     W = 8
     L = W * g.dx
     direct = min(
@@ -210,8 +210,8 @@ def test_seeded_lattice_objects_pinned():
         (make_periodic_thick(make_grid(2, 8.0, 64), 1.0, 0.3),
          "3a1151a45a7f029c314565322acec92bd5334bcd6115f436e9c4bef334978f81"),
     ]
-    for mask, want in pins:
-        assert mask_hash(mask) == want, mask.spec
+    for i, (mask, want) in enumerate(pins):
+        assert mask_hash(mask) == want, f"pin {i}"
     # cube classification breaks worst-beta ties in this order
     assert _multi_indices(2, 3) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
                                     (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]
