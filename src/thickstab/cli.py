@@ -215,11 +215,12 @@ def _build_mask(grid, mcfg: dict):
 
 
 def _build_field(grid, rcfg: dict, prefix: str):
-    """Initial data from the shared family keys; returns (field, resolved)."""
+    """Initial data from the shared family keys; a missing centre is
+    written back into rcfg as the box centre."""
     kind = rcfg[prefix]
     center = rcfg[f"{prefix}_center"]
     if center is None:
-        center = grid.extent / 2.0
+        center = rcfg[f"{prefix}_center"] = grid.extent / 2.0
     axes = np.meshgrid(*[np.arange(grid.points) * grid.dx] * grid.dim,
                        indexing="ij")
     if kind == "gaussian":
@@ -237,18 +238,11 @@ def _build_field(grid, rcfg: dict, prefix: str):
         vals = np.cos(2.0 * np.pi * k * axes[0] / grid.extent)
     else:
         vals = np.ones(grid.shape)
-    resolved = {prefix: kind, f"{prefix}_center": float(center)}
-    if kind == "gaussian":
-        resolved[f"{prefix}_width"] = rcfg[f"{prefix}_width"]
-        resolved[f"{prefix}_frequency"] = rcfg[f"{prefix}_frequency"]
-    if kind == "mode":
-        resolved[f"{prefix}_mode"] = rcfg[f"{prefix}_mode"]
-    return field_from_values(grid, vals), resolved
+    return field_from_values(grid, vals)
 
 
 def _build_inputs(spec: _Scenario, cfg: dict) -> _Inputs:
-    """Grid, symbol, mask and field, validated in that order; the field's
-    resolved keys are written back into cfg["run"]."""
+    """Grid, symbol, mask and field, validated in that order."""
     grid = F = mask = field = None
     if "grid" in spec.sections:
         g = cfg["grid"]
@@ -258,8 +252,7 @@ def _build_inputs(spec: _Scenario, cfg: dict) -> _Inputs:
     if "mask" in spec.sections:
         mask = _build_mask(grid, cfg["mask"])
     if spec.field is not None:
-        field, resolved = _build_field(grid, cfg["run"], spec.field)
-        cfg["run"].update(resolved)
+        field = _build_field(grid, cfg["run"], spec.field)
     return _Inputs(grid=grid, F=F, mask=mask, field=field)
 
 
@@ -596,14 +589,11 @@ def _read_config(path: Path) -> dict:
 
 def _apply_overrides(raw: dict, sets: list) -> None:
     for item in sets:
-        if "=" not in item:
+        dotted, eq, value = item.partition("=")
+        section, dot, key = dotted.partition(".")
+        if not (eq and dot):
             raise ValidationError(
                 f"override {item!r} is not of the form section.key=value")
-        dotted, value = item.split("=", 1)
-        if "." not in dotted:
-            raise ValidationError(
-                f"override {item!r} is not of the form section.key=value")
-        section, key = dotted.split(".", 1)
         raw.setdefault(section.strip(), {})[key.strip()] = value.strip()
 
 

@@ -403,9 +403,9 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
     g_rho = np.maximum(f_rho - F.inf_value, 0.0)
     log_rho = np.log(rho_flat, out=np.full_like(rho_flat, -np.inf), where=rho_flat > 0)
     log_m = {}
-    for k in range(beta_max + 1):
+    for k in range(1, beta_max + 1):  # no threshold reads M_0
         lm, _ = log_moment(base, k, scale=t_half)
-        grid_lm = np.max(k * log_rho - t_half * g_rho) if k > 0 else -t_half * g_rho.min()
+        grid_lm = np.max(k * log_rho - t_half * g_rho)
         log_m[k] = max(lm + math.log1p(1e-9), float(grid_lm))
 
     cu = to_coefficients(g) * np.exp(-T * g_rho).reshape(grid.shape)

@@ -136,8 +136,8 @@ def calibrate_constant(c_emp: float, R: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Band machinery. Coefficient arrays are plain FFT outputs; scaling constants
-# cancel in every ratio we form, and ||f||^2 = sum |c|^2 / box_measure.
+# Band machinery. Coefficient arrays are to_coefficients outputs, dx^dim * FFT;
+# scaling constants cancel in every ratio we form, and ||f||^2 = sum |c|^2 / box_measure.
 
 
 def _band_indices(grid: Grid, R: float) -> np.ndarray:

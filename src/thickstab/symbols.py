@@ -6,10 +6,9 @@ The families are fractional powers r^{2s}, the half-heat symbol r,
 log-damped powers r^s / log^delta(e + r), iterated-log quotients
 r / phi_p(r), and tabulated symbols, linear through their nodes. A symbol
 is one of these minus a constant, F(r) = F_family(r) - shift, so shifting a
-symbol changes only that number. Symbols evaluate vectorized over radius
-arrays; beyond `r_cap` (default 1e8) evaluation continues linearly along
-the local trend at r_cap, which for tabulated symbols (flat extrapolation)
-means staying flat.
+symbol changes only that number. Symbols evaluate their formula,
+vectorized over radius arrays, at every r >= 0; where it overflows the value
+is inf.
 Infima and tail infima are computed numerically, even when closed forms
 exist (they serve as oracles in the tests): a coarse scan, then
 _refine_max, which zooms every bracket around a grid optimum down to a width
@@ -39,6 +38,7 @@ _FAMILIES = {
     "custom": (np.interp, "custom({nodes} nodes)"),
 }
 _SCAN_POINTS = 4096  # grid of the infimum scans before refinement
+_R_CAP = 1e8  # radius at which qa's moment and root searches give up
 _ZOOM_POINTS = 8  # samples per bracket in each zoom of _refine_max
 _MAX_ZOOMS = 40  # ends a zoom whose bracket cannot get below tol in floats
 
@@ -53,13 +53,10 @@ class MultiplierSymbol:
     shift: float = 0.0
     table: tuple = ()
     monotone_tail: bool = True
-    r_cap: float = 1e8
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValidationError(f"unknown symbol family {self.family!r}")
-        if not (np.isfinite(self.r_cap) and self.r_cap > 0):
-            raise ValidationError(f"r_cap must be positive and finite, got {self.r_cap}")
         if not np.isfinite(self.shift):
             raise ValidationError(f"shift must be finite, got {self.shift}")
         if self.family == "custom":
@@ -75,23 +72,13 @@ class MultiplierSymbol:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, r):
-        """F(r) for r >= 0, scalar or array; linear-trend continuation past r_cap."""
+        """F(r) for r >= 0, scalar or array."""
         arr = np.asarray(r, dtype=float)
         if np.any(arr < 0):
             raise ValidationError("symbol argument must be >= 0")
-        cap = self.r_cap
-        out = self._raw(np.minimum(arr, cap))
-        over = arr > cap
-        if np.any(over):
-            h = cap * 1e-6
-            slope = (self._raw(cap) - self._raw(cap - h)) / h
-            out = np.where(over, self._raw(cap) + slope * (arr - cap), out)
-        out = out - self.shift
-        return out if isinstance(r, np.ndarray) else float(out)
-
-    def _raw(self, r):
         args = self._nodes if self.family == "custom" else self.params
-        return _FAMILIES[self.family][0](np.asarray(r, dtype=float), *args)
+        out = _FAMILIES[self.family][0](arr, *args) - self.shift
+        return out if isinstance(r, np.ndarray) else float(out)
 
     # -- metadata used by the experiments ----------------------------------
 
@@ -301,10 +288,13 @@ def _refine_max(h, grid, idx, vals, tol: float) -> tuple:
 
 def _scan_min(symbol: MultiplierSymbol, lo: float, hi: float) -> InfResult:
     grid = np.linspace(lo, hi, _SCAN_POINTS)
-    vals = symbol.eval(grid)
-    i = int(np.argmin(vals))
-    (x,), (v,) = _refine_max(lambda r: -symbol.eval(r), grid, np.array([i]),
-                             -vals[i:i + 1], tol=1e-10 * (1.0 + hi - lo))
+    # a steep F overflows away from its minimum, even inside the first refine
+    # bracket; inf is the exact value for a min search
+    with np.errstate(over="ignore"):
+        vals = symbol.eval(grid)
+        i = int(np.argmin(vals))
+        (x,), (v,) = _refine_max(lambda r: -symbol.eval(r), grid, np.array([i]),
+                                 -vals[i:i + 1], tol=1e-10 * (1.0 + hi - lo))
     return InfResult(value=float(-v), location=float(x),
                      reliable=symbol.monotone_tail or i < _SCAN_POINTS - 2)
 

@@ -213,6 +213,12 @@ def test_validation_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["observability", "--config", str(cfg), "--out", str(out),
                  "--set", "symbol.s=2.0"]) == 2
     assert "does not apply" in capsys.readouterr().err
+    assert main(["observability", "--config", str(cfg), "--out", str(out),
+                 "--set", "mask.radius=1.0"]) == 2
+    assert "key 'mask.radius' does not apply to kind 'periodic'" in capsys.readouterr().err
+    nofill = write_cfg(tmp_path, OBS_CFG.replace("fill = 0.5\n", ""), "nofill.ini")
+    assert main(["observability", "--config", str(nofill), "--out", str(out)]) == 2
+    assert "needs key 'mask.fill'" in capsys.readouterr().err
     # missing required key
     sim = write_cfg(tmp_path, "[grid]\nextent = 16.0\npoints = 64\n"
                     "[symbol]\nfamily = halfheat\n", "sim.ini")
@@ -363,6 +369,16 @@ def test_stabilize_auto_constant(tmp_path):
     assert lines[0] == "t,norm,lyapunov,low_norm,high_norm"
     assert len(lines) == 76  # header + 75 records at stride 1
 
+    # an explicit constant replaces the estimate; design_feedback needs C >= 1
+    out_c = tmp_path / "out_c"
+    assert main(["stabilize", "--config", str(cfg), "--out", str(out_c),
+                 "--set", "run.C=1.5"]) == 0
+    d = json.loads((out_c / "manifest.json").read_text())["derived"]
+    assert d["C"] == 1.5 and "c_emp" not in d
+    assert abs(d["lambda"] - 1.5 * math.exp(3.0) * 2.0) < 1e-9
+    assert main(["stabilize", "--config", str(cfg), "--out", str(out_c),
+                 "--set", "run.C=0.5"]) == 2
+
 
 def test_simulate_closed_form(tmp_path):
     cfg = write_cfg(tmp_path, """\
@@ -391,6 +407,23 @@ f0_mode = 3
     final = read_field(out / "final.tsf")
     assert abs(norm(final) - d["final_norm"]) < 1e-12
     assert manifest["config"]["run"]["f0_mode"] == 3
+
+    # F(0) = 0 leaves a constant field alone
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "run.f0=constant"]) == 0
+    d = json.loads((out / "manifest.json").read_text())["derived"]
+    assert d["initial_norm"] == pytest.approx(4.0, rel=1e-12)  # sqrt(box measure 16)
+    assert abs(d["final_norm"] - d["initial_norm"]) < 1e-12
+    # a modulated gaussian, centred by default in the box
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--set", "run.f0=gaussian", "--set", "run.f0_frequency=2.0"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["run"]["f0_center"] == 8.0
+    assert manifest["config"]["run"]["f0_frequency"] == 2.0
+    assert 0 < manifest["derived"]["final_norm"] < manifest["derived"]["initial_norm"]
+    for bad in ("-1", "32"):
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--set", f"run.f0_mode={bad}"]) == 2, bad
 
 
 def test_thick_check_and_mask_hash(tmp_path):

@@ -29,6 +29,7 @@ from thickstab.observe import (classify_cubes, estimate_observability_constant,
                                shift_observability_identity_check,
                                synthesize_control, write_cube_csv,
                                write_report_json)
+from thickstab.qa import log_moment
 from thickstab.stabilize import design_feedback, run_stabilization
 from thickstab.symbols import (constant, fractional, halfheat, saturating,
                                shifted)
@@ -77,6 +78,10 @@ def test_flat_symbol_full_box_constant():
     assert abs(rep.C_est - want) < 1e-12
     for r in rep.probe_results:
         assert abs(r.required_C - want) < 1e-12
+    # a support with no measure observes nothing: no finite constant works
+    empty = SupportMask(grid=g, cell_fraction=np.zeros(g.shape))
+    rep = estimate_observability_constant(constant(0.0), empty, 0.5, 0.25, probes)
+    assert rep.C_est == math.inf
 
 
 def test_estimate_validation():
@@ -517,6 +522,19 @@ def test_lattice_overflow_is_named():
         with pytest.raises(ValidationError,
                            match="non-finite value on the frequency lattice"):
             call()
+
+
+def test_steep_symbol_scans_ignore_overflow():
+    # fractional(40) is finite on this lattice (max 1.0e112) but overflows in
+    # the infimum and moment scans far from their optima, where inf is exact
+    g = make_grid(1, 16.0, 128)
+    F = fractional(40.0)
+    assert F.inf_value == 0.0
+    assert fractional(400.0).inf_value == 0.0  # overflows in the refine bracket too
+    assert math.isfinite(log_moment(F, 2, 0.5)[0])
+    f0 = field_from_values(g, np.exp(-0.5 * ((g.axis_x - 5.0) / 1.2) ** 2))
+    rep = classify_cubes(f0, F, 1.0, 0.25, 0.5, 2)
+    assert rep.bad_mass <= rep.mass_budget
 
 
 def test_synthesize_failure_paths():

@@ -124,6 +124,10 @@ def test_bounded_symbols_have_no_moments():
     # k = 0 is still fine: M_0 = e^{-inf F}
     lm, _ = log_moment(saturating(1.0), 0)
     assert lm == pytest.approx(0.0, abs=1e-9)
+    # unbounded but slow enough that the maximizer lies past the search cap
+    for F in (loglog(0.001, 0.0), fractional(0.01)):
+        with pytest.raises(MomentDivergenceError, match=r"search cap r=1e\+08"):
+            log_moment(F, 1)
 
 
 def test_log_convexity_across_families():
@@ -184,7 +188,7 @@ def test_iterated_depth_bounds():
             assert ratio_lower_bound_check(p, k)
     with pytest.raises(ValidationError):
         tk_bound_check(1, 50)
-    # t_k lies beyond r_cap: the doubling gives up and names what it scanned
+    # t_k lies beyond the search cap: the doubling gives up and names what it scanned
     with pytest.raises(ConvergenceError, match=r"bisection bracket failure for "
                        r"t F'\(t\) = 1e\+09: scanned \[1, 1\.34e\+08\]"):
         tk_bound_check(1, 1e9)

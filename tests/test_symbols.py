@@ -202,15 +202,13 @@ def test_bounded_metadata():
         fractional(1.0).limit_value()
 
 
-def test_cap_continuation_is_linear():
-    F = fractional(1.0)
-    cap = F.r_cap
-    r = 2.0 * cap
-    # linear trend from the cap: F(cap) + F'(cap) (r - cap), F' = 2r
-    want = cap**2 + 2.0 * cap * (r - cap)
-    assert F.eval(r) == pytest.approx(want, rel=1e-4)
-    # continuation keeps the symbol finite and monotone
-    assert np.all(np.diff(F.eval(np.array([cap, 1.5 * cap, 3.0 * cap]))) > 0)
+def test_eval_is_the_formula_at_any_radius():
+    # no cut-over at large radii: the family formula, inf where it overflows
+    assert fractional(1.0).eval(2e8) == 4e16
+    with np.errstate(over="ignore"):
+        assert fractional(200.0).eval(2e8) == math.inf
+        np.testing.assert_array_equal(fractional(200.0).eval(np.array([1.0, 2e8])),
+                                      [1.0, math.inf])
 
 
 def test_describe_and_convexity_flags():
