@@ -27,13 +27,11 @@ from .grid import (GaussianProbe, Grid, SpectralField, _check_positive, _symbol_
                    _write_csv, _write_json, from_coefficients, probe_admissible,
                    sample_probe, semigroup_multiplier, to_coefficients)
 from .qa import log_moment
-from .stabilize import _mask_form, estimate_spectral_constant
+from .stabilize import _mask_form, _stacks, estimate_spectral_constant
 from .symbols import MultiplierSymbol, shifted
 from .thick import SupportMask, make_ball_complement, mask_hash
 
-# complex entries per stacked FFT of the control Gramian: one call per stack
-# of time slices spares the per-call overhead that dominates on small grids
-_GRAM_STACK = 2 ** 12
+_PROBE_WIDTHS = (0.5, 1.3)  # range of the probe widths make_probe_set draws
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +142,13 @@ def estimate_observability_constant(F: MultiplierSymbol, mask: SupportMask,
 
 
 def make_probe_set(grid: Grid, count: int, seed: int,
-                   l_bounds: tuple = (0.5, 1.3),
                    xi_fraction: float = 0.1) -> tuple:
     """Seeded dictionary of admissible probes.
 
     The first probe is a fixed anchor: the widest admissible Gaussian at the
     box center with no modulation, which keeps the dictionary's certified
     constant away from the degenerate zero whenever the symbol is small near
-    the origin. The rest draw centers uniformly, widths from l_bounds, and
+    the origin. The rest draw centers uniformly, widths from _PROBE_WIDTHS, and
     modulations up to xi_fraction of each width's admissible headroom.
     """
     if count < 1:
@@ -160,11 +157,11 @@ def make_probe_set(grid: Grid, count: int, seed: int,
         raise ValidationError(f"xi_fraction must be in [0, 1], got {xi_fraction}")
     rng = np.random.default_rng(seed)
     xi_max = grid.xi_max
-    l_hi = min(l_bounds[1], grid.extent / 12.0 * 0.999)
-    l_lo = max(l_bounds[0], 3.0 / xi_max * 1.001)
+    l_hi = min(_PROBE_WIDTHS[1], grid.extent / 12.0 * 0.999)
+    l_lo = max(_PROBE_WIDTHS[0], 3.0 / xi_max * 1.001)
     if not l_lo <= l_hi:
         raise ValidationError(
-            f"no admissible width in {l_bounds} on this grid "
+            f"no admissible width in {_PROBE_WIDTHS} on this grid "
             f"(need {3.0 / xi_max:.4g} <= l <= {grid.extent / 12.0:.4g})")
     mid = (0.5 * grid.extent,) * grid.dim
     probes = [GaussianProbe(width=l_hi, center=mid,
@@ -182,7 +179,7 @@ def make_probe_set(grid: Grid, count: int, seed: int,
         probe = GaussianProbe(width=l, center=x0, frequency=xi0)
         if not probe_admissible(grid, probe):
             raise ValidationError("internal probe sampling produced an "
-                                  "inadmissible probe; widen l_bounds")
+                                  "inadmissible probe")
         probes.append(probe)
     return tuple(probes)
 
@@ -476,15 +473,10 @@ def _phi1(a: np.ndarray) -> np.ndarray:
     return np.divide(-np.expm1(-a), a, out=np.ones_like(a, dtype=float), where=a != 0)
 
 
-def _stacks(theta):
-    """theta's slices in stacks of _GRAM_STACK entries, one slice at least."""
-    k = max(1, _GRAM_STACK // theta[0].size)
-    return [theta[s:s + k] for s in range(0, len(theta), k)]
-
-
 def _gramian_apply(theta, frac, z):
     """G z = sum_i theta_i 1_omega theta_i z, one FFT pair per stack."""
-    return sum((t * _mask_form(frac, t * z)).sum(axis=0) for t in _stacks(theta))
+    return sum((theta[s] * _mask_form(frac, theta[s] * z)).sum(axis=0)
+               for s in _stacks(len(theta), z.size))
 
 
 def _gramian_diagonal(theta, frac):
@@ -575,8 +567,8 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
         best_ratio = min(best_ratio, ratio)
         if ratio <= epsilon * (1.0 + 1e-9):
             axes = tuple(range(1, theta.ndim))
-            controls = tuple(h for t in _stacks(theta) for h in np.where(
-                frac > 0, -kappa * np.fft.ifftn(t * z, grid.shape, axes)
+            controls = tuple(h for s in _stacks(len(theta), z.size) for h in np.where(
+                frac > 0, -kappa * np.fft.ifftn(theta[s] * z, grid.shape, axes)
                 / grid.cell_measure, 0.0))
             cost = dt * grid.cell_measure * sum(
                 float(np.vdot(h, frac * h).real) for h in controls)

@@ -48,7 +48,7 @@ _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
 # under 2.5x on these grids.
 _DENSE_STEP_MAX = 2 ** 19
 _RECORD_BLOCK = 2 ** 16  # complex entries (1 MB) of states per record pass
-_DUHAMEL_STACK = 2 ** 12  # complex entries (64 kB) per stack of Duhamel snapshots
+_FFT_STACK = 2 ** 12  # complex entries (64 kB) per stack sent through one batched FFT
 # widest dense block of the eigensolve; at the cap, on one core, 0.9 s for the
 # real block of a support with no period and 3.0 s for a complex fiber block
 _BLOCK_MAX = 2048
@@ -74,8 +74,10 @@ class FeedbackConfig:
         if not (self.alpha_tilde > 0):
             raise ValidationError(
                 f"alpha_tilde must be positive, got {self.alpha_tilde}")
-        if not (self.lam > 0 and self.mu >= 2.0):
-            raise ValidationError("gains out of range: need lam > 0, mu >= 2")
+        if not (0 < self.lam < math.inf and 2.0 <= self.mu < math.inf):
+            raise ValidationError(
+                f"gains out of range at C = {self.C}, R = {self.R}: lam = {self.lam}, "
+                f"mu = {self.mu}; need finite lam > 0 and mu >= 2")
 
     @property
     def prefactor(self) -> float:
@@ -107,7 +109,10 @@ def design_feedback(F: MultiplierSymbol, R: float, C: float = 1.0) -> FeedbackCo
             f"stabilization needs inf_{{r>=R}} F > inf F; at R = {R} the tail "
             f"infimum {a_R} does not exceed inf F = {base} (R is below the "
             "threshold where the symbol starts to grow)")
-    ecr = math.exp(C * R)
+    try:
+        ecr = math.exp(C * R)
+    except OverflowError:  # FeedbackConfig names C and R for infinite gains
+        ecr = math.inf
     return FeedbackConfig(
         R=float(R), C=float(C), inf_F=base, alpha_R=a_R, alpha_tilde=a_tilde,
         lam=C * ecr * a_tilde, mu=2.0 * C * C * ecr * ecr,
@@ -212,7 +217,14 @@ def _mask_form(frac: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.fft.fftn(frac * np.fft.ifftn(c, frac.shape, axes), frac.shape, axes)
 
 
-def _apply_band_gram(grid: Grid, frac: np.ndarray, idx: np.ndarray,
+def _stacks(n: int, size: int) -> list:
+    """Slices of n arrays of size entries each, in stacks of at most _FFT_STACK
+    entries (one array at least): one FFT call per stack, not per array."""
+    k = max(1, _FFT_STACK // size)
+    return [slice(i, i + k) for i in range(0, n, k)]
+
+
+def _apply_band_gram(frac: np.ndarray, idx: np.ndarray,
                      w: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Band Gram times w by one FFT pair; z must be zero off the band."""
     z.reshape(-1)[idx] = w
@@ -354,7 +366,7 @@ class _Stepper:
                 self.band = idx = _band_indices(grid, cfg.R)
                 self.e_half = e_half.astype(complex)
                 self.z = z = np.zeros(grid.shape, dtype=complex)
-                self.gram = lambda w: _apply_band_gram(grid, frac, idx, w, z)
+                self.gram = lambda w: _apply_band_gram(frac, idx, w, z)
         else:
             self.e_full = semigroup_multiplier(grid, symbol, dt).astype(complex)
 
@@ -438,12 +450,12 @@ class StabilizationResult:
 def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
                       cfg: FeedbackConfig | None, T: float,
                       dt: float | None = None, snapshot_every: int = 0,
-                      tail_fraction: float = 0.5, adjoint_order: bool = False,
+                      adjoint_order: bool = False,
                       check_monotone: bool = False) -> StabilizationResult:
     """Integrate to time T, recording norms and V at every step.
 
     fitted_rate is the least-squares slope of -log ||f(t)|| over the trailing
-    tail_fraction of [0, T]. snapshot_every > 0 stores every k-th coefficient
+    half [T/2, T]. snapshot_every > 0 stores every k-th coefficient
     array (plus the endpoints) for later residual checks. check_monotone
     enforces per-step V decrease; only meaningful when cfg.C is at least the
     spectral constant of the mask, so it is off by default.
@@ -455,14 +467,20 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     V rises.
     """
     _check_positive(T=T)
-    if not (0 < tail_fraction <= 1):
-        raise ValidationError(f"tail_fraction must lie in (0, 1], got {tail_fraction}")
     lam = 0.0 if cfg is None else cfg.lam
     if dt is None:
         dt = min(T / 1000.0, cfg.dt_max) if lam > 0 else T / 1000.0
     _check_positive(dt=dt)
     n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
     dt = T / n_steps
+    try:
+        times = np.arange(n_steps + 1) * dt
+        norm_sq = np.empty(n_steps + 1)
+        low_sq = np.empty(n_steps + 1)
+    except (MemoryError, ValueError):
+        raise ValidationError(
+            f"cannot record {n_steps} steps to T = {T} at dt = {dt:.3e}: "
+            "raise dt or shorten T") from None
     grid = f0.grid
     stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order)
     mu = cfg.mu if cfg is not None else 1.0
@@ -474,9 +492,6 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
                    + c.shape, dtype=complex)
     buf[0] = c
     box = grid.box_measure
-    times = np.arange(n_steps + 1) * dt
-    norm_sq = np.empty(n_steps + 1)
-    low_sq = np.empty(n_steps + 1)
     snaps = [(0.0, stepper.leave(buf[0]))] if snapshot_every > 0 else []
     for k in range(0, n_steps, len(buf) - 1):
         rows = buf[:min(len(buf), n_steps + 1 - k)]  # steps k, k + 1, ...
@@ -508,7 +523,7 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
         lyapunov=lyap, low_norms=np.sqrt(low_sq), high_norms=np.sqrt(high_sq),
         snapshots=tuple(snaps),
     )
-    tail = times >= (1.0 - tail_fraction) * T - 1e-12 * T
+    tail = times >= 0.5 * T - 1e-12 * T
     logs = 0.5 * np.log(np.maximum(norm_sq[tail], 1e-300))
     slope = np.polyfit(times[tail], logs, 1)[0] if tail.sum() >= 2 else 0.0
     return StabilizationResult(trajectory=traj, fitted_rate=float(-slope),
@@ -516,29 +531,21 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
 
 
 def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
-                     mask: SupportMask, max_points: int | None = None) -> float:
+                     mask: SupportMask) -> float:
     """Check the run against e^{-T(A+B)} f0 = e^{-TA} f0 - int_0^T e^{-(T-t)A} B f(t) dt.
 
-    The right side is rebuilt from the stored snapshots (max_points >= 3
-    evenly spaced ones if given) with exact multipliers and a trapezoid rule
-    over their times; the returned value is the relative coefficient-space
-    mismatch. B is the feedback operator lam 1_omega K_R of the run's config
-    (none for a free run). F is evaluated on the lattice once, and the
-    snapshots go through B in stacks of at most _DUHAMEL_STACK entries.
+    The right side is rebuilt from every stored snapshot with exact
+    multipliers and a trapezoid rule over their times; the returned value is
+    the relative coefficient-space mismatch. B is the feedback operator
+    lam 1_omega K_R of the run's config (none for a free run). F is evaluated
+    on the lattice once, and the snapshots go through B in _stacks.
     """
-    if max_points is not None and not (
-            isinstance(max_points, (int, np.integer)) and max_points >= 3):
-        raise ValidationError(
-            f"max_points must be an integer >= 3, got {max_points!r}")
     cfg = result.config
     traj = result.trajectory
     if len(traj.snapshots) < 3:
         raise ValidationError(
             f"need at least 3 stored snapshots, got {len(traj.snapshots)}")
-    snaps = list(traj.snapshots)
-    if max_points is not None and len(snaps) > max_points:
-        keep = np.unique(np.linspace(0, len(snaps) - 1, max_points).round().astype(int))
-        snaps = [snaps[i] for i in keep]
+    snaps = traj.snapshots
     ts = np.array([s[0] for s in snaps])
     if not (math.isclose(ts[0], traj.times[0]) and math.isclose(ts[-1], traj.times[-1])):
         raise ValidationError("snapshots must span the full run")
@@ -553,15 +560,14 @@ def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
         ends = np.concatenate((ts[:1], ts, ts[-1:]))
         w = 0.5 * (ends[2:] - ends[:-2])
         acc = np.zeros(c0.size, dtype=complex)
-        rows = max(1, _DUHAMEL_STACK // c0.size)
-        for i in range(0, len(ts), rows):
-            ck = lam * np.stack([c for _, c in snaps[i:i + rows]])
+        for s in _stacks(len(ts), c0.size):
+            ck = lam * np.stack([c for _, c in snaps[s]])
             # 1_omega K_R, or K_R 1_omega in the adjoint order
             b = (band * _mask_form(frac, ck) if result.adjoint_order
                  else _mask_form(frac, ck * band))
-            e = np.exp(-np.multiply.outer(T - ts[i:i + rows], vals.ravel()))
+            e = np.exp(-np.multiply.outer(T - ts[s], vals.ravel()))
             # one snapshot at a time, so the sum is a plain loop's to the bit
-            for term in w[i:i + rows, None] * e * b.reshape(len(b), -1):
+            for term in w[s, None] * e * b.reshape(len(b), -1):
                 acc += term
         rhs -= acc.reshape(grid.shape)
     num = np.linalg.norm((cT - rhs).ravel())

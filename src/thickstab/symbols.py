@@ -52,7 +52,6 @@ class MultiplierSymbol:
     params: tuple = ()
     shift: float = 0.0
     table: tuple = ()
-    monotone_tail: bool = True
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -98,7 +97,7 @@ class MultiplierSymbol:
 
     @property
     def inf_value(self) -> float:
-        """Cached numeric inf over [0, r_max_default]."""
+        """Cached inf_F(self).value, the numeric inf of F over r >= 0."""
         cached = getattr(self, "_inf_cache", None)
         if cached is None:
             cached = inf_F(self).value
@@ -161,11 +160,11 @@ def _table_columns(table) -> np.ndarray:
     return cols
 
 
-def custom(table, monotone_tail: bool = True) -> MultiplierSymbol:
+def custom(table) -> MultiplierSymbol:
     """Tabulated symbol: linear interpolation, flat extrapolation. The table
     is kept as a tuple of (radius, value) float pairs."""
     rows = tuple(zip(*_table_columns(table).tolist()))
-    return MultiplierSymbol(family="custom", table=rows, monotone_tail=monotone_tail)
+    return MultiplierSymbol(family="custom", table=rows)
 
 
 def constant(c: float) -> MultiplierSymbol:
@@ -257,7 +256,6 @@ class IteratedLogAux:
 class InfResult:
     value: float
     location: float
-    reliable: bool
 
 
 def _refine_max(h, grid, idx, vals, tol: float) -> tuple:
@@ -295,8 +293,7 @@ def _scan_min(symbol: MultiplierSymbol, lo: float, hi: float) -> InfResult:
         i = int(np.argmin(vals))
         (x,), (v,) = _refine_max(lambda r: -symbol.eval(r), grid, np.array([i]),
                                  -vals[i:i + 1], tol=1e-10 * (1.0 + hi - lo))
-    return InfResult(value=float(-v), location=float(x),
-                     reliable=symbol.monotone_tail or i < _SCAN_POINTS - 2)
+    return InfResult(value=float(-v), location=float(x))
 
 
 def _bracket_root(g, lo: float, hi: float, cap: float, what: str) -> tuple:
@@ -322,25 +319,20 @@ def _bracket_root(g, lo: float, hi: float, cap: float, what: str) -> tuple:
 
 
 def _default_hi(symbol: MultiplierSymbol, lo: float) -> float:
+    """Right end of the scan window from lo: past the last node of a table,
+    which is flat beyond it, and at 1e4 for the formula families."""
     if symbol.family == "custom":
         return max(symbol.table[-1][0], lo + 1.0)
     return max(1e4, lo + 10.0)
 
 
-def inf_F(symbol: MultiplierSymbol, r_max: float | None = None) -> InfResult:
-    """Numeric inf of F over [0, r_max]."""
-    hi = float(r_max) if r_max is not None else _default_hi(symbol, 0.0)
-    if hi <= 0:
-        raise ValidationError(f"r_max must be > 0, got {hi}")
-    return _scan_min(symbol, 0.0, hi)
+def inf_F(symbol: MultiplierSymbol) -> InfResult:
+    """Numeric inf of F over r >= 0, scanned on [0, _default_hi(symbol, 0)]."""
+    return _scan_min(symbol, 0.0, _default_hi(symbol, 0.0))
 
 
-def alpha_R(symbol: MultiplierSymbol, R: float,
-            r_max: float | None = None) -> InfResult:
-    """Numeric tail infimum inf_{r >= R} F(r), scanned on [R, r_max]."""
+def alpha_R(symbol: MultiplierSymbol, R: float) -> InfResult:
+    """Numeric tail infimum inf_{r >= R} F(r), scanned on [R, _default_hi(symbol, R)]."""
     if not (np.isfinite(R) and R >= 0):
         raise ValidationError(f"R must be >= 0 and finite, got {R}")
-    hi = float(r_max) if r_max is not None else _default_hi(symbol, R)
-    if hi <= R:
-        raise ValidationError(f"r_max={hi} must exceed R={R}")
-    return _scan_min(symbol, R, hi)
+    return _scan_min(symbol, R, _default_hi(symbol, R))

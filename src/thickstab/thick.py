@@ -119,9 +119,10 @@ def _axis_cyclic_extremes(grid: Grid, center: float) -> tuple:
     return lo, hi
 
 
-def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
+def make_ball_complement(grid: Grid, radius: float,
                          cert_scale: float | None = None) -> SupportMask:
-    """Everything outside the (cyclic) ball of the given radius.
+    """Everything outside the (cyclic) ball of the given radius about the box
+    center.
 
     Cells fully inside or outside are classified exactly from per-axis
     distance extremes; cells the sphere cuts are measured on a 16^dim
@@ -131,14 +132,10 @@ def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
     if not (np.isfinite(radius) and 0 < radius < 0.5 * grid.extent):
         raise ValidationError(
             f"radius must lie in (0, extent/2) for a cyclic ball, got {radius}")
-    if center is None:
-        center = (0.5 * grid.extent,) * grid.dim
-    center = tuple(float(c) for c in center)
-    if len(center) != grid.dim:
-        raise ValidationError(f"center needs {grid.dim} coordinates, got {len(center)}")
-    lo, hi = zip(*(_axis_cyclic_extremes(grid, c) for c in center))
-    lo2 = sum(np.ix_(*[d**2 for d in lo]))  # sum over axes of the squares
-    hi2 = sum(np.ix_(*[d**2 for d in hi]))
+    c = 0.5 * grid.extent
+    lo, hi = _axis_cyclic_extremes(grid, c)
+    lo2 = sum(np.ix_(*[lo**2] * grid.dim))  # sum over axes of the squares
+    hi2 = sum(np.ix_(*[hi**2] * grid.dim))
     r2 = radius * radius
     frac = np.where(hi2 <= r2, 0.0, 1.0)  # fully inside the ball -> excluded
     cut = (lo2 < r2) & (hi2 > r2)
@@ -147,7 +144,7 @@ def make_ball_complement(grid: Grid, radius: float, center: tuple | None = None,
         idx = np.argwhere(cut)
         for cell in idx:
             d2 = sum(np.ix_(*[_cyc_delta(grid.axis_x[i] + offs, c, grid.extent) ** 2
-                              for i, c in zip(cell, center)]))
+                              for i in cell]))
             outside = np.count_nonzero(d2 > r2)
             frac[tuple(cell)] = outside / _SUBSAMPLES**grid.dim
     cert = None

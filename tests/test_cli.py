@@ -343,7 +343,7 @@ penalty0 = 0
     assert "penalty0" in capsys.readouterr().err
 
 
-def test_stabilize_auto_constant(tmp_path):
+def test_stabilize_auto_constant(tmp_path, capsys):
     out = tmp_path / "out"
     # the eigensolve is dense, so the seed key is optional and has no effect
     noseed = write_cfg(tmp_path, STAB_CFG.replace("seed = 0\n", ""), "ns.ini")
@@ -378,6 +378,15 @@ def test_stabilize_auto_constant(tmp_path):
     assert abs(d["lambda"] - 1.5 * math.exp(3.0) * 2.0) < 1e-9
     assert main(["stabilize", "--config", str(cfg), "--out", str(out_c),
                  "--set", "run.C=0.5"]) == 2
+    # gains past the float range (C R > 709.78 overflows e^(CR)), and finite
+    # gains whose dt asks for more steps than numpy can index
+    capsys.readouterr()
+    assert main(["stabilize", "--config", str(cfg), "--out", str(out_c),
+                 "--set", "run.C=400"]) == 2
+    assert "gains out of range at C = 400.0, R = 2.0" in capsys.readouterr().err
+    assert main(["stabilize", "--config", str(cfg), "--out", str(out_c),
+                 "--set", "run.C=100"]) == 2
+    assert "cannot record" in capsys.readouterr().err
 
 
 def test_simulate_closed_form(tmp_path):

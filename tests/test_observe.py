@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thickstab import observe
+from thickstab import stabilize
 from thickstab.errors import ConvergenceError, ValidationError
 from thickstab.grid import (GaussianProbe, field_from_values, make_grid, norm,
                             project_ball, restricted_norm, to_coefficients,
@@ -120,8 +120,9 @@ def test_probe_set_anchor_and_determinism():
         assert probe_admissible(g2, p)
     with pytest.raises(ValidationError):
         make_probe_set(g, 0, seed=1)
+    # widths run from 0.5 up to extent / 12, empty on a box of side 2
     with pytest.raises(ValidationError, match="admissible width"):
-        make_probe_set(g, 4, seed=1, l_bounds=(2.0, 3.0))
+        make_probe_set(make_grid(1, 2.0, 8), 4, seed=1)
     for xi_fraction in (-1.0, 5.0, float("nan")):
         with pytest.raises(ValidationError, match="xi_fraction"):
             make_probe_set(g, 4, seed=1, xi_fraction=xi_fraction)
@@ -405,7 +406,7 @@ def test_synthesize_thick_mask(monkeypatch):
         assert np.max(np.abs(h[off])) == 0.0
     assert abs(norm(res.final_field) / norm(f0) - res.ratio) < 1e-12
     # stacks of three slices, the last one short, give the same solve
-    monkeypatch.setattr(observe, "_GRAM_STACK", 3 * g.points)
+    monkeypatch.setattr(stabilize, "_FFT_STACK", 3 * g.points)
     again = synthesize_control(f0, F, mask, 1.0, 0.1, slices=32)
     assert again.cg_iterations == res.cg_iterations
     scale = max(np.abs(h).max() for h in res.controls)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thickstab import observe
+from thickstab import observe, stabilize
 from thickstab.errors import ConvergenceError
 from thickstab.grid import (field_from_values, from_coefficients, make_grid,
                             norm, restricted_norm, semigroup_multiplier,
@@ -73,7 +73,7 @@ def test_band_gram_matches_fft_matvec(case, r_fraction):
     w = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
     z = np.zeros(grid.shape, dtype=complex)
     want = np.zeros(z.size, dtype=complex)
-    want[idx] = _apply_band_gram(grid, frac, idx, w, z)
+    want[idx] = _apply_band_gram(frac, idx, w, z)
     lattice = np.zeros(z.size, dtype=complex)
     lattice[idx] = w
     # block by block: the band modes of each Bloch fiber
@@ -240,7 +240,7 @@ def test_stepper_matches_strang_reference(case, adjoint, lam, dt_fraction):
         for j in range(1, 5):
             coeff *= -dt * lam / j
             out += coeff * w
-            w = _apply_band_gram(grid, frac, idx, w, z)
+            w = _apply_band_gram(frac, idx, w, z)
         return out
 
     c0 = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -386,7 +386,7 @@ def test_dense_dual_oracle(case):
     want = G @ z.ravel()
     for per_stack in (1, 3, slices):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(observe, "_GRAM_STACK", per_stack * z.size)
+            mp.setattr(stabilize, "_FFT_STACK", per_stack * z.size)
             gz = observe._gramian_apply(theta_grid, frac, z)
         assert np.linalg.norm(want - gz.ravel()) <= 1e-12 * np.linalg.norm(want)
     # the Jacobi preconditioner's closed-form diagonal

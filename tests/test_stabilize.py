@@ -80,9 +80,15 @@ def test_feedback_config_validation():
               lam=1.0, mu=2.0, predicted_rate=1.0)
     FeedbackConfig(**ok)
     for bad in ({"C": 0.9}, {"R": 0.0}, {"alpha_tilde": 0.0},
-                {"lam": 0.0}, {"mu": 1.5}):
+                {"lam": 0.0}, {"mu": 1.5}, {"lam": math.inf}, {"mu": math.inf},
+                {"mu": math.nan}):
         with pytest.raises(ValidationError):
             FeedbackConfig(**{**ok, **bad})
+    # gains past the float range are named, not returned as inf (mu) or
+    # raised as a bare OverflowError from e^(CR) (C R > 709.78)
+    for R, C in ((8.0, 50.0), (2.0, 400.0)):
+        with pytest.raises(ValidationError, match=f"gains out of range at C = {C}, R = {R}"):
+            design_feedback(halfheat(), R, C)
 
 
 def test_calibrate_constant():
@@ -436,8 +442,6 @@ def test_duhamel_residual_generic_and_adjoint():
                            + 1j * rng.standard_normal(g.shape))
     res = run_stabilization(f0, F, mask, cfg, 0.5, dt=1e-3, snapshot_every=1)
     assert duhamel_residual(res, F, mask) < 1e-6
-    # thinning the quadrature to 60 points degrades but stays small
-    assert duhamel_residual(res, F, mask, max_points=60) < 1e-4
     adj = run_stabilization(f0, F, mask, cfg, 0.5, dt=1e-3, snapshot_every=1,
                             adjoint_order=True)
     assert duhamel_residual(adj, F, mask) < 1e-6
@@ -450,15 +454,12 @@ def test_duhamel_residual_generic_and_adjoint():
         duhamel_residual(bare, F, mask)
 
 
-def duhamel_loop(result, F, mask, max_points=None):
+def duhamel_loop(result, F, mask):
     """The Duhamel residual one snapshot at a time through the public
-    multipliers, thinned like the package's. The residual is a difference of
-    nearly equal vectors, so its last digits follow the order of the sum:
-    the trapezoid sum is accumulated on its own and in time order."""
-    snaps = list(result.trajectory.snapshots)
-    if max_points is not None and len(snaps) > max_points:
-        keep = np.linspace(0, len(snaps) - 1, max_points).round().astype(int)
-        snaps = [snaps[i] for i in np.unique(keep)]
+    multipliers. The residual is a difference of nearly equal vectors, so its
+    last digits follow the order of the sum: the trapezoid sum is accumulated
+    on its own and in time order."""
+    snaps = result.trajectory.snapshots
     ts = np.array([t for t, _ in snaps])
     g, T, cfg = result.trajectory.grid, ts[-1], result.config
     rhs = semigroup_multiplier(g, F, T) * snaps[0][1]
@@ -483,8 +484,8 @@ def duhamel_loop(result, F, mask, max_points=None):
 @pytest.mark.parametrize("dim, points", [(1, 128), (2, 32)])
 def test_duhamel_residual_matches_snapshot_loop(dim, points):
     # the stacked residual against a loop over the snapshots: forward and
-    # adjoint order, thinned to 60 points and a free run. Stacks hold 32
-    # (1-D) or 4 (2-D) snapshots, so the run's 201 end in a short stack
+    # adjoint order and a free run. Stacks hold 32 (1-D) or 4 (2-D)
+    # snapshots, so the run's 201 end in a short stack
     g = make_grid(dim, 16.0, points)
     F = halfheat()
     mask = make_random_thick(g, 2.0, 0.3, 1)
@@ -492,31 +493,12 @@ def test_duhamel_residual_matches_snapshot_loop(dim, points):
     rng = np.random.default_rng(9)
     f0 = field_from_values(g, rng.standard_normal(g.shape)
                            + 1j * rng.standard_normal(g.shape))
-    for conf, adjoint, max_points in ((cfg, False, None), (cfg, True, None),
-                                      (cfg, False, 60), (cfg, True, 60),
-                                      (None, False, None)):
+    for conf, adjoint in ((cfg, False), (cfg, True), (None, False)):
         res = run_stabilization(f0, F, mask, conf, 0.2, dt=1e-3,
                                 snapshot_every=1, adjoint_order=adjoint)
-        got = duhamel_residual(res, F, mask, max_points=max_points)
-        want = duhamel_loop(res, F, mask, max_points)
+        got = duhamel_residual(res, F, mask)
+        want = duhamel_loop(res, F, mask)
         assert abs(got - want) <= 1e-10 * want
-
-
-def test_duhamel_max_points_validation():
-    # at least 3 snapshots, as the run itself must store: 0 used to end in an
-    # IndexError, -3 in a numpy ValueError and 1 in a misleading "span" error
-    g = make_grid(1, 16.0, 64)
-    F = halfheat()
-    mask = make_periodic_thick(g, 1.0, 0.5)
-    f0 = field_from_values(g, np.exp(-((g.axis_x - 8.0) ** 2)))
-    res = run_stabilization(f0, F, mask, design_feedback(F, 1.0), 0.05,
-                            dt=1e-3, snapshot_every=1)
-    for bad in (0, -3, 1, 2, 2.5, 60.0, "60", True):
-        with pytest.raises(ValidationError, match="max_points must be an "
-                           f"integer >= 3, got {bad!r}"):
-            duhamel_residual(res, F, mask, max_points=bad)
-    assert np.isfinite(duhamel_residual(res, F, mask, max_points=3))
-    assert duhamel_residual(res, F, mask, max_points=np.int64(40)) < 1e-4
 
 
 def test_duhamel_requires_spanning_snapshots():
@@ -540,16 +522,20 @@ def test_fitted_rate_single_mode():
     mask = make_full(g)
     res = run_stabilization(f0, halfheat(), mask, None, 1.0)
     assert abs(res.fitted_rate - math.pi) < 1e-8
-    # tail fitting isolates the slow mode of a two-mode mixture
+    # the fit over the trailing half isolates the slow mode of a two-mode
+    # mixture, better on a longer run
     f1 = field_from_values(g, np.exp(2j * np.pi * 2 * x / 16.0)
                            + np.exp(2j * np.pi * 40 * x / 16.0))
     slow = 2.0 * np.pi * 2 / 16.0
-    late = run_stabilization(f1, halfheat(), mask, None, 2.0,
-                             tail_fraction=0.25)
-    full_fit = run_stabilization(f1, halfheat(), mask, None, 2.0,
-                                 tail_fraction=1.0)
-    assert late.fitted_rate < full_fit.fitted_rate
+    late = run_stabilization(f1, halfheat(), mask, None, 2.0)
+    early = run_stabilization(f1, halfheat(), mask, None, 0.1)
+    assert late.fitted_rate < early.fitted_rate
     assert abs(late.fitted_rate - slow) < 1e-3
+    traj = late.trajectory
+    tail = traj.times >= 1.0 - 1e-12
+    want = -np.polyfit(traj.times[tail], np.log(traj.norms[tail]), 1)[0]
+    assert abs(late.fitted_rate - want) < 1e-9 * slow
+    assert np.count_nonzero(tail) == 501
 
 
 def test_run_validation_and_snapshot_endpoints():
@@ -558,8 +544,10 @@ def test_run_validation_and_snapshot_endpoints():
     mask = make_full(g)
     with pytest.raises(ValidationError):
         run_stabilization(f0, halfheat(), mask, None, 0.0)
-    with pytest.raises(ValidationError):
-        run_stabilization(f0, halfheat(), mask, None, 1.0, tail_fraction=0.0)
+    # 1e18 steps: recording them cannot be allocated, and nothing is touched
+    with pytest.raises(ValidationError, match=r"cannot record \d+ steps to "
+                       r"T = 1.0 at dt = 1.000e-18"):
+        run_stabilization(f0, halfheat(), mask, None, 1.0, dt=1e-18)
     with pytest.raises(ValidationError):
         run_stabilization(f0, halfheat(), mask, None, 1.0, dt=-0.1)
     res = run_stabilization(f0, halfheat(), mask, None, 1.0, dt=0.01,

@@ -108,7 +108,6 @@ def test_inf_closed_forms():
     res = inf_F(fractional(1.0))
     assert res.value == pytest.approx(0.0, abs=1e-12)
     assert res.location == pytest.approx(0.0, abs=1e-6)
-    assert res.reliable
 
     res = inf_F(shifted(halfheat(), 2.0))
     assert res.value == pytest.approx(-2.0, abs=1e-12)
@@ -140,12 +139,10 @@ def test_tail_infimum_closed_forms():
     res = alpha_R(shifted(fractional(1.0), 5.0), 3.0)
     assert res.value == pytest.approx(4.0, rel=1e-10)
     # a bracket that floats cannot narrow to tol still ends, on the grid value
-    res = alpha_R(halfheat(), 1e12, r_max=1e12 + 1.0)
+    res = alpha_R(halfheat(), 1e12)
     assert res.value == 1e12 and res.location == 1e12
     with pytest.raises(ValidationError):
         alpha_R(halfheat(), -1.0)
-    with pytest.raises(ValidationError):
-        alpha_R(halfheat(), 8.0, r_max=4.0)
 
 
 def test_loglog_tail_inf_against_scan():
@@ -158,13 +155,16 @@ def test_loglog_tail_inf_against_scan():
     assert res.value == pytest.approx(oracle, rel=1e-6)
 
 
-def test_unreliable_edge_minimum():
-    # decreasing tabulated symbol, declared non-monotone: the scan bottoms
-    # out at the table edge and says so
-    F = custom(((0.0, 1.0), (1.0, 0.5), (2.0, 0.25)), monotone_tail=False)
+def test_table_edge_minimum():
+    # a decreasing table is flat past its last node, so its infimum is the
+    # last node value, found at the table edge, and the tail infimum past
+    # the edge is that flat value
+    F = custom(((0.0, 1.0), (1.0, 0.5), (2.0, 0.25)))
     res = inf_F(F)
-    assert res.value == pytest.approx(0.25, abs=1e-9)
-    assert not res.reliable
+    assert res.value == 0.25 and res.location == 2.0
+    for G in (F, shifted(F, 0.75)):
+        for R in (2.0, 3.5, 1e6):
+            assert alpha_R(G, R).value == G.limit_value()
 
 
 def test_refine_max_many_brackets():
