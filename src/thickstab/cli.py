@@ -40,7 +40,7 @@ from .observe import (classify_cubes, estimate_observability_constant,
                       necessity_probe_scan, negative_limit_experiment,
                       synthesize_control, write_cube_csv, write_report_json)
 from .qa import build_sequence, dc_partial_sum, write_moments_csv
-from .stabilize import (calibrate_constant, design_feedback,
+from .stabilize import (_step_count, calibrate_constant, design_feedback,
                         estimate_spectral_constant, run_stabilization,
                         write_trajectory_csv)
 from .symbols import (constant, fractional, halfheat, iterated, loglog,
@@ -287,7 +287,7 @@ def _run_stabilize(cfg, inp, out):
         derived["c_emp"] = c_emp
     fb = design_feedback(F, run["R"], C)
     dt = run["dt"] if run["dt"] is not None else fb.dt_max
-    steps = int(math.ceil(run["T"] / dt))
+    steps = _step_count(run["T"], dt)
     if steps > 10 ** 7:
         print(f"warning: dt = {dt:.3e} needs {steps} steps to reach "
               f"T = {run['T']}; expect a long run", file=sys.stderr)

@@ -16,8 +16,9 @@ band Gram matrix, which is block diagonal over the Bloch fibers of a
 periodic support (see _fibers). The spectral constant comes from the fiber
 blocks (for a support with no period, one real block: see _real_form),
 and the polynomial and the two half-multipliers fold into one block per
-fiber, so a step is one batched matrix product; when the blocks would be too
-large the four stages go through the FFT, with no band matrix at all.
+fiber, so a step is one batched matrix product (on long runs, one product
+per K steps, from the blocks of the step's first K powers); when the blocks
+would be too large the four stages go through the FFT, with no band matrix.
 """
 
 from __future__ import annotations
@@ -38,16 +39,17 @@ from .thick import SupportMask
 _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
 # Up to this many entries in the stack of fiber blocks (N n for one fiber) a
 # step is one batched product; beyond it the four-FFT-pair step is faster.
-# One fiber, fold / matrix-free, us per step (2-core x86, 1 BLAS thread):
+# One fiber, fold / matrix-free, us per step at K = 1 (2-core x86, 1 BLAS thread):
 #   N n    N = 1024     N = 64^2      N = 128^2
-#   2^18   202 / 188    241 / 516     354 / 1578
-#   2^19   390 / 189    464 / 455     592 / 1914
-#   2^20   780 / 215    854 / 719     909 / 2155
-#   2^21       -       1561 / 550    1564 / 1775
+#   2^18   199 / 277    209 / 450     260 / 2581
+#   2^19   385 / 178    401 / 483     454 / 2605
+#   2^20   745 / 193    804 / 692     831 / 2662
+#   2^21       -       1560 / 450    1601 / 2615
 # The crossover moves with N (2^18 to above 2^21); 2^19 keeps either loss
-# under 2.5x on these grids.
+# under 3.5x on these grids, where 2^20 loses 3.9x at N = 1024.
 _DENSE_STEP_MAX = 2 ** 19
 _RECORD_BLOCK = 2 ** 16  # complex entries (1 MB) of states per record pass
+_CHUNK_TABLE = 2 ** 14  # complex entries (256 kB) of the fold's K-step tables
 _FFT_STACK = 2 ** 12  # complex entries (64 kB) per stack sent through one batched FFT
 # widest dense block of the eigensolve; at the cap, on one core, 0.9 s for the
 # real block of a support with no period and 3.0 s for a complex fiber block
@@ -319,11 +321,17 @@ class _Stepper:
     stepper's layout. advance writes each step into the next row of a block,
     so a step allocates and copies nothing; the multipliers e_full and
     e_half are stored complex, so applying them casts nothing either.
+
+    On fold runs of at least 2^10 steps a product advances K steps: with R
+    the restriction to the band, S^k = diag(e_full^k) + G_k R, G_1 = P and
+    G_{k+1} = e_full G_k + P (diag(e_full^k) + G_k)[band rows], and the
+    adjoint step is S^H. K is the largest value whose stacked G_k^T (conj(G_k)
+    in the adjoint order) fit in _CHUNK_TABLE entries with K^2 <= steps.
     """
 
     def __init__(self, grid: Grid, symbol: MultiplierSymbol, mask: SupportMask,
                  cfg: FeedbackConfig | None, dt: float,
-                 adjoint_order: bool = False):
+                 adjoint_order: bool = False, steps: int = 1):
         self.lam = 0.0 if cfg is None else cfg.lam
         self.adjoint = bool(adjoint_order)
         self.shape = grid.shape
@@ -352,14 +360,23 @@ class _Stepper:
                 q = _stages(np.eye(b), lambda w: t[:, :b] @ w, self.coeffs)
                 # t's padding columns are zero, so P's are exactly zero
                 p = e[:, :, None] * (t @ q) * e[:, None, :b]
-                # a step multiplies row vectors from the left (c^T P^T, or
-                # c^T conj(P) = (P^H c)^T), which costs the least once the
-                # state decays to subnormal numbers
+                k = 1 if steps < 2 ** 10 else max(1, min(_CHUNK_TABLE // p.size,
+                                                         math.isqrt(steps)))
+                self.e_pows = (np.cumprod([self.e_full] * k, axis=0) if k > 1
+                               else self.e_full[None])  # e_full^1 .. e_full^K
+                gs = [p]  # G_1 = P, then G_2 .. G_K
+                for ek in self.e_pows[:-1, :, :b]:
+                    h = gs[-1][:, :b].copy()
+                    h[:, range(b), range(b)] += ek
+                    gs.append(self.e_full[:, :, None] * gs[-1] + p @ h)
+                # row vectors times G_k^T, or conj(G_k) = (G_k^H)^T: the least
+                # costly order once the state decays to subnormal numbers
+                g = np.concatenate(gs, axis=2 if self.adjoint else 1) if k > 1 else p
                 if self.adjoint:
-                    self.op = p.conj()
+                    self.op = g.conj()
                     self.reads, self.writes = slice(None), slice(b)
                 else:
-                    self.op = np.ascontiguousarray(p.transpose(0, 2, 1))
+                    self.op = np.ascontiguousarray(g.transpose(0, 2, 1))
                     self.reads, self.writes = slice(b), slice(None)
                 self.u = np.empty((len(order), 1, self.op.shape[-1]), dtype=complex)
             else:
@@ -386,6 +403,15 @@ class _Stepper:
         if self.lam == 0.0:
             for prev, c in steps:
                 np.multiply(prev, self.e_full, out=c)
+        elif self.op is not None and len(self.e_pows) > 1:
+            K, (nf, _, kw) = len(self.e_pows), self.op.shape
+            for j in range(0, len(rows) - 1, K):
+                new = rows[j + 1:j + 1 + K]  # fewer in a last partial chunk
+                w = len(new) * kw // K  # G_1 .. G_len(new) of the table
+                u = np.matmul(rows[j, :, None, self.reads], self.op[..., :w],
+                              out=self.u[..., :w])
+                np.multiply(rows[j], self.e_pows[:len(new)], out=new)
+                new[..., self.writes] += u.reshape(nf, len(new), -1).swapaxes(0, 1)
         elif self.op is not None:  # the fold reads and writes views of rows
             op, e, u, u0 = self.op, self.e_full, self.u, self.u[:, 0]
             for x, (prev, c), w in zip(rows[..., None, self.reads], steps,
@@ -447,6 +473,15 @@ class StabilizationResult:
     adjoint_order: bool = False
 
 
+def _step_count(T: float, dt: float) -> int:
+    """Steps of at most dt to T, at least 1; refuses counts no record can hold."""
+    q = T / dt - 1e-12
+    if not q < np.iinfo(np.intp).max // 8:  # bytes of the float64 records
+        raise ValidationError(f"cannot record {q:.3e} steps to T = {T} at "
+                              f"dt = {dt:.3e}: raise dt or shorten T")
+    return max(1, math.ceil(q))
+
+
 def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
                       cfg: FeedbackConfig | None, T: float,
                       dt: float | None = None, snapshot_every: int = 0,
@@ -471,7 +506,7 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     if dt is None:
         dt = min(T / 1000.0, cfg.dt_max) if lam > 0 else T / 1000.0
     _check_positive(dt=dt)
-    n_steps = max(1, int(math.ceil(T / dt - 1e-12)))
+    n_steps = _step_count(T, dt)
     dt = T / n_steps
     try:
         times = np.arange(n_steps + 1) * dt
@@ -482,7 +517,7 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
             f"cannot record {n_steps} steps to T = {T} at dt = {dt:.3e}: "
             "raise dt or shorten T") from None
     grid = f0.grid
-    stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order)
+    stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order, n_steps)
     mu = cfg.mu if cfg is not None else 1.0
 
     # the state stays in the stepper's layout for the whole run; each block

@@ -291,6 +291,11 @@ def _scan_min(symbol: MultiplierSymbol, lo: float, hi: float) -> InfResult:
     with np.errstate(over="ignore"):
         vals = symbol.eval(grid)
         i = int(np.argmin(vals))
+        if i == len(grid) - 1 and symbol.family != "custom":
+            raise ValidationError(
+                f"{symbol.describe()} still decreases at r = {hi:g}, the right "
+                f"end of its infimum scan window [{lo:g}, {hi:g}]; the infimum "
+                "lies past the window")
         (x,), (v,) = _refine_max(lambda r: -symbol.eval(r), grid, np.array([i]),
                                  -vals[i:i + 1], tol=1e-10 * (1.0 + hi - lo))
     return InfResult(value=float(-v), location=float(x))
@@ -320,7 +325,7 @@ def _bracket_root(g, lo: float, hi: float, cap: float, what: str) -> tuple:
 
 def _default_hi(symbol: MultiplierSymbol, lo: float) -> float:
     """Right end of the scan window from lo: past the last node of a table,
-    which is flat beyond it, and at 1e4 for the formula families."""
+    which is flat beyond it, else 1e4, where a still-falling formula is refused."""
     if symbol.family == "custom":
         return max(symbol.table[-1][0], lo + 1.0)
     return max(1e4, lo + 10.0)

@@ -703,6 +703,131 @@ def test_block_records_match_per_step_loop(path, adjoint):
             assert t == t_want and np.array_equal(got, want)
 
 
+def _chunk_case(support):
+    """(grid, mask, cfg) whose fold tables hold K > 1 powers on long runs."""
+    if support == "1-D periodic":  # criterion 08: 16 fibers x 64 points x 3
+        g = make_grid(1, 16.0, 1024)
+        return g, make_periodic_thick(g, 1.0, 0.5), design_feedback(
+            halfheat(), 8.0, C=1.0)
+    if support == "1-D one fiber":
+        g = make_grid(1, 16.0, 256)
+        mask = make_random_thick(g, 1.0, 0.5, seed=3)
+    elif support == "2-D periodic":
+        g = make_grid(2, 16.0, 32)
+        mask = make_periodic_thick(g, 2.0, 0.5)
+    return g, mask, design_feedback(halfheat(), 2.0, C=1.0)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("support", ["1-D periodic", "1-D one fiber",
+                                     "2-D periodic"])
+def test_chunked_steps_match_single_steps(support, adjoint):
+    # a long-run stepper advances K steps per product from the powers
+    # S^k = diag(e^k) + G_k R; k single steps of a one-step stepper are the
+    # reference, through a full chunk and into a partial one
+    g, mask, cfg = _chunk_case(support)
+    F, dt = halfheat(), 0.5 * cfg.dt_max
+    chunked = _Stepper(g, F, mask, cfg, dt, adjoint, steps=2 ** 20)
+    single = _Stepper(g, F, mask, cfg, dt, adjoint)
+    K = len(chunked.e_pows)
+    assert K > 1 and len(single.e_pows) == 1
+    rng = np.random.default_rng(4)
+    c0 = chunked.enter(rng.standard_normal(g.shape)
+                       + 1j * rng.standard_normal(g.shape))
+    for k in range(1, K + 2):
+        rows = np.empty((k + 1,) + c0.shape, dtype=complex)
+        rows[0] = c0
+        chunked.advance(rows)
+        c = c0.copy()
+        for j in range(1, k + 1):
+            single.step(c)
+            err = np.linalg.norm(rows[j] - c) / np.linalg.norm(c)
+            assert err <= 1e-13, (k, j, err)
+
+
+@pytest.mark.parametrize("mask_seed", [3, None])
+def test_adjoint_powers_are_hermitian_transposes(mask_seed):
+    # S_adj = S_fwd^H, so every power the adjoint tables hold is the
+    # conjugate transpose of the forward one: dense S^k from basis vectors
+    g = make_grid(1, 16.0, 64)
+    mask = (make_periodic_thick(g, 1.0, 0.5) if mask_seed is None
+            else make_random_thick(g, 1.0, 0.5, seed=mask_seed))
+    cfg = design_feedback(halfheat(), 2.0, C=1.0)
+    powers = []
+    for adjoint in (False, True):
+        stepper = _Stepper(g, halfheat(), mask, cfg, cfg.dt_max, adjoint,
+                           steps=2 ** 10)
+        K = len(stepper.e_pows)
+        assert K == (32 if mask_seed is None else 23)
+        basis = np.eye(g.points, dtype=complex)
+        rows = np.empty((K + 2, g.points), dtype=complex)
+        cols = []
+        for e in basis:
+            rows[0] = stepper.enter(e).reshape(-1)
+            states = rows.reshape((K + 2,) + stepper.order.shape)
+            stepper.advance(states)
+            cols.append(np.array([stepper.leave(r).reshape(-1) for r in states]))
+        powers.append(np.stack(cols, axis=-1))  # (K + 2, N, N), S^k columns
+    fwd, adj = powers
+    for k in range(1, K + 2):
+        want = fwd[k].conj().T
+        assert np.linalg.norm(adj[k] - want) <= 1e-13 * np.linalg.norm(want), k
+
+
+def test_chunk_size_rule():
+    # K = 1 below 2^10 steps; above, K^2 <= steps and K tables of
+    # fibers x points x widest band entries fit in 2^14
+    g, mask, cfg = _chunk_case("1-D periodic")
+    F, dt = halfheat(), cfg.dt_max
+    for steps, K in ((1, 1), (2 ** 10 - 1, 1), (2 ** 10, 5), (2 ** 20, 5)):
+        stepper = _Stepper(g, F, mask, cfg, dt, steps=steps)
+        assert len(stepper.e_pows) == K
+        assert stepper.op.shape == (16, 3, 64 * K)
+    # 16 fibers x 4 points x 1 band mode: 256 tables fit, so sqrt(steps) rules
+    g = make_grid(1, 16.0, 64)
+    mask, cfg = make_periodic_thick(g, 1.0, 0.5), design_feedback(F, 2.0)
+    for steps, K in ((2 ** 10 - 1, 1), (2 ** 10, 32), (2 ** 12, 64),
+                     (2 ** 20, 256)):
+        stepper = _Stepper(g, F, mask, cfg, cfg.dt_max, steps=steps)
+        assert stepper.op.shape == (16, 1, 4 * K)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_long_run_matches_per_step_loop(adjoint):
+    # 2^10 + 30 steps take K = 5 steps per product; the per-step loop over
+    # a one-step stepper is the reference for norms, V and snapshots
+    g, mask, cfg = _chunk_case("1-D periodic")
+    F, n = halfheat(), 2 ** 10 + 30
+    rng = np.random.default_rng(12)
+    f0 = field_from_values(g, rng.standard_normal(g.shape)
+                           + 1j * rng.standard_normal(g.shape))
+    res = run_stabilization(f0, F, mask, cfg, n * cfg.dt_max,
+                            dt=cfg.dt_max, snapshot_every=97,
+                            adjoint_order=adjoint)
+    assert res.trajectory.times.size == n + 1
+    assert len(_Stepper(g, F, mask, cfg, res.dt, adjoint, n).e_pows) == 5
+    stepper = _Stepper(g, F, mask, cfg, res.dt, adjoint)
+    c = stepper.enter(to_coefficients(f0))
+    norm_sq, low_sq, snaps = [], [], []
+    for k in range(n + 1):
+        if k:
+            stepper.step(c)
+        low = c.reshape(-1)[stepper.band]
+        norm_sq.append(np.vdot(c, c).real / g.box_measure)
+        low_sq.append(np.vdot(low, low).real / g.box_measure)
+        if k % 97 == 0 or k == n:
+            snaps.append((res.trajectory.times[k], stepper.leave(c)))
+    norm_sq, low_sq = np.array(norm_sq), np.array(low_sq)
+    traj = res.trajectory
+    for got, want in ((traj.norms, np.sqrt(norm_sq)),
+                      (traj.lyapunov, cfg.mu * low_sq + norm_sq - low_sq)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert len(traj.snapshots) == len(snaps)
+    for (t, got), (t_want, want) in zip(traj.snapshots, snaps):
+        assert t == t_want
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def test_trajectory_csv_stride(tmp_path):
     g = make_grid(1, 16.0, 64)
     f0 = field_from_values(g, np.ones(g.shape))

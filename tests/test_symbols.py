@@ -155,6 +155,18 @@ def test_loglog_tail_inf_against_scan():
     assert res.value == pytest.approx(oracle, rel=1e-6)
 
 
+def test_tail_scan_refuses_a_minimum_past_its_window():
+    # F = r^0.001 / sqrt(log(e + r)) falls for all r of the scan window
+    # [R, 1e4] and on past it (F(1e8) = 0.2373 < F(1e4) = 0.3325), so the
+    # window's last point is no infimum; the infimum from 0 is F(0) = 0
+    F = loglog(0.001, 0.5)
+    assert F.eval(1e8) < F.eval(1e4)
+    with pytest.raises(ValidationError, match=r"still decreases at r = 10000, "
+                       r"the right end of its infimum scan window \[2, 10000\]"):
+        alpha_R(F, 2.0)
+    assert inf_F(F).value == 0.0
+
+
 def test_table_edge_minimum():
     # a decreasing table is flat past its last node, so its infimum is the
     # last node value, found at the table edge, and the tail infimum past
