@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .grid import (_write_csv, _write_json, field_from_values,
-                   from_coefficients, make_grid, norm, semigroup_multiplier,
-                   to_coefficients, write_field)
+                   from_coefficients, make_grid, norm, write_field)
 from .observe import (classify_cubes, estimate_observability_constant,
                       kovrijkine_empirical, make_probe_set,
                       necessity_probe_scan, negative_limit_experiment,
@@ -134,7 +133,7 @@ _MASK_KEYS = {
     "cert_scale": _Key(_float, None, "window length for the measured certificate"),
     "gamma": _Key(_float, None, "random thickness target"),
     "L": _Key(_float, None, "random block length"),
-    "seed": _Key(_int, None, "random mask seed"),
+    "seed": _Key(_at_least(_int, 0), None, "random mask seed"),
 }
 
 
@@ -224,8 +223,11 @@ def _build_field(grid, rcfg: dict, prefix: str):
     axes = np.meshgrid(*[np.arange(grid.points) * grid.dx] * grid.dim,
                        indexing="ij")
     if kind == "gaussian":
+        w = rcfg[f"{prefix}_width"]
+        if not w * w < math.inf:
+            raise ValidationError(f"key 'run.{prefix}_width' must have a finite square, got {w}")
         sq = sum((ax - center) ** 2 for ax in axes)
-        vals = np.exp(-sq / (2.0 * rcfg[f"{prefix}_width"] ** 2))
+        vals = np.exp(-sq / (2.0 * w ** 2))
         freq = rcfg[f"{prefix}_frequency"]
         if freq != 0.0:
             vals = vals * np.cos(freq * (axes[0] - center))
@@ -260,19 +262,13 @@ def _build_inputs(spec: _Scenario, cfg: dict) -> _Inputs:
 
 
 def _run_simulate(cfg, inp, out):
-    grid, F, f0 = inp.grid, inp.F, inp.field
     T, rows = cfg["run"]["T"], cfg["run"]["snapshots"]
-    step = semigroup_multiplier(grid, F, T / (rows - 1))
-    c = to_coefficients(f0)
-    times = np.linspace(0.0, T, rows)
-    norms = np.empty(rows)
-    for i in range(rows):
-        if i:
-            c = c * step
-        norms[i] = math.sqrt(float(np.vdot(c, c).real) / grid.box_measure)
-    _write_csv(out / "evolution.csv", "t,norm", zip(times, norms))
-    write_field(out / "final.tsf", from_coefficients(grid, c))
-    return ({"initial_norm": float(norms[0]), "final_norm": float(norms[-1])},
+    traj = run_stabilization(inp.field, inp.F, None, None, T, dt=T / (rows - 1),
+                             snapshot_every=rows - 1).trajectory
+    # linspace ends on T itself; the runner's last time is (rows - 1) * (T / (rows - 1))
+    _write_csv(out / "evolution.csv", "t,norm", zip(np.linspace(0.0, T, rows), traj.norms))
+    write_field(out / "final.tsf", from_coefficients(inp.grid, traj.snapshots[-1][1]))
+    return ({"initial_norm": float(traj.norms[0]), "final_norm": float(traj.norms[-1])},
             ["evolution.csv", "final.tsf"])
 
 
@@ -454,7 +450,7 @@ _SCENARIOS = {
          "run": {"T": _Key(_float, help="observation time"),
                  "epsilon": _Key(_float, help="allowed mass leak, in (0,1)"),
                  "probes": _Key(_int, 8, "dictionary size"),
-                 "seed": _Key(_int, help="probe dictionary seed"),
+                 "seed": _Key(_at_least(_int, 0), help="probe dictionary seed"),
                  "quadrature_steps": _Key(_int, 64, "time quadrature steps"),
                  "xi_fraction": _Key(_at_least(_float, 0), 0.1,
                                      "modulation spread as a fraction of the "

@@ -38,6 +38,13 @@ def _check_positive(**values) -> None:
             raise ValidationError(f"{name} must be positive, got {x}")
 
 
+def _check_count(**values) -> None:
+    """Reject any keyword value that is not an integer >= 1, by its name."""
+    for name, n in values.items():
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise ValidationError(f"{name} must be a positive integer, got {n}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, extent)^dim.
@@ -253,14 +260,14 @@ def sample_probe(grid: Grid, probe: GaussianProbe) -> SpectralField:
     """Sample the probe on the lattice, periodized with one image per axis.
 
     Raises ValidationError for inadmissible probes (width too large for the
-    box, or modulation too close to the Nyquist radius).
+    box, or modulation too close to the Nyquist radius), naming the probe.
     """
     if probe.dim != grid.dim:
         raise ValidationError(f"probe dim {probe.dim} != grid dim {grid.dim}")
     if not probe_admissible(grid, probe):
-        raise ValidationError(
-            "inadmissible probe: need 6*width <= extent/2 and |xi0| + 3/width <= xi_max"
-        )
+        raise ValidationError(f"probe (center={probe.center}, frequency={probe.frequency}, "
+                              f"width={probe.width}) is not admissible on this grid: it needs"
+                              " 6 l <= extent/2 and |xi0| + 3/l within the frequency lattice")
     l2 = probe.width**2
     mesh = np.meshgrid(*[grid.axis_x] * grid.dim, indexing="ij")
     total = np.zeros(grid.shape, dtype=complex)

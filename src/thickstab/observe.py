@@ -23,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .grid import (GaussianProbe, Grid, SpectralField, _check_positive, _symbol_values,
-                   _write_csv, _write_json, from_coefficients, probe_admissible,
+from .grid import (GaussianProbe, Grid, SpectralField, _check_count, _check_positive,
+                   _symbol_values, _write_csv, _write_json, from_coefficients, probe_admissible,
                    sample_probe, semigroup_multiplier, to_coefficients)
 from .qa import log_moment
 from .stabilize import _mask_form, _stacks, estimate_spectral_constant
 from .symbols import MultiplierSymbol, shifted
-from .thick import SupportMask, make_ball_complement, mask_hash
+from .thick import SupportMask, _whole_cells, make_ball_complement, mask_hash
 
 _PROBE_WIDTHS = (0.5, 1.3)  # range of the probe widths make_probe_set draws
 
@@ -77,7 +77,10 @@ def _restricted_march(grid: Grid, c: np.ndarray, e_step: np.ndarray,
     either one array shared by every field or one row per field.
     """
     axes = tuple(range(1, c.ndim))
-    integrand = np.empty((len(c), steps + 1))
+    try:
+        integrand = np.empty((len(c), steps + 1))
+    except (MemoryError, ValueError):
+        raise ValidationError(f"cannot record {steps} quadrature steps: lower the count") from None
     for k in range(steps + 1):
         if k > 0:
             c *= e_step
@@ -85,6 +88,18 @@ def _restricted_march(grid: Grid, c: np.ndarray, e_step: np.ndarray,
         sq = frac * (vals.real**2 + vals.imag**2)
         integrand[:, k] = sq.reshape(len(c), -1).sum(axis=1) * grid.cell_measure
     return integrand
+
+
+def _time_integrals(grid: Grid, F: MultiplierSymbol, c: np.ndarray, frac: np.ndarray,
+                    T: float, steps: int, freq_scales=(1.0,)) -> tuple:
+    """The times of [0, T] in uniform steps, the restricted march of c on them
+    under e^{-t F(|xi| s)}, one s per row or one for all, and its trapezoid
+    integrals as floats."""
+    e_step = np.stack([semigroup_multiplier(grid, F, T / steps, freq_scale=s)
+                       for s in freq_scales])
+    integrands = _restricted_march(grid, c, e_step, frac, steps)
+    times = np.linspace(0.0, T, steps + 1)
+    return times, integrands, tuple(map(float, np.trapezoid(integrands, times, axis=1)))
 
 
 def _required_constant(lhs, g_sq, integral, epsilon):
@@ -113,21 +128,11 @@ def estimate_observability_constant(F: MultiplierSymbol, mask: SupportMask,
     if not probes:
         raise ValidationError("need at least one probe")
     grid = mask.grid
-    for i, p in enumerate(probes):
-        if not probe_admissible(grid, p):
-            raise ValidationError(
-                f"probe {i} (center={p.center}, frequency={p.frequency}, "
-                f"width={p.width}) is not admissible "
-                "on this grid: it needs 6 l <= extent/2 and |xi0| + 3/l within "
-                "the frequency lattice")
     box = grid.box_measure
     c = np.stack([to_coefficients(sample_probe(grid, p)) for p in probes])
     g_sq = [float(np.vdot(row, row).real) / box for row in c]
-    e_step = semigroup_multiplier(grid, F, T / quadrature_steps)
-    integrands = _restricted_march(grid, c, e_step, mask.cell_fraction,
-                                   quadrature_steps)
-    times = np.linspace(0.0, T, quadrature_steps + 1)
-    integrals = [float(v) for v in np.trapezoid(integrands, times, axis=1)]
+    times, integrands, integrals = _time_integrals(
+        grid, F, c, mask.cell_fraction, T, quadrature_steps)
     lhs = [float(np.vdot(row, row).real) / box for row in c]
     results = tuple(
         ProbeResult(index=i, lhs=a, obs_integral=v,
@@ -151,8 +156,7 @@ def make_probe_set(grid: Grid, count: int, seed: int,
     the origin. The rest draw centers uniformly, widths from _PROBE_WIDTHS, and
     modulations up to xi_fraction of each width's admissible headroom.
     """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
+    _check_count(count=count)
     if not 0.0 <= xi_fraction <= 1.0:
         raise ValidationError(f"xi_fraction must be in [0, 1], got {xi_fraction}")
     rng = np.random.default_rng(seed)
@@ -176,11 +180,7 @@ def make_probe_set(grid: Grid, count: int, seed: int,
         else:
             ang = rng.uniform(0, 2 * math.pi)
             xi0 = (xi_mag * math.cos(ang), xi_mag * math.sin(ang))
-        probe = GaussianProbe(width=l, center=x0, frequency=xi0)
-        if not probe_admissible(grid, probe):
-            raise ValidationError("internal probe sampling produced an "
-                                  "inadmissible probe")
-        probes.append(probe)
+        probes.append(GaussianProbe(width=l, center=x0, frequency=xi0))
     return tuple(probes)
 
 
@@ -254,21 +254,19 @@ def necessity_probe_scan(F: MultiplierSymbol, mask: SupportMask, T: float,
     subject to e^{-2 T F(|xi0|)} > epsilon, the regime where the left side
     cannot be absorbed by the eps ||g||^2 slack. The required constants come
     from estimate_observability_constant on the scheduled probes, so the
-    scan shares its rules, among them at least 32 quadrature steps. Returns
-    the per-center required constants and the first center whose probe
-    defeats C.
+    scan shares its rules, among them at least 32 quadrature steps; the
+    width must make an unmodulated probe admissible (probe_admissible).
+    Returns the per-center required constants and the first center whose
+    probe defeats C.
     """
     epsilon = _check_epsilon(epsilon)
     _check_positive(T=T, C=C)
     if len(centers) == 0:
         raise ValidationError("the schedule of probe centers is empty")
     grid = mask.grid
-    xi_max = grid.xi_max
-    if not (0 < width and 6.0 * width <= 0.5 * grid.extent
-            and 3.0 / width <= xi_max):
-        raise ValidationError(
-            f"probe width {width} is not admissible on this grid")
-    cap = xi_max - 3.0 / width
+    if not probe_admissible(grid, GaussianProbe(width, (0.0,) * grid.dim, (0.0,) * grid.dim)):
+        raise ValidationError(f"probe width {width} is not admissible on this grid")
+    cap = grid.xi_max - 3.0 / width
     ok = grid.rho.ravel() <= cap
     fvals = _symbol_values(grid, F).ravel()[ok]
     cutoff = -math.log(epsilon) / (2.0 * T)
@@ -382,12 +380,7 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
         raise ValidationError(
             f"beta_max must be an integer in [0, 8], got {beta_max}")
     grid = g.grid
-    W = L / grid.dx
-    if not 0.5 < W < grid.points + 0.5 or abs(W - round(W)) > 1e-9 or grid.points % int(round(W)):
-        raise ValidationError(
-            f"cube side L must be a positive whole number of cells tiling "
-            f"the box (L = {L}, L/dx = {W})")
-    W = int(round(W))
+    W = _whole_cells(grid, L, "cube side L", tile=True)
     n = grid.dim
     f_rho = _symbol_values(grid, F).ravel()  # checked before inf F is scanned
     base = shifted(F, F.inf_value)  # G = F - inf F, zero infimum
@@ -506,10 +499,8 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
     _check_positive(T=T, penalty0=penalty0)
     if not 0 < tol < 1:
         raise ValidationError(f"tol must lie in (0, 1), got {tol}")
-    for name, count in (("slices", slices), ("max_cg", max_cg),
-                        ("max_penalty_steps", max_penalty_steps)):
-        if count < 1:
-            raise ValidationError(f"{name} must be at least 1, got {count}")
+    _check_count(slices=slices, max_cg=max_cg,
+                 max_penalty_steps=max_penalty_steps)
     grid = f0.grid
     box = grid.box_measure
     c0 = to_coefficients(f0)
@@ -630,15 +621,11 @@ def negative_limit_experiment(F: MultiplierSymbol, psi: SpectralField,
                 "the radius or enlarge the grid")
     c_psi = to_coefficients(psi)
     psi_sq = float(np.vdot(c_psi, c_psi).real) / grid.box_measure
-    e_step = np.stack([semigroup_multiplier(grid, F, T0 / quadrature_steps,
-                                            freq_scale=1.0 / h)
-                       for h in h_values])
     frac = np.stack([make_ball_complement(grid, radius / h).cell_fraction
                      for h in h_values])
     c = np.repeat(c_psi[None], len(h_values), axis=0)
-    integrands = _restricted_march(grid, c, e_step, frac, quadrature_steps)
-    times = np.linspace(0.0, T0, quadrature_steps + 1)
-    integrals = tuple(float(v) for v in np.trapezoid(integrands, times, axis=1))
+    times, integrands, integrals = _time_integrals(
+        grid, F, c, frac, T0, quadrature_steps, [1.0 / h for h in h_values])
     constants = tuple(psi_sq / v if v > 0 else math.inf for v in integrals)
     return NegativeLimitCurve(
         h_values=h_values, constants=constants, integrals=integrals,

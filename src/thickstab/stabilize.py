@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .grid import (Grid, SpectralField, _check_positive, _check_times,
+from .grid import (Grid, SpectralField, _check_count, _check_positive, _check_times,
                    _symbol_values, _write_csv, apply_semigroup,
                    ball_multiplier, from_coefficients, semigroup_multiplier,
                    to_coefficients)
@@ -474,8 +474,11 @@ class StabilizationResult:
 
 
 def _step_count(T: float, dt: float) -> int:
-    """Steps of at most dt to T, at least 1; refuses counts no record can hold."""
-    q = T / dt - 1e-12
+    """Steps of at most dt to T, at least 1, less a slack of 1e-15 T/dt: T = n dt gives n steps
+    and T/n stays well inside _Stepper's 1e-12 dt tolerance. Refuses counts no record can hold."""
+    if not dt >= np.finfo(float).tiny:  # T/dt would be off by more than the slack
+        raise ValidationError(f"dt = {dt:.3e} is subnormal and cannot count steps to T = {T}")
+    q = T / dt * (1.0 - 1e-15)
     if not q < np.iinfo(np.intp).max // 8:  # bytes of the float64 records
         raise ValidationError(f"cannot record {q:.3e} steps to T = {T} at "
                               f"dt = {dt:.3e}: raise dt or shorten T")
@@ -489,9 +492,10 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
                       check_monotone: bool = False) -> StabilizationResult:
     """Integrate to time T, recording norms and V at every step.
 
-    fitted_rate is the least-squares slope of -log ||f(t)|| over the trailing
-    half [T/2, T]. snapshot_every > 0 stores every k-th coefficient
-    array (plus the endpoints) for later residual checks. check_monotone
+    cfg = None with mask = None runs the open loop. fitted_rate is the
+    least-squares slope of -log ||f(t)|| over the trailing half [T/2, T].
+    snapshot_every > 0 stores every k-th coefficient array (plus the
+    endpoints) for later residual checks. check_monotone
     enforces per-step V decrease; only meaningful when cfg.C is at least the
     spectral constant of the mask, so it is off by default.
 
@@ -502,6 +506,8 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     V rises.
     """
     _check_positive(T=T)
+    if cfg is not None and mask is None:
+        raise ValidationError("a feedback config needs the support mask it acts through")
     lam = 0.0 if cfg is None else cfg.lam
     if dt is None:
         dt = min(T / 1000.0, cfg.dt_max) if lam > 0 else T / 1000.0
@@ -546,9 +552,10 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
         if check_monotone and v[j + 1] > v[j] * (1.0 + 1e-8):
             raise NumericalError(f"Lyapunov functional increased at step "
                                  f"{k + j + 1}: {v[j]} -> {v[j + 1]}")
-        snaps += [(float(times[i]), stepper.leave(rows[i - k]))
-                  for i in range(k + 1, end) if snapshot_every > 0
-                  and (i % snapshot_every == 0 or i == n_steps)]
+        if snapshot_every > 0:  # the multiples of it past step k, and the last step
+            picks = [*range(k + snapshot_every - k % snapshot_every, min(end, n_steps),
+                            snapshot_every)] + ([n_steps] if end > n_steps else [])
+            snaps += [(float(times[i]), stepper.leave(rows[i - k])) for i in picks]
         buf[0] = rows[-1]
 
     high_sq = np.maximum(norm_sq - low_sq, 0.0)
@@ -560,7 +567,8 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     )
     tail = times >= 0.5 * T - 1e-12 * T
     logs = 0.5 * np.log(np.maximum(norm_sq[tail], 1e-300))
-    slope = np.polyfit(times[tail], logs, 1)[0] if tail.sum() >= 2 else 0.0
+    e = math.frexp(T)[1]  # fit on times / 2^e: the same bits, and no underflow
+    slope = np.ldexp(np.polyfit(np.ldexp(times[tail], -e), logs, 1)[0], -e) if tail.sum() >= 2 else 0.0
     return StabilizationResult(trajectory=traj, fitted_rate=float(-slope),
                                config=cfg, dt=dt, adjoint_order=adjoint_order)
 
@@ -614,8 +622,7 @@ def write_trajectory_csv(result: StabilizationResult, path,
                          stride: int = 1) -> None:
     """One row per recorded step; stride > 1 thins to every k-th row plus
     the final one, for runs long enough that a full dump is unhelpful."""
-    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
-        raise ValidationError(f"stride must be a positive integer, got {stride}")
+    _check_count(stride=stride)
     traj = result.trajectory
     n = traj.times.size
     idx = list(range(0, n, stride))

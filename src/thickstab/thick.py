@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid, _read_snapshot, _readonly, _snapshot_bytes
+from .grid import Grid, _check_count, _read_snapshot, _readonly, _snapshot_bytes
 
 _TSM1_MAGIC = b"TSM1"
 _SUBSAMPLES = 16  # sub-cell lattice per axis on cells a ball boundary cuts
@@ -168,29 +168,27 @@ def make_random_thick(grid: Grid, L: float, gamma: float, seed: int) -> SupportM
     """
     if not (np.isfinite(gamma) and 0 < gamma <= 1):
         raise ValidationError(f"gamma must lie in (0, 1], got {gamma}")
-    W = _cells_per_window(grid, L)
-    blocks = grid.extent / L
-    if abs(blocks - round(blocks)) > 1e-9:
-        raise ValidationError(f"L must divide the box extent (extent/L = {blocks})")
-    B = int(round(blocks))
+    W = _whole_cells(grid, L, "block length L", tile=True)
     cells_per_block = W**grid.dim
     m = int(math.ceil(gamma * cells_per_block - 1e-9))
     rng = np.random.default_rng(seed)
     frac = np.zeros(grid.shape)
-    for block in np.ndindex(*(B,) * grid.dim):  # row-major: the RNG draw order
+    for block in np.ndindex(*(grid.points // W,) * grid.dim):  # row-major: the RNG draw order
         chosen = rng.choice(cells_per_block, size=m, replace=False)
         cells = np.unravel_index(chosen, (W,) * grid.dim)
         frac[tuple(b * W + c for b, c in zip(block, cells))] = 1.0
     return SupportMask(grid=grid, cell_fraction=frac, certificate=(float(gamma), float(L), W))
 
 
-def _cells_per_window(grid: Grid, L: float) -> int:
-    if not (np.isfinite(L) and 0 < L <= grid.extent):
-        raise ValidationError(f"window side must lie in (0, extent], got {L}")
+def _whole_cells(grid: Grid, L: float, noun: str, tile: bool = False) -> int:
+    """L/dx for a length L of 1 to grid.points whole cells (to 1e-9 of a
+    cell), and with tile one that divides grid.points; errors start with noun."""
     w = L / grid.dx
-    if abs(w - round(w)) > 1e-9:
-        raise ValidationError(
-            f"window side must be a whole number of cells (L/dx = {w})")
+    if not (0.5 < w < grid.points + 0.5 and abs(w - round(w)) <= 1e-9):
+        raise ValidationError(f"{noun} must be a whole number of cells from 1 to "
+                              f"{grid.points} (L = {L}, L/dx = {w})")
+    if tile and grid.points % round(w):
+        raise ValidationError(f"{noun} must tile the box ({grid.points} cells, L/dx = {w})")
     return int(round(w))
 
 
@@ -206,9 +204,8 @@ def _cyclic_window_sums_1d(a: np.ndarray, W: int, axis: int = 0) -> np.ndarray:
 
 
 def _window_min_fraction(frac: np.ndarray, grid: Grid, L: float, stride: int) -> float:
-    W = _cells_per_window(grid, L)
-    if not (isinstance(stride, (int, np.integer)) and stride >= 1):
-        raise ValidationError(f"stride must be a positive integer, got {stride}")
+    W = _whole_cells(grid, L, "window side L")
+    _check_count(stride=stride)
     sums = frac
     for axis in range(grid.dim):
         sums = _cyclic_window_sums_1d(sums, W, axis=axis)

@@ -418,6 +418,12 @@ f0_mode = 3
     final = read_field(out / "final.tsf")
     assert abs(norm(final) - d["final_norm"]) < 1e-12
     assert manifest["config"]["run"]["f0_mode"] == 3
+    # T / (T / n) rounds up past n = 127899: still n steps, one row each
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--set",
+                 "run.T=0.015893597189960192", "--set", "run.snapshots=127900"]) == 0
+    lines = (out / "evolution.csv").read_text().splitlines()
+    d = json.loads((out / "manifest.json").read_text())["derived"]
+    assert len(lines) == 1 + 127900 and lines[-1] == f"0.015893597189960192,{d['final_norm']!r}"
 
     # F(0) = 0 leaves a constant field alone
     assert main(["simulate", "--config", str(cfg), "--out", str(out),
@@ -614,3 +620,62 @@ def test_kovrijkine_cli(tmp_path):
     assert main(["kovrijkine", "--config", str(cfg), "--out", str(out2)]) == 0
     assert (out1 / "kovrijkine.csv").read_bytes() == (out2 / "kovrijkine.csv").read_bytes()
     assert (out1 / "manifest.json").read_bytes() == (out2 / "manifest.json").read_bytes()
+
+
+SWEEP_GRID = "[grid]\nextent = 16.0\npoints = 64\n"
+SWEEP_MASK = "[mask]\nkind = random\ngamma = 0.3\nL = 2.0\nseed = 7\n"
+SWEEP_HALFHEAT = "[symbol]\nfamily = halfheat\n"
+SWEEP_CFGS = {
+    "simulate": SWEEP_GRID + SWEEP_HALFHEAT + "[run]\nT = 0.5\n",
+    "stabilize": SWEEP_GRID + SWEEP_HALFHEAT + SWEEP_MASK + "[run]\nR = 2.0\nT = 0.5\n",
+    "observability": SWEEP_GRID + SWEEP_HALFHEAT + SWEEP_MASK
+    + "[run]\nT = 0.5\nepsilon = 0.25\nseed = 5\n",
+    "necessity": SWEEP_GRID + SWEEP_HALFHEAT + SWEEP_MASK
+    + "[run]\nT = 0.5\nepsilon = 0.25\nC = 1.0\ncenter_start = 6.0\n"
+    "center_stop = 12.0\nwidth = 0.7\n",
+    "negative-limit": NEG_CFG,
+    "qa": QA_CFG,
+    "thick-check": SWEEP_GRID + SWEEP_MASK + "[run]\nL = 2.0\n",
+    "cubes": SWEEP_GRID + SWEEP_HALFHEAT + "[run]\nT = 1.0\nepsilon = 0.25\nL = 0.5\n",
+    "synthesize": SWEEP_GRID + "[symbol]\nfamily = fractional\ns = 1.0\n" + SWEEP_MASK
+    + "[run]\nT = 1.0\nepsilon = 0.1\nslices = 8\n",
+    "kovrijkine": SWEEP_GRID + SWEEP_MASK + "[run]\nR_ladder = 1.0, 2.0\n",
+}
+# override -> what a refusal (exit 2) must name; the allocations these sizes
+# ask for (>= 1 PiB) fail at once, before any state is filled
+SWEEP = {
+    "run.seed=-1": "key 'run.seed'",
+    "mask.seed=-1": "key 'mask.seed'",
+    "run.f0_width=1e300": "key 'run.f0_width'",
+    "run.psi_width=1e300": "key 'run.psi_width'",
+    "run.g_width=1e300": "key 'run.g_width'",
+    f"run.quadrature_steps={10 ** 15}": f"cannot record {10 ** 15} quadrature steps",
+    "run.L=1e-300": "L = 1e-300",
+    f"run.snapshots={10 ** 15}": "cannot record",
+    "run.T=1e-300": None,
+}
+
+
+def test_override_sweep_exits_cleanly(tmp_path, capsys):
+    # every scenario under each override it takes ends in exit 0, 2 or 3,
+    # never in an exception out of main
+    ran = 0
+    for scenario, text in SWEEP_CFGS.items():
+        cfg = write_cfg(tmp_path, text, f"{scenario}.ini")
+        sections = cli._SCENARIOS[scenario].sections
+        for override, named in SWEEP.items():
+            section, key = override.split("=")[0].split(".")
+            if key not in sections.get(section, {}):
+                continue
+            ran += 1
+            code = main([scenario, "--config", str(cfg), "--out",
+                         str(tmp_path / scenario), "--set", override])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3) and "Traceback" not in err, (scenario, override)
+            if scenario in ("stabilize", "kovrijkine") and override == "run.seed=-1":
+                assert code == 0, err  # seed has no effect there
+            elif scenario == "simulate" and key == "T":
+                assert code == 0, err  # every T > 0
+            elif named is not None:
+                assert code == 2 and named in err, (scenario, override, err)
+    assert ran == 26

@@ -118,8 +118,9 @@ def test_probe_set_anchor_and_determinism():
     g2 = make_grid(2, 16.0, 64)
     for p in make_probe_set(g2, 6, seed=3):
         assert probe_admissible(g2, p)
-    with pytest.raises(ValidationError):
-        make_probe_set(g, 0, seed=1)
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValidationError, match="count must be a positive integer"):
+            make_probe_set(g, bad, seed=1)
     # widths run from 0.5 up to extent / 12, empty on a box of side 2
     with pytest.raises(ValidationError, match="admissible width"):
         make_probe_set(make_grid(1, 2.0, 8), 4, seed=1)
@@ -334,7 +335,7 @@ def test_cubes_validation_and_csv(tmp_path):
     f = field_from_values(g, np.ones(g.shape))
     with pytest.raises(ValidationError, match="whole number"):
         classify_cubes(f, halfheat(), 1.0, 0.25, 0.3, 2)
-    for L in (0.0, -0.25, -16.0, float("nan"), float("inf"), 32.0):
+    for L in (0.0, 1e-300, -0.25, -16.0, float("nan"), float("inf"), 32.0):
         with pytest.raises(ValidationError, match="cube side L"):
             classify_cubes(f, halfheat(), 1.0, 0.25, L, 2)
     with pytest.raises(ValidationError):
@@ -550,8 +551,9 @@ def test_synthesize_failure_paths():
                            max_penalty_steps=2)
     with pytest.raises(ValidationError):
         synthesize_control(f0, F, mask, 0.0, 0.1)
-    with pytest.raises(ValidationError):
-        synthesize_control(f0, F, mask, 1.0, 0.1, slices=0)
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValidationError, match="slices must be a positive integer"):
+            synthesize_control(f0, F, mask, 1.0, 0.1, slices=bad)
 
 
 def test_negative_limit_blowup():

@@ -536,6 +536,9 @@ def test_fitted_rate_single_mode():
     want = -np.polyfit(traj.times[tail], np.log(traj.norms[tail]), 1)[0]
     assert abs(late.fitted_rate - want) < 1e-9 * slow
     assert np.count_nonzero(tail) == 501
+    # a span of 1e-300 over 128 steps: polyfit's column scaling would underflow
+    tiny = run_stabilization(f0, halfheat(), mask, None, 1e-300, dt=1e-300 / 128)
+    assert tiny.trajectory.times.size == 129 and math.isfinite(tiny.fitted_rate)
 
 
 def test_run_validation_and_snapshot_endpoints():
@@ -550,6 +553,15 @@ def test_run_validation_and_snapshot_endpoints():
         run_stabilization(f0, halfheat(), mask, None, 1.0, dt=1e-18)
     with pytest.raises(ValidationError):
         run_stabilization(f0, halfheat(), mask, None, 1.0, dt=-0.1)
+    with pytest.raises(ValidationError, match="subnormal"):  # T/dt cannot count its steps
+        run_stabilization(f0, halfheat(), mask, None, 1e-320, dt=1e-320 / 128)
+    with pytest.raises(ValidationError, match="needs the support mask"):
+        run_stabilization(f0, halfheat(), None, design_feedback(halfheat(), 2.0), 1.0)
+    # T / dt rounds up past n here; the count is still n
+    T, n = 0.015893597189960192, 127899
+    assert T / (T / n) > n
+    res = run_stabilization(f0, halfheat(), None, None, T, dt=T / n)
+    assert res.trajectory.times.size == n + 1
     res = run_stabilization(f0, halfheat(), mask, None, 1.0, dt=0.01,
                             snapshot_every=7)
     ts = [t for t, _ in res.trajectory.snapshots]
@@ -842,5 +854,6 @@ def test_trajectory_csv_stride(tmp_path):
     assert "np.float64" not in path.read_text()
     write_trajectory_csv(res, path, stride=1)
     assert len(path.read_text().splitlines()) == 12
-    with pytest.raises(ValidationError):
-        write_trajectory_csv(res, path, stride=0)
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValidationError, match="stride must be a positive integer"):
+            write_trajectory_csv(res, path, stride=bad)

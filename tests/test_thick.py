@@ -132,8 +132,14 @@ def test_window_scan_validation():
         thickness_certificate(m, 0.1)  # not a whole number of cells
     with pytest.raises(ValidationError):
         thickness_certificate(m, 32.0)
-    with pytest.raises(ValidationError):
-        thickness_certificate(m, 2.0, stride=0)
+    for bad in (0, -1, 2.5):
+        with pytest.raises(ValidationError, match="stride must be a positive integer"):
+            thickness_certificate(m, 2.0, stride=bad)
+    # a length below one cell is refused, in the caller's words
+    with pytest.raises(ValidationError, match="window side L"):
+        thickness_certificate(m, 1e-300)
+    with pytest.raises(ValidationError, match="block length L"):
+        make_random_thick(g, L=1e-12, gamma=0.3, seed=0)
     with pytest.raises(ValidationError):
         make_random_thick(g, L=3.0, gamma=0.3, seed=0)  # 3 does not divide 16
 
