@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, MomentDivergenceError, ValidationError
 from .grid import (GaussianProbe, Grid, SpectralField, _check_count, _check_positive,
                    _symbol_values, _write_csv, _write_json, from_coefficients, probe_admissible,
                    sample_probe, semigroup_multiplier, to_coefficients)
@@ -394,7 +394,13 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
     log_rho = np.log(rho_flat, out=np.full_like(rho_flat, -np.inf), where=rho_flat > 0)
     log_m = {}
     for k in range(1, beta_max + 1):  # no threshold reads M_0
-        lm, _ = log_moment(base, k, scale=t_half)
+        try:
+            lm, _ = log_moment(base, k, scale=t_half)
+        except MomentDivergenceError as err:
+            if F.is_bounded():  # infinite at every T
+                raise
+            raise ValidationError(f"T = {T} is too small for the half-time moments sup_r "
+                                  f"r^k e^(-(T/2) G(r)) to be finite ({err}); raise T") from None
         grid_lm = np.max(k * log_rho - t_half * g_rho)
         log_m[k] = max(lm + math.log1p(1e-9), float(grid_lm))
 

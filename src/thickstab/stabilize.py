@@ -16,9 +16,10 @@ band Gram matrix, which is block diagonal over the Bloch fibers of a
 periodic support (see _fibers). The spectral constant comes from the fiber
 blocks (for a support with no period, one real block: see _real_form),
 and the polynomial and the two half-multipliers fold into one block per
-fiber, so a step is one batched matrix product (on long runs, one product
-per K steps, from the blocks of the step's first K powers); when the blocks
-would be too large the four stages go through the FFT, with no band matrix.
+fiber, so a step is one batched matrix product. Long runs go K steps at a
+time: tables of the step's first K powers give each step's norm and band
+norm, and only every K-th state is formed. When the blocks would be too
+large the four stages go through the FFT, with no band matrix.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
 # under 3.5x on these grids, where 2^20 loses 3.9x at N = 1024.
 _DENSE_STEP_MAX = 2 ** 19
 _RECORD_BLOCK = 2 ** 16  # complex entries (1 MB) of states per record pass
-_CHUNK_TABLE = 2 ** 14  # complex entries (256 kB) of the fold's K-step tables
+# complex entries (768 kB) of the fold's K-step H table. K = 16 on criterion 08's stack:
+# 2,385 steps took 10.8 / 7.1 ms (forward / adjoint), 13.1 / 8.3 at K = 10 and 13.1 / 7.7
+# at K = 32 (2-core x86, 1 BLAS thread)
+_CHUNK_TABLE = 3 * 2 ** 14
 _FFT_STACK = 2 ** 12  # complex entries (64 kB) per stack sent through one batched FFT
 # widest dense block of the eigensolve; at the cap, on one core, 0.9 s for the
 # real block of a support with no period and 3.0 s for a complex fiber block
@@ -245,6 +249,9 @@ def estimate_spectral_constant(mask: SupportMask, R: float,
                                seed: int = 0) -> float:
     """Best constant in ||f|| <= C ||f||_omega over f with spectrum in B(0, R).
 
+    ||f||_omega is the grid's restricted norm, the Riemann sum
+    (sum_i frac_i |f(x_i)|^2 dx)^(1/2) over cell fractions frac_i, not the
+    integral over omega; the two constants differ at O((R dx)^2).
     Works on the band Gram matrix (the mask quadratic form compressed to
     the <= R frequency lattice, which quotients out the zero modes of
     K_R 1_omega K_R) and returns 1/sqrt(sigma_min) from dense eigvalsh of
@@ -322,11 +329,15 @@ class _Stepper:
     so a step allocates and copies nothing; the multipliers e_full and
     e_half are stored complex, so applying them casts nothing either.
 
-    On fold runs of at least 2^10 steps a product advances K steps: with R
-    the restriction to the band, S^k = diag(e_full^k) + G_k R, G_1 = P and
-    G_{k+1} = e_full G_k + P (diag(e_full^k) + G_k)[band rows], and the
-    adjoint step is S^H. K is the largest value whose stacked G_k^T (conj(G_k)
-    in the adjoint order) fit in _CHUNK_TABLE entries with K^2 <= steps.
+    On fold runs of at least 2^10 steps record reads the norms of K steps
+    at a time from tables and forms one state per chunk. With R the band
+    restriction and e_rest = e_full off the band (padding included), 0 on it,
+    S^k = diag(e_rest^k) + H_k R, H_1 = P + diag(e_full) R^T and H_{k+1} =
+    e_full H_k + P H_k[band rows]; the adjoint powers are the S^k^H. K is the
+    largest value whose H_k fit in _CHUNK_TABLE entries with K^2 <= steps.
+    Band norms are those of H_k[band rows] c_band or H_k^H c, never expanded;
+    rest norms sum e_rest^2k |c|^2, plus in the forward order 2 Re <e_rest^k
+    c, H_k c_band> + c_band^H Gamma_k c_band, Gamma_k = H_k[rest rows]^H H_k[rest rows].
     """
 
     def __init__(self, grid: Grid, symbol: MultiplierSymbol, mask: SupportMask,
@@ -336,7 +347,7 @@ class _Stepper:
         self.adjoint = bool(adjoint_order)
         self.shape = grid.shape
         self.order = np.arange(math.prod(grid.shape)).reshape(grid.shape)
-        self.op, self.band = None, np.arange(0)
+        self.op, self.band, self.chunk = None, np.arange(0), 1
         if self.lam > 0:
             if dt > cfg.dt_max * (1.0 + 1e-12):
                 raise ValidationError(
@@ -351,34 +362,26 @@ class _Stepper:
             counts = np.count_nonzero(grid.rho.ravel()[order] <= cfg.R, axis=1)
             b = int(counts.max())
             if order.size * b <= _DENSE_STEP_MAX:
-                self.order, points = order, order.shape[1]
-                self.band = np.flatnonzero(np.arange(points) < counts[:, None])
+                self.order, (nf, points) = order, order.shape
+                in_band = np.arange(points) < counts[:, None]
+                self.band = np.flatnonzero(in_band)
                 t = _fiber_form(np.fft.fftn(frac) / frac.size, order, order[:, :b])
-                t *= (np.arange(b) < counts[:, None])[:, None, :]
+                t *= in_band[:, None, :b]
                 e = e_half.reshape(-1)[order]
                 self.e_full = (e * e).astype(complex)
                 q = _stages(np.eye(b), lambda w: t[:, :b] @ w, self.coeffs)
                 # t's padding columns are zero, so P's are exactly zero
                 p = e[:, :, None] * (t @ q) * e[:, None, :b]
-                k = 1 if steps < 2 ** 10 else max(1, min(_CHUNK_TABLE // p.size,
-                                                         math.isqrt(steps)))
-                self.e_pows = (np.cumprod([self.e_full] * k, axis=0) if k > 1
-                               else self.e_full[None])  # e_full^1 .. e_full^K
-                gs = [p]  # G_1 = P, then G_2 .. G_K
-                for ek in self.e_pows[:-1, :, :b]:
-                    h = gs[-1][:, :b].copy()
-                    h[:, range(b), range(b)] += ek
-                    gs.append(self.e_full[:, :, None] * gs[-1] + p @ h)
-                # row vectors times G_k^T, or conj(G_k) = (G_k^H)^T: the least
-                # costly order once the state decays to subnormal numbers
-                g = np.concatenate(gs, axis=2 if self.adjoint else 1) if k > 1 else p
                 if self.adjoint:
-                    self.op = g.conj()
-                    self.reads, self.writes = slice(None), slice(b)
+                    self.op, self.reads, self.writes = p.conj(), slice(None), slice(b)
                 else:
-                    self.op = np.ascontiguousarray(g.transpose(0, 2, 1))
+                    self.op = np.ascontiguousarray(p.transpose(0, 2, 1))
                     self.reads, self.writes = slice(b), slice(None)
-                self.u = np.empty((len(order), 1, self.op.shape[-1]), dtype=complex)
+                self.u = np.empty((nf, 1, self.op.shape[-1]), dtype=complex)
+                if steps >= 2 ** 10:
+                    self.chunk = max(1, min(_CHUNK_TABLE // p.size, math.isqrt(steps)))
+                if self.chunk > 1:  # from P^T, or conj(P^T) in the adjoint order
+                    self._tables(self.op.swapaxes(1, 2) if self.adjoint else self.op, in_band)
             else:
                 self.band = idx = _band_indices(grid, cfg.R)
                 self.e_half = e_half.astype(complex)
@@ -386,6 +389,34 @@ class _Stepper:
                 self.gram = lambda w: _apply_band_gram(frac, idx, w, z)
         else:
             self.e_full = semigroup_multiplier(grid, symbol, dt).astype(complex)
+        if self.chunk > 1:  # record keeps no states: whole chunks, about 2^10 steps
+            self.block = self.chunk * max(1, 2 ** 10 // self.chunk)
+        else:  # steps per record pass, one state each
+            self.block = min(max(1, _RECORD_BLOCK // self.order.size), steps)
+            self.rows = np.empty((self.block + 1,) + self.order.shape, dtype=complex)
+
+    def _tables(self, pt: np.ndarray, in_band: np.ndarray) -> None:
+        """e_rest^k and H_k^T (conj(H_k^T) in the adjoint order, from conj(P^T));
+        forward, also H_k[band rows]^T, padding zeroed, and [2 e_rest^k H_k; Gamma_k]^T."""
+        K, (nf, b, points) = self.chunk, pt.shape
+        self.ht = ht = np.empty((nf, K, b, points), dtype=complex)  # contiguous per power
+        self.e_rest = er = np.empty((K, nf, points))
+        ht[:, 0] = pt
+        ht[:, 0, range(b), range(b)] += self.e_full[:, :b] * in_band[:, :b]
+        er[0] = self.e_full.real * ~in_band
+        for k in range(1, K):  # H_k^T = H_{k-1}^T e_full + H_{k-1}[band rows]^T P^T
+            np.matmul(ht[:, k - 1, :, :b], pt, out=ht[:, k])
+            ht[:, k] += ht[:, k - 1] * self.e_full[:, None]
+            np.multiply(er[k - 1], er[0], out=er[k])
+        self.e2 = (er * er).reshape(K, -1)
+        if self.adjoint:
+            return
+        bt = (ht[..., :b] * in_band[:, None, None, :b]).transpose(0, 2, 1, 3)
+        self.bt, self.wt = bt.reshape(nf, b, K * b), np.empty((nf, K * b, points + b), complex)
+        for k, w in enumerate(self.wt.reshape(nf, K, b, -1).transpose(1, 0, 2, 3)):
+            np.multiply(ht[:, k], 2.0 * er[k, :, None], out=w[..., :points])
+            g = ht[:, k] * ~in_band[:, None]
+            w[..., points:] = np.vecdot(g[:, None], g[:, :, None])
 
     def enter(self, c: np.ndarray) -> np.ndarray:
         """A copy of the lattice-order array c in the stepper's layout."""
@@ -403,15 +434,6 @@ class _Stepper:
         if self.lam == 0.0:
             for prev, c in steps:
                 np.multiply(prev, self.e_full, out=c)
-        elif self.op is not None and len(self.e_pows) > 1:
-            K, (nf, _, kw) = len(self.e_pows), self.op.shape
-            for j in range(0, len(rows) - 1, K):
-                new = rows[j + 1:j + 1 + K]  # fewer in a last partial chunk
-                w = len(new) * kw // K  # G_1 .. G_len(new) of the table
-                u = np.matmul(rows[j, :, None, self.reads], self.op[..., :w],
-                              out=self.u[..., :w])
-                np.multiply(rows[j], self.e_pows[:len(new)], out=new)
-                new[..., self.writes] += u.reshape(nf, len(new), -1).swapaxes(0, 1)
         elif self.op is not None:  # the fold reads and writes views of rows
             op, e, u, u0 = self.op, self.e_full, self.u, self.u[:, 0]
             for x, (prev, c), w in zip(rows[..., None, self.reads], steps,
@@ -437,6 +459,49 @@ class _Stepper:
         self.advance(rows)
         c[...] = rows[1]
         return c
+
+    def power(self, c: np.ndarray, k: int) -> np.ndarray:
+        """S^k c for 1 <= k <= K from the tables, as a new array."""
+        out, b = self.e_rest[k - 1] * c, self.ht.shape[2]
+        if self.adjoint:
+            out[:, :b] += np.matmul(self.ht[:, k - 1], c[..., None])[..., 0]
+        else:
+            out += np.matmul(c[:, None, :b], self.ht[:, k - 1])[:, 0]
+        return out
+
+    def record(self, c: np.ndarray, norm_sq: np.ndarray, low_sq: np.ndarray,
+               picks: list) -> tuple:
+        """Write the squared norm and band norm of c and of the n = len(norm_sq) - 1
+        <= block states after it. Returns the last state and the states after
+        the step counts in picks, as views that the next call may overwrite."""
+        n, K = len(norm_sq) - 1, self.chunk
+        if K == 1:
+            rows = self.rows[:n + 1]
+            rows[0] = c
+            self.advance(rows)
+            flat = rows.reshape(n + 1, -1)
+            low = flat.take(self.band, axis=1)
+            norm_sq[:], low_sq[:] = np.vecdot(flat, flat).real, np.vecdot(low, low).real
+            return rows[-1], [rows[i] for i in picks]
+        low = c.reshape(-1)[self.band]
+        norm_sq[0], low_sq[0] = np.vdot(c, c).real, np.vdot(low, low).real
+        states, (nf, points), b = [], c.shape, self.ht.shape[2]
+        for j in range(0, n, K):  # ||S^k c||^2 and ||R S^k c||^2 from the tables
+            norm = self.e2 @ (c * c.conj()).real.reshape(-1)
+            if self.adjoint:
+                v = np.matmul(self.ht.reshape(nf, -1, points), c[..., None])
+            else:
+                v = np.matmul(c[:, None, :b], self.bt)
+                u = np.matmul(self.wt, np.concatenate((c, c[:, :b]), axis=1).conj()[..., None])
+                u = u.reshape(nf, K, b).transpose(1, 0, 2).reshape(K, -1)
+                norm += (u @ c[:, :b].reshape(-1)).real
+            # the sums over fibers are products on power-major copies
+            v = v.reshape(nf, K, b).transpose(1, 0, 2).reshape(K, -1)
+            low, m = np.vecdot(v, v).real, min(K, n - j)  # the last chunk may be partial
+            norm_sq[j + 1:j + m + 1], low_sq[j + 1:j + m + 1] = norm[:m] + low[:m], low[:m]
+            states += [self.power(c, i - j) for i in picks if j < i <= j + m]
+            c = self.power(c, m)
+        return c, states
 
 
 def step_closed_loop(f: SpectralField, F: MultiplierSymbol, mask: SupportMask,
@@ -493,17 +558,18 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     """Integrate to time T, recording norms and V at every step.
 
     cfg = None with mask = None runs the open loop. fitted_rate is the
-    least-squares slope of -log ||f(t)|| over the trailing half [T/2, T].
+    least-squares slope of -log ||f(t)|| over the trailing half [T/2, T],
+    and 0.0 when the log-norms there span at most 8 eps (1 + max |log ||f|||),
+    the size of their rounding, so that no rate is measurable.
     snapshot_every > 0 stores every k-th coefficient array (plus the
     endpoints) for later residual checks. check_monotone
     enforces per-step V decrease; only meaningful when cfg.C is at least the
     spectral constant of the mask, so it is off by default.
 
-    The stepper writes the states into a buffer of _RECORD_BLOCK complex
-    entries (one state per row, at least one new state per block). One
-    vectorised pass per block records the norms and V and runs the checks,
-    whose errors name the first non-finite step or the first step at which
-    V rises.
+    _Stepper.record advances a block of steps and records the norms, from
+    one state per step or, on long fold runs, from the K-step tables. One
+    vectorised pass per block then runs the checks, whose errors name the
+    first non-finite step or the first step at which V rises.
     """
     _check_positive(T=T)
     if cfg is not None and mask is None:
@@ -526,37 +592,29 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order, n_steps)
     mu = cfg.mu if cfg is not None else 1.0
 
-    # the state stays in the stepper's layout for the whole run; each block
-    # of rows starts from the last state of the block before it
+    # the state stays in the stepper's layout for the whole run
     c = stepper.enter(to_coefficients(f0))
-    buf = np.empty((min(max(1, _RECORD_BLOCK // c.size), n_steps) + 1,)
-                   + c.shape, dtype=complex)
-    buf[0] = c
-    box = grid.box_measure
-    snaps = [(0.0, stepper.leave(buf[0]))] if snapshot_every > 0 else []
-    for k in range(0, n_steps, len(buf) - 1):
-        rows = buf[:min(len(buf), n_steps + 1 - k)]  # steps k, k + 1, ...
-        flat, end = rows.reshape(len(rows), -1), k + len(rows)
+    snaps = [(0.0, stepper.leave(c))] if snapshot_every > 0 else []
+    for k in range(0, n_steps, stepper.block):
+        end, s = min(k + stepper.block, n_steps), snapshot_every  # steps k .. end
+        picks = ([*range(k - k % s + s, min(end + 1, n_steps), s)] + [n_steps] * (end == n_steps)
+                 if s > 0 else [])  # the multiples of s past step k, and the last step
+        ns, ls = norm_sq[k:end + 1], low_sq[k:end + 1]  # views
         # a block runs on past a blow-up; the first non-finite step is named
         with np.errstate(over="ignore", invalid="ignore"):
-            stepper.advance(rows)
-            norm_sq[k:end] = np.vecdot(flat, flat).real / box
-        j = k + np.argmin(np.isfinite(norm_sq[k:end]))
+            c, states = stepper.record(c, ns, ls, [i - k for i in picks])
+        ns /= grid.box_measure
+        ls /= grid.box_measure
+        j = k + np.argmin(np.isfinite(ns))
         if not np.isfinite(norm_sq[j]):
             raise NumericalError(
                 f"state became non-finite at step {j} (t = {times[j]})")
-        low = flat.take(stepper.band, axis=1)
-        low_sq[k:end] = np.vecdot(low, low).real / box
-        v = mu * low_sq[k:end] + (norm_sq[k:end] - low_sq[k:end])
+        v = mu * ls + (ns - ls)
         j = np.argmax(v[1:] > v[:-1] * (1.0 + 1e-8))
         if check_monotone and v[j + 1] > v[j] * (1.0 + 1e-8):
             raise NumericalError(f"Lyapunov functional increased at step "
                                  f"{k + j + 1}: {v[j]} -> {v[j + 1]}")
-        if snapshot_every > 0:  # the multiples of it past step k, and the last step
-            picks = [*range(k + snapshot_every - k % snapshot_every, min(end, n_steps),
-                            snapshot_every)] + ([n_steps] if end > n_steps else [])
-            snaps += [(float(times[i]), stepper.leave(rows[i - k])) for i in picks]
-        buf[0] = rows[-1]
+        snaps += [(float(times[i]), stepper.leave(x)) for i, x in zip(picks, states)]
 
     high_sq = np.maximum(norm_sq - low_sq, 0.0)
     lyap = mu * low_sq + high_sq
@@ -568,8 +626,12 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     tail = times >= 0.5 * T - 1e-12 * T
     logs = 0.5 * np.log(np.maximum(norm_sq[tail], 1e-300))
     e = math.frexp(T)[1]  # fit on times / 2^e: the same bits, and no underflow
-    slope = np.ldexp(np.polyfit(np.ldexp(times[tail], -e), logs, 1)[0], -e) if tail.sum() >= 2 else 0.0
-    return StabilizationResult(trajectory=traj, fitted_rate=float(-slope),
+    slope = np.polyfit(np.ldexp(times[tail], -e), logs, 1)[0] if tail.sum() >= 2 else 0.0
+    rate = -np.ldexp(slope, -e)
+    if abs(rate) * T < 1e-12 * (1 + abs(logs[-1])):  # only so flat a fit can be rounding alone
+        lo, hi = logs.min(), logs.max()
+        rate = rate if hi - lo > 8 * np.finfo(float).eps * (1 + max(hi, -lo)) else 0.0
+    return StabilizationResult(trajectory=traj, fitted_rate=float(rate),
                                config=cfg, dt=dt, adjoint_order=adjoint_order)
 
 

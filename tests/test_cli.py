@@ -515,7 +515,7 @@ def test_negative_limit_cli(tmp_path):
     assert lines[0] == "h,constant,integral" and len(lines) == 5
 
 
-def test_cubes_cli(tmp_path):
+def test_cubes_cli(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """\
 [grid]
 extent = 16.0
@@ -540,6 +540,11 @@ g_mode = 20
     lines = (out / "cubes.csv").read_text().splitlines()
     assert len(lines) == 65
     assert "np.float64" not in (out / "cubes.csv").read_text()
+    # a near-zero T has no finite half-time moments: a refusal naming T
+    capsys.readouterr()
+    assert main(["cubes", "--config", str(cfg), "--out", str(out),
+                 "--set", "run.T=1e-300"]) == 2
+    assert "T = 1e-300 is too small" in capsys.readouterr().err
 
 
 def test_synthesize_cli(tmp_path):

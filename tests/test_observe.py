@@ -19,7 +19,8 @@ import pytest
 from scipy.integrate import quad
 
 from thickstab import stabilize
-from thickstab.errors import ConvergenceError, ValidationError
+from thickstab.errors import (ConvergenceError, MomentDivergenceError,
+                              ValidationError)
 from thickstab.grid import (GaussianProbe, field_from_values, make_grid, norm,
                             project_ball, restricted_norm, to_coefficients,
                             zero_field)
@@ -346,6 +347,12 @@ def test_cubes_validation_and_csv(tmp_path):
         classify_cubes(f, halfheat(), 0.0, 0.25, 0.5, 2)
     with pytest.raises(ValidationError):
         classify_cubes(f, halfheat(), 1.0, 1.5, 0.5, 2)
+    # near T = 0 the half-time moments run past the search cap, and the
+    # refusal names T; a bounded symbol's moments diverge at every T
+    with pytest.raises(ValidationError, match=r"T = 1e-300 is too small .*search cap"):
+        classify_cubes(f, halfheat(), 1e-300, 0.01, 0.25, 2)
+    with pytest.raises(MomentDivergenceError, match="is bounded"):
+        classify_cubes(f, saturating(1.0), 1.0, 0.01, 0.25, 2)
     xi = 2.0 * np.pi * 20 / 16.0
     fm = field_from_values(g, np.cos(xi * g.axis_x)
                            + 3e-6 * np.exp(-0.5 * ((g.axis_x - 8.0) / 0.6) ** 2))

@@ -539,6 +539,15 @@ def test_fitted_rate_single_mode():
     # a span of 1e-300 over 128 steps: polyfit's column scaling would underflow
     tiny = run_stabilization(f0, halfheat(), mask, None, 1e-300, dt=1e-300 / 128)
     assert tiny.trajectory.times.size == 129 and math.isfinite(tiny.fitted_rate)
+    # a Gaussian's tail log-norms are equal to the last bit over these spans,
+    # so no rate is measurable (a fit of that rounding reads -7.2e283, +8.8e182
+    # and -1.1e11); over T = 0.7 the fit is the plain one, to the bit
+    gauss = field_from_values(g, np.exp(-(x - 8.0) ** 2))
+    for T in (1e-300, 1e-200, 1e-30):
+        res = run_stabilization(gauss, halfheat(), None, None, T, dt=T / 128)
+        assert np.ptp(res.trajectory.norms[64:]) == 0.0 and res.fitted_rate == 0.0
+    res = run_stabilization(gauss, halfheat(), None, None, 0.7, dt=0.7 / 128)
+    assert res.fitted_rate == 0.4863571985433058
 
 
 def test_run_validation_and_snapshot_endpoints():
@@ -734,32 +743,30 @@ def _chunk_case(support):
 @pytest.mark.parametrize("support", ["1-D periodic", "1-D one fiber",
                                      "2-D periodic"])
 def test_chunked_steps_match_single_steps(support, adjoint):
-    # a long-run stepper advances K steps per product from the powers
-    # S^k = diag(e^k) + G_k R; k single steps of a one-step stepper are the
-    # reference, through a full chunk and into a partial one
+    # a long-run stepper materialises S^k c = diag(e_rest^k) c + H_k c_band
+    # (or its adjoint) from the tables; k single steps of a one-step stepper
+    # are the reference, through a full chunk and one step into the next
     g, mask, cfg = _chunk_case(support)
     F, dt = halfheat(), 0.5 * cfg.dt_max
     chunked = _Stepper(g, F, mask, cfg, dt, adjoint, steps=2 ** 20)
     single = _Stepper(g, F, mask, cfg, dt, adjoint)
-    K = len(chunked.e_pows)
-    assert K > 1 and len(single.e_pows) == 1
+    K = chunked.chunk
+    assert K > 1 and single.chunk == 1
     rng = np.random.default_rng(4)
     c0 = chunked.enter(rng.standard_normal(g.shape)
                        + 1j * rng.standard_normal(g.shape))
+    c = c0.copy()
     for k in range(1, K + 2):
-        rows = np.empty((k + 1,) + c0.shape, dtype=complex)
-        rows[0] = c0
-        chunked.advance(rows)
-        c = c0.copy()
-        for j in range(1, k + 1):
-            single.step(c)
-            err = np.linalg.norm(rows[j] - c) / np.linalg.norm(c)
-            assert err <= 1e-13, (k, j, err)
+        single.step(c)
+        got = (chunked.power(c0, k) if k <= K
+               else chunked.power(chunked.power(c0, K), k - K))
+        err = np.linalg.norm(got - c) / np.linalg.norm(c)
+        assert err <= 1e-13, (k, err)
 
 
 @pytest.mark.parametrize("mask_seed", [3, None])
 def test_adjoint_powers_are_hermitian_transposes(mask_seed):
-    # S_adj = S_fwd^H, so every power the adjoint tables hold is the
+    # S_adj = S_fwd^H, so every power the adjoint tables give is the
     # conjugate transpose of the forward one: dense S^k from basis vectors
     g = make_grid(1, 16.0, 64)
     mask = (make_periodic_thick(g, 1.0, 0.5) if mask_seed is None
@@ -769,75 +776,117 @@ def test_adjoint_powers_are_hermitian_transposes(mask_seed):
     for adjoint in (False, True):
         stepper = _Stepper(g, halfheat(), mask, cfg, cfg.dt_max, adjoint,
                            steps=2 ** 10)
-        K = len(stepper.e_pows)
-        assert K == (32 if mask_seed is None else 23)
-        basis = np.eye(g.points, dtype=complex)
-        rows = np.empty((K + 2, g.points), dtype=complex)
+        K = stepper.chunk
+        assert K == 32
         cols = []
-        for e in basis:
-            rows[0] = stepper.enter(e).reshape(-1)
-            states = rows.reshape((K + 2,) + stepper.order.shape)
-            stepper.advance(states)
+        for e in np.eye(g.points, dtype=complex):
+            c = stepper.enter(e).reshape(stepper.order.shape)
+            states = [stepper.power(c, k) for k in range(1, K + 1)]
+            states.append(stepper.power(states[-1], 1))
             cols.append(np.array([stepper.leave(r).reshape(-1) for r in states]))
-        powers.append(np.stack(cols, axis=-1))  # (K + 2, N, N), S^k columns
+        powers.append(np.stack(cols, axis=-1))  # (K + 1, N, N), S^k columns
     fwd, adj = powers
-    for k in range(1, K + 2):
+    for k in range(K + 1):
         want = fwd[k].conj().T
-        assert np.linalg.norm(adj[k] - want) <= 1e-13 * np.linalg.norm(want), k
+        assert np.linalg.norm(adj[k] - want) <= 1e-13 * np.linalg.norm(want), k + 1
 
 
 def test_chunk_size_rule():
-    # K = 1 below 2^10 steps; above, K^2 <= steps and K tables of
-    # fibers x points x widest band entries fit in 2^14
+    # K = 1 below 2^10 steps; above, K^2 <= steps and K tables H_k of
+    # fibers x points x widest band entries fit in 3 * 2^14
     g, mask, cfg = _chunk_case("1-D periodic")
     F, dt = halfheat(), cfg.dt_max
-    for steps, K in ((1, 1), (2 ** 10 - 1, 1), (2 ** 10, 5), (2 ** 20, 5)):
+    for steps, K in ((1, 1), (2 ** 10 - 1, 1), (2 ** 10, 16), (2 ** 20, 16)):
         stepper = _Stepper(g, F, mask, cfg, dt, steps=steps)
-        assert len(stepper.e_pows) == K
-        assert stepper.op.shape == (16, 3, 64 * K)
-    # 16 fibers x 4 points x 1 band mode: 256 tables fit, so sqrt(steps) rules
+        assert stepper.chunk == K and stepper.op.shape == (16, 3, 64)
+        assert K == 1 or stepper.ht.shape == (16, K, 3, 64)
+    # 16 fibers x 4 points x 1 band mode: 768 tables fit, so sqrt(steps) rules
     g = make_grid(1, 16.0, 64)
     mask, cfg = make_periodic_thick(g, 1.0, 0.5), design_feedback(F, 2.0)
     for steps, K in ((2 ** 10 - 1, 1), (2 ** 10, 32), (2 ** 12, 64),
-                     (2 ** 20, 256)):
+                     (2 ** 20, 768)):
         stepper = _Stepper(g, F, mask, cfg, cfg.dt_max, steps=steps)
-        assert stepper.op.shape == (16, 1, 4 * K)
+        assert stepper.chunk == K
+
+
+def _per_step_records(g, F, mask, cfg, dt, adjoint, f0, n, every=0):
+    """norm^2, band norm^2 and snapshots (every k-th step and the last) of n
+    single steps of a one-step stepper, with np.vdot norms."""
+    stepper = _Stepper(g, F, mask, cfg, dt, adjoint)
+    c = stepper.enter(to_coefficients(f0))
+    norm_sq, low_sq, snaps = [], [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n + 1):
+            if k:
+                stepper.step(c)
+            low = c.reshape(-1)[stepper.band]
+            norm_sq.append(np.vdot(c, c).real / g.box_measure)
+            low_sq.append(np.vdot(low, low).real / g.box_measure)
+            if every and (k % every == 0 or k == n):
+                snaps.append(stepper.leave(c))
+    return np.array(norm_sq), np.array(low_sq), snaps
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_long_run_matches_per_step_loop(adjoint):
-    # 2^10 + 30 steps take K = 5 steps per product; the per-step loop over
-    # a one-step stepper is the reference for norms, V and snapshots
-    g, mask, cfg = _chunk_case("1-D periodic")
-    F, n = halfheat(), 2 ** 10 + 30
-    rng = np.random.default_rng(12)
+    # 2^10 + 31 steps read their records from the K-step tables (K = 16, 17,
+    # 24, each with a partial last chunk); the per-step loop over a one-step
+    # stepper is the reference for norms, band norms, V and snapshots, taken
+    # every 97 steps, which no K divides
+    F, n = halfheat(), 2 ** 10 + 31
+    for support, K in (("1-D periodic", 16), ("1-D one fiber", 17),
+                       ("2-D periodic", 24)):
+        g, mask, cfg = _chunk_case(support)
+        rng = np.random.default_rng(12)
+        f0 = field_from_values(g, rng.standard_normal(g.shape)
+                               + 1j * rng.standard_normal(g.shape))
+        res = run_stabilization(f0, F, mask, cfg, n * cfg.dt_max,
+                                dt=cfg.dt_max, snapshot_every=97,
+                                adjoint_order=adjoint)
+        assert res.trajectory.times.size == n + 1 and n % K > 0
+        assert _Stepper(g, F, mask, cfg, res.dt, adjoint, n).chunk == K
+        norm_sq, low_sq, snaps = _per_step_records(g, F, mask, cfg, res.dt,
+                                                   adjoint, f0, n, every=97)
+        traj = res.trajectory
+        for got, want in ((traj.norms, np.sqrt(norm_sq)),
+                          (traj.low_norms, np.sqrt(low_sq)),
+                          (traj.lyapunov, cfg.mu * low_sq + norm_sq - low_sq)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0,
+                                       err_msg=support)
+        ks = [round(t / res.dt) for t, _ in traj.snapshots]
+        assert ks == [*range(0, n, 97), n]
+        for (t, got), want in zip(traj.snapshots, snaps):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("shift, match", [
+    (100.0, "state became non-finite at step 536 "),
+    (3.0, "Lyapunov functional increased at step (113|95):")])
+def test_long_run_guards_name_the_per_step_step(shift, match, adjoint):
+    # the table records of a 1100-step fold run name the same step as the
+    # per-step loop: F - 100 overflows mid-chunk (536 = 31 K + 9), and
+    # F - 3 outgrows the gains designed for its tail, so V first rises at
+    # step 113 (forward) or 95 (adjoint), both mid-chunk at K = 17
+    g, mask, _ = _chunk_case("1-D one fiber")
+    F = shifted(halfheat(), shift)
+    cfg = design_feedback(F, 2.0, C=1.0)
+    rng = np.random.default_rng(5)
     f0 = field_from_values(g, rng.standard_normal(g.shape)
                            + 1j * rng.standard_normal(g.shape))
-    res = run_stabilization(f0, F, mask, cfg, n * cfg.dt_max,
-                            dt=cfg.dt_max, snapshot_every=97,
-                            adjoint_order=adjoint)
-    assert res.trajectory.times.size == n + 1
-    assert len(_Stepper(g, F, mask, cfg, res.dt, adjoint, n).e_pows) == 5
-    stepper = _Stepper(g, F, mask, cfg, res.dt, adjoint)
-    c = stepper.enter(to_coefficients(f0))
-    norm_sq, low_sq, snaps = [], [], []
-    for k in range(n + 1):
-        if k:
-            stepper.step(c)
-        low = c.reshape(-1)[stepper.band]
-        norm_sq.append(np.vdot(c, c).real / g.box_measure)
-        low_sq.append(np.vdot(low, low).real / g.box_measure)
-        if k % 97 == 0 or k == n:
-            snaps.append((res.trajectory.times[k], stepper.leave(c)))
-    norm_sq, low_sq = np.array(norm_sq), np.array(low_sq)
-    traj = res.trajectory
-    for got, want in ((traj.norms, np.sqrt(norm_sq)),
-                      (traj.lyapunov, cfg.mu * low_sq + norm_sq - low_sq)):
-        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
-    assert len(traj.snapshots) == len(snaps)
-    for (t, got), (t_want, want) in zip(traj.snapshots, snaps):
-        assert t == t_want
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    n = 1100
+    assert _Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, n).chunk == 17
+    norm_sq, low_sq, _ = _per_step_records(g, F, mask, cfg, cfg.dt_max,
+                                           adjoint, f0, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = cfg.mu * low_sq + norm_sq - low_sq
+        rise = np.flatnonzero(v[1:] > v[:-1] * (1.0 + 1e-8)) + 1
+    bad = np.flatnonzero(~np.isfinite(norm_sq))
+    want = f"non-finite at step {bad[0]} " if bad.size else f"at step {rise[0]}:"
+    with pytest.raises(NumericalError, match=match) as err:
+        run_stabilization(f0, F, mask, cfg, n * cfg.dt_max, dt=cfg.dt_max,
+                          adjoint_order=adjoint, check_monotone=True)
+    assert want in str(err.value)
 
 
 def test_trajectory_csv_stride(tmp_path):
