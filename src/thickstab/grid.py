@@ -246,14 +246,20 @@ class GaussianProbe:
         return (2.0 * math.pi) ** (self.dim / 2.0) * np.exp(phase - 0.5 * self.width**2 * quad)
 
 
+def _probe_widths(grid: Grid) -> tuple:
+    """Least and greatest admissible probe width l: 3 / l <= xi_max, 6 l <= extent / 2."""
+    return 3.0 / grid.xi_max, grid.extent / 12.0
+
+
+def _probe_headroom(grid: Grid, width: float) -> float:
+    """Largest admissible modulation |xi0| at width l: |xi0| + 3 / l <= xi_max."""
+    return grid.xi_max - 3.0 / width
+
+
 def probe_admissible(grid: Grid, probe: GaussianProbe) -> bool:
     """Mass 6 widths from the box scale and 3 frequency widths from Nyquist."""
-    if probe.dim != grid.dim:
-        return False
-    if 6.0 * probe.width > grid.extent / 2.0:
-        return False
-    xi0 = math.sqrt(sum(q * q for q in probe.frequency))
-    return xi0 + 3.0 / probe.width <= grid.xi_max
+    return (probe.dim == grid.dim and probe.width <= _probe_widths(grid)[1] and
+            math.sqrt(sum(q * q for q in probe.frequency)) <= _probe_headroom(grid, probe.width))
 
 
 def sample_probe(grid: Grid, probe: GaussianProbe) -> SpectralField:

@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import ConvergenceError, MomentDivergenceError, ValidationError
 from .grid import (GaussianProbe, Grid, SpectralField, _check_count, _check_positive,
-                   _symbol_values, _write_csv, _write_json, from_coefficients, probe_admissible,
-                   sample_probe, semigroup_multiplier, to_coefficients)
+                   _probe_headroom, _probe_widths, _symbol_values, _write_csv, _write_json,
+                   from_coefficients, probe_admissible, sample_probe, semigroup_multiplier,
+                   to_coefficients)
 from .qa import log_moment
 from .stabilize import _mask_form, _stacks, estimate_spectral_constant
 from .symbols import MultiplierSymbol, shifted
@@ -160,19 +161,17 @@ def make_probe_set(grid: Grid, count: int, seed: int,
     if not 0.0 <= xi_fraction <= 1.0:
         raise ValidationError(f"xi_fraction must be in [0, 1], got {xi_fraction}")
     rng = np.random.default_rng(seed)
-    xi_max = grid.xi_max
-    l_hi = min(_PROBE_WIDTHS[1], grid.extent / 12.0 * 0.999)
-    l_lo = max(_PROBE_WIDTHS[0], 3.0 / xi_max * 1.001)
+    lo, hi = _probe_widths(grid)
+    l_hi, l_lo = min(_PROBE_WIDTHS[1], hi * 0.999), max(_PROBE_WIDTHS[0], lo * 1.001)
     if not l_lo <= l_hi:
-        raise ValidationError(
-            f"no admissible width in {_PROBE_WIDTHS} on this grid "
-            f"(need {3.0 / xi_max:.4g} <= l <= {grid.extent / 12.0:.4g})")
+        raise ValidationError(f"no admissible width in {_PROBE_WIDTHS} on this grid "
+                              f"(need {lo:.4g} <= l <= {hi:.4g})")
     mid = (0.5 * grid.extent,) * grid.dim
     probes = [GaussianProbe(width=l_hi, center=mid,
                             frequency=(0.0,) * grid.dim)]
     for _ in range(count - 1):
         l = float(rng.uniform(l_lo, l_hi))
-        head = max(0.0, (xi_max - 3.0 / l)) * xi_fraction
+        head = max(0.0, _probe_headroom(grid, l)) * xi_fraction
         x0 = tuple(float(v) for v in rng.uniform(0, grid.extent, size=grid.dim))
         xi_mag = float(rng.uniform(0, head))
         if grid.dim == 1:
@@ -266,8 +265,7 @@ def necessity_probe_scan(F: MultiplierSymbol, mask: SupportMask, T: float,
     grid = mask.grid
     if not probe_admissible(grid, GaussianProbe(width, (0.0,) * grid.dim, (0.0,) * grid.dim)):
         raise ValidationError(f"probe width {width} is not admissible on this grid")
-    cap = grid.xi_max - 3.0 / width
-    ok = grid.rho.ravel() <= cap
+    ok = grid.rho.ravel() <= _probe_headroom(grid, width)
     fvals = _symbol_values(grid, F).ravel()[ok]
     cutoff = -math.log(epsilon) / (2.0 * T)
     eligible = fvals < cutoff

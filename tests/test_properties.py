@@ -1,10 +1,12 @@
 """Property checks on random grids, masks and radii (hypothesis).
 
 The closed-form band Gram, fiber block by fiber block, must act like the
-FFT-applied mask form on the band. For a support with no period, its real
-block in the basis cos(k.x), sin(k.x) must be exactly symmetric with the
-spectrum of the dense complex Gram, and the spectral constant must be
-1/sqrt of its least eigenvalue, Nyquist modes in the band or not. The
+FFT-applied mask form on the band, and the stepper's rectangular blocks
+must equal a dense modular gather exactly. For a support with no period,
+its real block in the basis cos(k.x), sin(k.x) must be exactly symmetric,
+equal W^H G W entry by entry and have the spectrum of the dense complex
+Gram G, and the spectral constant must be 1/sqrt of its least
+eigenvalue, Nyquist modes in the band or not. The
 closed-loop stepper (fiber fold or matrix-free) must agree with a Strang
 step written out from that form and commute with a shift by one period of
 the mask, and each row of a stacked
@@ -93,6 +95,42 @@ def _dense_gram(mask, band):
     return fhat[tuple((a[:, None] - a[None, :]) % mask.grid.points for a in k)]
 
 
+@pytest.mark.parametrize("dim, points, period", [(1, 64, 8), (2, 16, 4), (1, 64, 64), (2, 16, 16)])
+def test_rectangular_fiber_blocks_match_dense_gather(dim, points, period):
+    # the stepper's blocks: every point of a fiber against its band columns,
+    # padded to the widest band; tiled masks have several fibers, untiled one
+    grid = make_grid(dim, 16.0, points)
+    rng = np.random.default_rng(points + period)
+    frac = np.tile(rng.uniform(0.0, 1.0, (period,) * dim), (points // period,) * dim)
+    mask = SupportMask(grid=grid, cell_fraction=frac)
+    cfg = _test_config(0.3 * grid.xi_max, 1.0)
+    stepper = _Stepper(grid, halfheat(), mask, cfg, cfg.dt_max)
+    order, b = stepper.order, stepper.op.shape[1]
+    assert order.shape[0] == (points // period) ** dim and b < order.shape[1]
+    gram = _dense_gram(mask, np.arange(grid.points ** dim))
+    got = _fiber_form(np.fft.fftn(frac) / frac.size, order, order[:, :b])
+    assert np.array_equal(got, gram[order[:, :, None], order[:, None, :b]])
+
+
+def _real_basis(grid, band):
+    """The unitary W of _real_form over the band positions, written out mode
+    by mode: e_k on the fixed modes (2k = 0), then (e_k + e_-k)/sqrt2 for one
+    k of each pair {k, -k}, the one of lower flat index, then i (e_k - e_-k)/sqrt2."""
+    k = np.unravel_index(band, grid.shape)
+    where = {int(p): i for i, p in enumerate(band)}
+    minus = [where[int(np.ravel_multi_index([-a[i] % grid.points for a in k], grid.shape))]
+             for i in range(len(band))]
+    fixed = [i for i, j in enumerate(minus) if i == j]
+    pairs = [i for i, j in enumerate(minus) if band[j] > band[i]]
+    w, s = np.zeros((len(band),) * 2, dtype=complex), np.sqrt(0.5)
+    for col, i in enumerate(fixed):
+        w[i, col] = 1.0
+    for col, i in enumerate(pairs, len(fixed)):
+        w[i, col] = w[minus[i], col] = s
+        w[i, col + len(pairs)], w[minus[i], col + len(pairs)] = 1j * s, -1j * s
+    return w
+
+
 REAL_FORM_GRIDS = ((1, 8), (1, 16), (1, 32), (1, 64), (1, 128), (2, 8),
                    (2, 10), (2, 12), (2, 16), (2, 20))
 
@@ -125,6 +163,21 @@ def test_real_form_keeps_the_band_spectrum(case, extent, r_fraction, data):
         assert ev[0] <= len(band) * np.finfo(float).eps * ev[-1]
     else:
         assert abs(c - 1.0 / np.sqrt(ev[0])) <= 1e-12 * c
+
+
+@pytest.mark.parametrize("r_fraction", [1.0, 0.6])
+@pytest.mark.parametrize("dim, points", REAL_FORM_GRIDS)
+def test_real_form_is_the_gram_in_the_real_basis(dim, points, r_fraction):
+    # entry by entry, not only the spectrum: a sign flip of both cos/sin
+    # blocks keeps every eigenvalue and the symmetry, but not W^H G W
+    grid = make_grid(dim, 16.0, points)
+    frac = np.random.default_rng(points).uniform(0.0, 1.0, grid.shape)
+    mask = SupportMask(grid=grid, cell_fraction=frac)
+    band = _band_indices(grid, r_fraction * grid.xi_max)
+    w = _real_basis(grid, band)
+    want = w.conj().T @ _dense_gram(mask, band) @ w
+    block = _real_form(np.fft.fftn(frac) / frac.size, band)
+    assert np.abs(want - block).max() <= 1e-15
 
 
 @pytest.mark.parametrize("dim, points", [(1, 128), (2, 16)])
