@@ -17,10 +17,10 @@ periodic support (see _fibers); one builder, _fiber_form, gathers every
 fiber block. The spectral constant comes from the blocks (for a support
 with no period, one real block: see _real_form), and the polynomial and
 the two half-multipliers fold into one block per fiber, so a step is one
-batched matrix product. Long runs go K steps at a time: tables of the
-step's first K powers give each step's norm and band norm, and only every
-K-th state is formed. When the blocks would be too large the four stages
-go through the FFT, with no band matrix.
+batched matrix product. Long runs go K steps at a time: a pass marches its
+chunk starts one S^K after another, and one product per table of the first K
+powers with all of them gives every step's norms. When the blocks would be
+too large the four stages go through the FFT, with no band matrix.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
 # under 3.5x on these grids, where 2^20 loses 3.9x at N = 1024.
 _DENSE_STEP_MAX = 2 ** 19
 _RECORD_BLOCK = 2 ** 16  # complex entries (1 MB) of states per record pass
-# complex entries (768 kB) of the fold's K-step H table. K = 16 on criterion 08's stack:
-# 2,385 steps took 10.8 / 7.1 ms (forward / adjoint), 13.1 / 8.3 at K = 10 and 13.1 / 7.7
-# at K = 32 (2-core x86, 1 BLAS thread)
+# complex entries (768 kB) of the fold's K-step H table. K = 16 on criterion 08's stack: 2,385
+# steps took 8.1 / 6.9 ms (forward / adjoint), 8.9 / 7.1 at K = 32 and 9.9 / 9.5 at K = 48; its
+# 1.2M steps 5.0, 3.7 and 3.1 s (2-core x86, 1 BLAS thread, a loaded machine)
 _CHUNK_TABLE = 3 * 2 ** 14
 _FFT_STACK = 2 ** 12  # complex entries (64 kB) per stack sent through one batched FFT
 # widest dense block of the eigensolve; at the cap, on one core, 0.9 s for the
@@ -327,15 +327,18 @@ class _Stepper:
     so a step allocates and copies nothing; the multipliers e_full and
     e_half are stored complex, so applying them casts nothing either.
 
-    On fold runs of at least 2^10 steps record reads the norms of K steps
-    at a time from tables and forms one state per chunk. With R the band
-    restriction and e_rest = e_full off the band (padding included), 0 on it,
-    S^k = diag(e_rest^k) + H_k R, H_1 = P + diag(e_full) R^T and H_{k+1} =
-    e_full H_k + P H_k[band rows]; the adjoint powers are the S^k^H. K is the
-    largest value whose H_k fit in _CHUNK_TABLE entries with K^2 <= steps.
-    Band norms are those of H_k[band rows] c_band or H_k^H c, never expanded;
-    rest norms sum e_rest^2k |c|^2, plus in the forward order 2 Re <e_rest^k
-    c, H_k c_band> + c_band^H Gamma_k c_band, Gamma_k = H_k[rest rows]^H H_k[rest rows].
+    On fold runs of at least 2^10 steps record reads the norms of K steps at a
+    time from tables and forms one state per chunk. With R the band restriction
+    and e_rest = e_full off the band (padding included), 0 on it, S^k =
+    diag(e_rest^k) + H_k R, H_1 = P + diag(e_full) R^T and H_{k+1} = e_full H_k
+    + P H_k[band rows]; the adjoint powers are the S^k^H. K is the largest
+    value whose H_k fit in _CHUNK_TABLE entries with K^2 <= steps. A pass
+    marches up to K chunk starts x, each S^K of the one before (_power); then
+    one product per table with all the starts gives the band norms, of H_k[band
+    rows] x_band (bt) or H_k^H x (ht), and the rest norms, sum e_rest^2k |x|^2
+    (e2) plus, forward, Re <x_band, W_k x> = 2 Re <e_rest^k x, H_k x_band> +
+    x_band^H Gamma_k x_band, where W_k = conj(2 e_rest^k H_k)^T (wt) holds
+    Gamma_k = H_k^H H_k over the rest rows in its band columns, zero by e_rest.
     """
 
     def __init__(self, grid: Grid, symbol: MultiplierSymbol, mask: SupportMask,
@@ -387,18 +390,17 @@ class _Stepper:
                 self.gram = lambda w: _apply_band_gram(frac, idx, w, z)
         else:
             self.e_full = semigroup_multiplier(grid, symbol, dt).astype(complex)
-        if self.chunk > 1:  # record keeps no states: whole chunks, about 2^10 steps
+        if self.chunk > 1:  # record forms one state per chunk: whole chunks, about 2^10 steps
             self.block = self.chunk * max(1, 2 ** 10 // self.chunk)
         else:  # steps per record pass, one state each
             self.block = min(max(1, _RECORD_BLOCK // self.order.size), steps)
             self.rows = np.empty((self.block + 1,) + self.order.shape, dtype=complex)
 
     def _tables(self, pt: np.ndarray, in_band: np.ndarray) -> None:
-        """e_rest^k and H_k^T (conj(H_k^T) in the adjoint order, from conj(P^T));
-        forward, also H_k[band rows]^T, padding zeroed, and [2 e_rest^k H_k; Gamma_k]^T."""
+        """e2, the march's H_K and e_rest^K, and ht (adjoint) or bt and wt: see the class."""
         K, (nf, b, points) = self.chunk, pt.shape
-        self.ht = ht = np.empty((nf, K, b, points), dtype=complex)  # contiguous per power
-        self.e_rest = er = np.empty((K, nf, points))
+        ht = np.empty((nf, K, b, points), dtype=complex)  # contiguous per power
+        er = np.empty((K, nf, points))
         ht[:, 0] = pt
         ht[:, 0, range(b), range(b)] += self.e_full[:, :b] * in_band[:, :b]
         er[0] = self.e_full.real * ~in_band
@@ -406,15 +408,21 @@ class _Stepper:
             np.matmul(ht[:, k - 1, :, :b], pt, out=ht[:, k])
             ht[:, k] += ht[:, k - 1] * self.e_full[:, None]
             np.multiply(er[k - 1], er[0], out=er[k])
-        self.e2 = (er * er).reshape(K, -1)
+        self.e2 = np.square(er).repeat(2, axis=-1).reshape(K, -1)  # per float of a state
+        self.e_chunk = er[-1].astype(complex)
+        self.h_chunk = ht[:, -1].swapaxes(1, 2) if self.adjoint else ht[:, -1].copy()
+        # J <= K starts a pass (K^2 <= steps), with their table products in _RECORD_BLOCK entries
+        J = _RECORD_BLOCK // (nf * (points + (2 - self.adjoint) * K * b))
+        self.starts = np.empty((max(1, min(K, J)), nf, points), dtype=complex)
         if self.adjoint:
+            self.ht = ht
             return
-        bt = (ht[..., :b] * in_band[:, None, None, :b]).transpose(0, 2, 1, 3)
-        self.bt, self.wt = bt.reshape(nf, b, K * b), np.empty((nf, K * b, points + b), complex)
-        for k, w in enumerate(self.wt.reshape(nf, K, b, -1).transpose(1, 0, 2, 3)):
-            np.multiply(ht[:, k], 2.0 * er[k, :, None], out=w[..., :points])
-            g = ht[:, k] * ~in_band[:, None]
-            w[..., points:] = np.vecdot(g[:, None], g[:, :, None])
+        self.bt = (ht[..., :b] * in_band[:, None, None, :b]).swapaxes(1, 2).reshape(nf, b, K * b)
+        ht[..., :b] *= ~in_band[:, None, None, :b]  # H_k[rest rows]^T
+        gamma = np.vecdot(ht[..., None, :], ht[..., None, :, :])
+        ht *= er.transpose(1, 0, 2)[:, :, None]
+        np.multiply(np.conjugate(ht, out=ht), 2.0, out=ht)[..., :b] += gamma
+        self.wt = ht.reshape(nf, K * b, points)
 
     def enter(self, c: np.ndarray) -> np.ndarray:
         """A copy of the lattice-order array c in the stepper's layout."""
@@ -453,8 +461,7 @@ class _Stepper:
                 c *= self.e_half
 
     def step(self, c: np.ndarray) -> np.ndarray:
-        rows = np.array([c, c])
-        self.advance(rows)
+        self.advance(rows := np.array([c, c]))
         c[...] = rows[1]
         return c
 
@@ -474,29 +481,36 @@ class _Stepper:
             return rows[-1], [rows[i] for i in picks]
         low = c.reshape(-1)[self.band]
         norm_sq[0], low_sq[0] = np.vdot(c, c).real, np.vdot(low, low).real
-        states, (nf, points), b = [], c.shape, self.ht.shape[2]
-        for j in range(0, n, K):  # ||S^k c||^2 and ||R S^k c||^2 from the tables
-            norm = self.e2 @ (c * c.conj()).real.reshape(-1)
-            if self.adjoint:
-                v = np.matmul(self.ht.reshape(nf, -1, points), c[..., None])
-            else:
-                v = np.matmul(c[:, None, :b], self.bt)
-                u = np.matmul(self.wt, np.concatenate((c, c[:, :b]), axis=1).conj()[..., None])
-                u = u.reshape(nf, K, b).transpose(1, 0, 2).reshape(K, -1)
-                norm += (u @ c[:, :b].reshape(-1)).real
-            # the sums over fibers are products on power-major copies
-            v = v.reshape(nf, K, b).transpose(1, 0, 2).reshape(K, -1)
-            low, m = np.vecdot(v, v).real, min(K, n - j)  # the last chunk may be partial
-            norm_sq[j + 1:j + m + 1], low_sq[j + 1:j + m + 1] = norm[:m] + low[:m], low[:m]
-            ks = [i - j for i in picks if j < i <= j + m] + [m]
-            xs = [self.e_rest[k - 1] * c for k in ks]  # S^k c is this plus H_k c_band,
-            for k, x in zip(ks, xs):
-                if self.adjoint:  # or plus the band rows H_k^H c, v's block k
-                    x[:, :b] += v[k - 1].reshape(nf, b)
-                else:
-                    x += np.matmul(c[:, None, :b], self.ht[:, k - 1])[:, 0]
-            states, c = states + xs[:-1], xs[-1]
+        (nf, points), J, states = c.shape, len(self.starts), []
+        for s in range(0, n, J * K):  # passes of up to J chunks, the last maybe partial
+            m = min(J * K, n - s)
+            x = self.starts[:-(-m // K)]
+            x[0], xf = c, x.swapaxes(0, 1)  # each fiber's starts as rows of xf
+            for prev, start in zip(x, x[1:]):  # phase 1: the chunk starts
+                self._power(prev, K, start)
+            if self.adjoint:  # phase 2: every step's norms, from one product per table
+                v, cross = np.matmul(xf, self.ht.reshape(nf, -1, points).swapaxes(1, 2)), 0.0
+            else:  # Re <x_band, W_k x>; then the band values take over the memory
+                v = np.matmul(xf, self.wt.swapaxes(1, 2))
+                cross = np.matmul(v.view(float).reshape(nf, len(x), K, -1),
+                                  xf[..., self.reads].view(float)[..., None]).sum(0)[..., 0]
+                np.matmul(xf[..., self.reads], self.bt, out=v)
+            low = np.square(v.view(float), out=v.view(float)).sum(0).reshape(len(x) * K, -1).sum(1)
+            states += [self._power(x[(i - s - 1) // K], (i - s - 1) % K + 1)
+                       for i in picks if s < i <= s + m]
+            c, w = self._power(x[-1], m - (len(x) - 1) * K), x.view(float)
+            norm = np.square(w, out=w).reshape(len(x), -1) @ self.e2.T + cross  # spends x
+            norm_sq[s + 1:][:m], low_sq[s + 1:][:m] = (norm.reshape(-1) + low)[:m], low[:m]
         return c, states
+
+    def _power(self, x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
+        """S^k x, k <= K: the march (advance's step with H_K and e_rest^K) or k single steps."""
+        if k < self.chunk:
+            self.advance(rows := np.array([x] * (k + 1)))
+            return rows[k]
+        out = np.multiply(x, self.e_chunk, out=out)
+        out[:, self.writes] += np.matmul(x[:, None, self.reads], self.h_chunk, out=self.u)[:, 0]
+        return out
 
 
 def step_closed_loop(f: SpectralField, F: MultiplierSymbol, mask: SupportMask,
@@ -554,8 +568,9 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
 
     cfg = None with mask = None runs the open loop. fitted_rate is the
     least-squares slope of -log ||f(t)|| over the trailing half [T/2, T],
-    and 0.0 when the log-norms there span at most 8 eps (1 + max |log ||f|||),
-    the size of their rounding, so that no rate is measurable.
+    and 0.0 when the log-norms there span at most 1e3 eps (1 + max |log ||f|||):
+    the fit's rounding error is about 10 eps over that span, so below it no
+    rate is measured to 1 %.
     snapshot_every > 0 stores every k-th coefficient array (plus the
     endpoints) for later residual checks. check_monotone
     enforces per-step V decrease; only meaningful when cfg.C is at least the
@@ -576,13 +591,10 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     n_steps = _step_count(T, dt)
     dt = T / n_steps
     try:
-        times = np.arange(n_steps + 1) * dt
-        norm_sq = np.empty(n_steps + 1)
-        low_sq = np.empty(n_steps + 1)
+        times, norm_sq, low_sq = np.arange(n_steps + 1) * dt, *np.empty((2, n_steps + 1))
     except (MemoryError, ValueError):
-        raise ValidationError(
-            f"cannot record {n_steps} steps to T = {T} at dt = {dt:.3e}: "
-            "raise dt or shorten T") from None
+        raise ValidationError(f"cannot record {n_steps} steps to T = {T} at dt = {dt:.3e}: "
+                              "raise dt or shorten T") from None
     grid = f0.grid
     stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order, n_steps)
     mu = cfg.mu if cfg is not None else 1.0
@@ -612,12 +624,9 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
         snaps += [(float(times[i]), stepper.leave(x)) for i, x in zip(picks, states)]
 
     high_sq = np.maximum(norm_sq - low_sq, 0.0)
-    lyap = mu * low_sq + high_sq
-    traj = Trajectory(
-        grid=grid, times=times, norms=np.sqrt(norm_sq),
-        lyapunov=lyap, low_norms=np.sqrt(low_sq), high_norms=np.sqrt(high_sq),
-        snapshots=tuple(snaps),
-    )
+    traj = Trajectory(grid=grid, times=times, norms=np.sqrt(norm_sq),
+                      lyapunov=mu * low_sq + high_sq, low_norms=np.sqrt(low_sq),
+                      high_norms=np.sqrt(high_sq), snapshots=tuple(snaps))
     tail = times >= 0.5 * T - 1e-12 * T
     logs = 0.5 * np.log(np.maximum(norm_sq[tail], 1e-300))
     e = math.frexp(T)[1]  # fit on times / 2^e: the same bits, and no underflow
@@ -625,7 +634,7 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     rate = -np.ldexp(slope, -e)
     if abs(rate) * T < 1e-12 * (1 + abs(logs[-1])):  # only so flat a fit can be rounding alone
         lo, hi = logs.min(), logs.max()
-        rate = rate if hi - lo > 8 * np.finfo(float).eps * (1 + max(hi, -lo)) else 0.0
+        rate = rate if hi - lo > 1e3 * np.finfo(float).eps * (1 + max(hi, -lo)) else 0.0
     return StabilizationResult(trajectory=traj, fitted_rate=float(rate),
                                config=cfg, dt=dt, adjoint_order=adjoint_order)
 
@@ -640,13 +649,10 @@ def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
     lam 1_omega K_R of the run's config (none for a free run). F is evaluated
     on the lattice once, and the snapshots go through B in _stacks.
     """
-    cfg = result.config
-    traj = result.trajectory
+    cfg, traj = result.config, result.trajectory
     if len(traj.snapshots) < 3:
-        raise ValidationError(
-            f"need at least 3 stored snapshots, got {len(traj.snapshots)}")
-    snaps = traj.snapshots
-    ts = np.array([s[0] for s in snaps])
+        raise ValidationError(f"need at least 3 stored snapshots, got {len(traj.snapshots)}")
+    snaps, ts = traj.snapshots, np.array([s[0] for s in traj.snapshots])
     if not (math.isclose(ts[0], traj.times[0]) and math.isclose(ts[-1], traj.times[-1])):
         raise ValidationError("snapshots must span the full run")
     grid, T = traj.grid, ts[-1]
@@ -654,14 +660,13 @@ def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
     vals = _symbol_values(grid, F)
     c0, cT = snaps[0][1], snaps[-1][1]
     rhs = np.exp(-T * vals) * c0
-    lam = 0.0 if cfg is None else cfg.lam
-    if lam > 0:
+    if cfg is not None and cfg.lam > 0:
         band, frac = ball_multiplier(grid, cfg.R), mask.cell_fraction
         ends = np.concatenate((ts[:1], ts, ts[-1:]))
         w = 0.5 * (ends[2:] - ends[:-2])
         acc = np.zeros(c0.size, dtype=complex)
         for s in _stacks(len(ts), c0.size):
-            ck = lam * np.stack([c for _, c in snaps[s]])
+            ck = cfg.lam * np.stack([c for _, c in snaps[s]])
             # 1_omega K_R, or K_R 1_omega in the adjoint order
             b = (band * _mask_form(frac, ck) if result.adjoint_order
                  else _mask_form(frac, ck * band))
@@ -670,9 +675,7 @@ def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
             for term in w[s, None] * e * b.reshape(len(b), -1):
                 acc += term
         rhs -= acc.reshape(grid.shape)
-    num = np.linalg.norm((cT - rhs).ravel())
-    den = np.linalg.norm(c0.ravel())
-    return float(num / den)
+    return float(np.linalg.norm((cT - rhs).ravel()) / np.linalg.norm(c0.ravel()))
 
 
 def write_trajectory_csv(result: StabilizationResult, path,
@@ -681,10 +684,7 @@ def write_trajectory_csv(result: StabilizationResult, path,
     the final one, for runs long enough that a full dump is unhelpful."""
     _check_count(stride=stride)
     traj = result.trajectory
-    n = traj.times.size
-    idx = list(range(0, n, stride))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
+    idx = [*range(0, traj.times.size - 1, stride), traj.times.size - 1]
     _write_csv(path, "t,norm,lyapunov,low_norm,high_norm",
                ((traj.times[i], traj.norms[i], traj.lyapunov[i],
                  traj.low_norms[i], traj.high_norms[i]) for i in idx))

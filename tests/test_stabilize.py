@@ -9,6 +9,7 @@ scalar exponential, and a Strang step written out with plain FFTs. The
 stacked Duhamel residual is checked against a loop over the snapshots.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -546,6 +547,17 @@ def test_fitted_rate_single_mode():
     for T in (1e-300, 1e-200, 1e-30):
         res = run_stabilization(gauss, halfheat(), None, None, T, dt=T / 128)
         assert np.ptp(res.trajectory.norms[64:]) == 0.0 and res.fitted_rate == 0.0
+    # just above rounding the fit's error is about 10 eps over the tail's
+    # span: T = 1e-14 and 1e-13 span 22 and 172 eps and would read 1.10 and
+    # 0.85, so no rate; T = 1e-12 spans 1,598 eps and reads the short-time
+    # rate, the |c|^2-weighted mean of F over the lattice
+    w = np.abs(to_coefficients(gauss)) ** 2
+    short = float(np.sum(g.rho * w) / np.sum(w))  # 0.78755
+    for T in (1e-14, 1e-13):
+        res = run_stabilization(gauss, halfheat(), None, None, T, dt=T / 128)
+        assert np.ptp(res.trajectory.norms[64:]) > 0.0 and res.fitted_rate == 0.0
+    res = run_stabilization(gauss, halfheat(), None, None, 1e-12, dt=1e-12 / 128)
+    assert abs(res.fitted_rate / short - 1.0) < 5e-3
     res = run_stabilization(gauss, halfheat(), None, None, 0.7, dt=0.7 / 128)
     assert res.fitted_rate == 0.4863571985433058
 
@@ -748,9 +760,10 @@ def _recorded_states(stepper, c, n):
 @pytest.mark.parametrize("support", ["1-D periodic", "1-D one fiber",
                                      "2-D periodic"])
 def test_chunked_steps_match_single_steps(support, adjoint):
-    # a long-run stepper materialises S^k c = diag(e_rest^k) c + H_k c_band
-    # (or its adjoint) from the tables; k single steps of a one-step stepper
-    # are the reference, through a full chunk and one step into the next
+    # a long-run stepper forms S^K c = diag(e_rest^K) c + H_K c_band (or its
+    # adjoint) from the tables, and fewer steps one at a time; k single steps
+    # of a one-step stepper are the reference, through a full chunk and one
+    # step into the next
     g, mask, cfg = _chunk_case(support)
     F, dt = halfheat(), 0.5 * cfg.dt_max
     chunked = _Stepper(g, F, mask, cfg, dt, adjoint, steps=2 ** 20)
@@ -768,8 +781,9 @@ def test_chunked_steps_match_single_steps(support, adjoint):
 
 @pytest.mark.parametrize("mask_seed", [3, None])
 def test_adjoint_powers_are_hermitian_transposes(mask_seed):
-    # S_adj = S_fwd^H, so every power the adjoint tables give is the
-    # conjugate transpose of the forward one: dense S^k from basis vectors
+    # S_adj = S_fwd^H, so every power a long-run stepper gives, through the
+    # tables' S^K at K and K + 1, is the conjugate transpose of the forward
+    # one: dense S^k from basis vectors
     g = make_grid(1, 16.0, 64)
     mask = (make_periodic_thick(g, 1.0, 0.5) if mask_seed is None
             else make_random_thick(g, 1.0, 0.5, seed=mask_seed))
@@ -794,20 +808,29 @@ def test_adjoint_powers_are_hermitian_transposes(mask_seed):
 
 def test_chunk_size_rule():
     # K = 1 below 2^10 steps; above, K^2 <= steps and K tables H_k of
-    # fibers x points x widest band entries fit in 3 * 2^14
+    # fibers x points x widest band entries fit in 3 * 2^14. A record pass
+    # takes J <= K chunk starts, fewer if the starts and their products with
+    # the tables (two in the forward order, one in the adjoint) would pass
+    # _RECORD_BLOCK entries
     g, mask, cfg = _chunk_case("1-D periodic")
     F, dt = halfheat(), cfg.dt_max
     for steps, K in ((1, 1), (2 ** 10 - 1, 1), (2 ** 10, 16), (2 ** 20, 16)):
         stepper = _Stepper(g, F, mask, cfg, dt, steps=steps)
         assert stepper.chunk == K and stepper.op.shape == (16, 3, 64)
-        assert K == 1 or stepper.ht.shape == (16, K, 3, 64)
-    # 16 fibers x 4 points x 1 band mode: 768 tables fit, so sqrt(steps) rules
+        assert K == 1 or (stepper.wt.shape == (16, K * 3, 64)
+                          and stepper.bt.shape == (16, 3, K * 3)
+                          and len(stepper.starts) == 16)
+    # 16 fibers x 4 points x 1 band mode: 768 tables fit, so sqrt(steps) rules;
+    # a start and its products take 16 (4 + 2 K) entries forward, 16 (4 + K)
+    # in the adjoint order
     g = make_grid(1, 16.0, 64)
     mask, cfg = make_periodic_thick(g, 1.0, 0.5), design_feedback(F, 2.0)
-    for steps, K in ((2 ** 10 - 1, 1), (2 ** 10, 32), (2 ** 12, 64),
-                     (2 ** 20, 768)):
-        stepper = _Stepper(g, F, mask, cfg, cfg.dt_max, steps=steps)
-        assert stepper.chunk == K
+    for steps, K, starts in ((2 ** 10 - 1, 1, None), (2 ** 10, 32, (32, 32)),
+                             (2 ** 12, 64, (31, 60)), (2 ** 20, 768, (2, 5))):
+        for adjoint in (False, True):
+            stepper = _Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, steps)
+            assert stepper.chunk == K
+            assert K == 1 or len(stepper.starts) == starts[adjoint]
 
 
 def _per_step_records(g, F, mask, cfg, dt, adjoint, f0, n, every=0):
@@ -830,13 +853,15 @@ def _per_step_records(g, F, mask, cfg, dt, adjoint, f0, n, every=0):
 
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_long_run_matches_per_step_loop(adjoint):
-    # 2^10 + 31 steps read their records from the K-step tables (K = 16, 17,
-    # 24, each with a partial last chunk); the per-step loop over a one-step
-    # stepper is the reference for norms, band norms, V and snapshots, taken
-    # every 97 steps, which no K divides
-    F, n = halfheat(), 2 ** 10 + 31
-    for support, K in (("1-D periodic", 16), ("1-D one fiber", 17),
-                       ("2-D periodic", 24)):
+    # one record block plus 31 steps, and two blocks plus 37, read their
+    # records from the K-step tables (K = 16, 17, 24, each with a partial last
+    # chunk), in passes of up to K chunk starts; the per-step loop over a
+    # one-step stepper is the reference for norms, band norms, V and
+    # snapshots, taken every 97 steps, which no K divides
+    F = halfheat()
+    for (support, K), (n, blocks) in itertools.product(
+            (("1-D periodic", 16), ("1-D one fiber", 17), ("2-D periodic", 24)),
+            ((2 ** 10 + 31, 1), (2 * 2 ** 10 + 37, 2))):
         g, mask, cfg = _chunk_case(support)
         rng = np.random.default_rng(12)
         f0 = field_from_values(g, rng.standard_normal(g.shape)
@@ -845,7 +870,9 @@ def test_long_run_matches_per_step_loop(adjoint):
                                 dt=cfg.dt_max, snapshot_every=97,
                                 adjoint_order=adjoint)
         assert res.trajectory.times.size == n + 1 and n % K > 0
-        assert _Stepper(g, F, mask, cfg, res.dt, adjoint, n).chunk == K
+        stepper = _Stepper(g, F, mask, cfg, res.dt, adjoint, n)
+        assert stepper.chunk == K and n // stepper.block == blocks
+        assert stepper.block > K * len(stepper.starts)  # several passes a block
         norm_sq, low_sq, snaps = _per_step_records(g, F, mask, cfg, res.dt,
                                                    adjoint, f0, n, every=97)
         traj = res.trajectory
@@ -864,11 +891,13 @@ def test_long_run_matches_per_step_loop(adjoint):
 @pytest.mark.parametrize("shift, match", [
     (100.0, "state became non-finite at step 536 "),
     (3.0, "Lyapunov functional increased at step (113|95):")])
-def test_long_run_guards_name_the_per_step_step(shift, match, adjoint):
+def test_long_run_guards_name_the_per_step_step(monkeypatch, shift, match, adjoint):
     # the table records of a 1100-step fold run name the same step as the
     # per-step loop: F - 100 overflows mid-chunk (536 = 31 K + 9), and
     # F - 3 outgrows the gains designed for its tail, so V first rises at
-    # step 113 (forward) or 95 (adjoint), both mid-chunk at K = 17
+    # step 113 (forward) or 95 (adjoint), both mid-chunk at K = 17. The
+    # passes hold 17 chunk starts, then, on a smaller budget, 2, so that
+    # every failure lands in a later pass than the first
     g, mask, _ = _chunk_case("1-D one fiber")
     F = shifted(halfheat(), shift)
     cfg = design_feedback(F, 2.0, C=1.0)
@@ -883,11 +912,16 @@ def test_long_run_guards_name_the_per_step_step(shift, match, adjoint):
         v = cfg.mu * low_sq + norm_sq - low_sq
         rise = np.flatnonzero(v[1:] > v[:-1] * (1.0 + 1e-8)) + 1
     bad = np.flatnonzero(~np.isfinite(norm_sq))
-    want = f"non-finite at step {bad[0]} " if bad.size else f"at step {rise[0]}:"
-    with pytest.raises(NumericalError, match=match) as err:
-        run_stabilization(f0, F, mask, cfg, n * cfg.dt_max, dt=cfg.dt_max,
-                          adjoint_order=adjoint, check_monotone=True)
-    assert want in str(err.value)
+    step = bad[0] if bad.size else rise[0]
+    want = f"non-finite at step {step} " if bad.size else f"at step {step}:"
+    for starts, budget in ((17, _RECORD_BLOCK), (2, 1300)):
+        monkeypatch.setattr("thickstab.stabilize._RECORD_BLOCK", budget)
+        assert len(_Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, n).starts) == starts
+        with pytest.raises(NumericalError, match=match) as err:
+            run_stabilization(f0, F, mask, cfg, n * cfg.dt_max, dt=cfg.dt_max,
+                              adjoint_order=adjoint, check_monotone=True)
+        assert want in str(err.value)
+    assert step > 2 * 17
 
 
 def test_trajectory_csv_stride(tmp_path):
