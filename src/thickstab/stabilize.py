@@ -333,12 +333,14 @@ class _Stepper:
     diag(e_rest^k) + H_k R, H_1 = P + diag(e_full) R^T and H_{k+1} = e_full H_k
     + P H_k[band rows]; the adjoint powers are the S^k^H. K is the largest
     value whose H_k fit in _CHUNK_TABLE entries with K^2 <= steps. A pass
-    marches up to K chunk starts x, each S^K of the one before (_power); then
-    one product per table with all the starts gives the band norms, of H_k[band
-    rows] x_band (bt) or H_k^H x (ht), and the rest norms, sum e_rest^2k |x|^2
-    (e2) plus, forward, Re <x_band, W_k x> = 2 Re <e_rest^k x, H_k x_band> +
-    x_band^H Gamma_k x_band, where W_k = conj(2 e_rest^k H_k)^T (wt) holds
-    Gamma_k = H_k^H H_k over the rest rows in its band columns, zero by e_rest.
+    marches up to K chunk starts x, each S^K of the one before (advance with
+    the pair h_chunk, e_chunk); a chunk with picked states, or partial, steps
+    once from its start. One product per table with all the starts gives the
+    band norms, of H_k[band rows] x_band (bt) or H_k^H x (ht), and the rest
+    norms, sum e_rest^2k |x|^2 (e2) plus, forward, Re <x_band, W_k x> = 2 Re
+    <e_rest^k x, H_k x_band> + x_band^H Gamma_k x_band, where W_k = conj(2
+    e_rest^k H_k)^T (wt) holds Gamma_k = H_k^H H_k over the rest rows in its
+    band columns, zero by e_rest.
     """
 
     def __init__(self, grid: Grid, symbol: MultiplierSymbol, mask: SupportMask,
@@ -391,10 +393,10 @@ class _Stepper:
         else:
             self.e_full = semigroup_multiplier(grid, symbol, dt).astype(complex)
         if self.chunk > 1:  # record forms one state per chunk: whole chunks, about 2^10 steps
-            self.block = self.chunk * max(1, 2 ** 10 // self.chunk)
+            self.block, rows = self.chunk * max(1, 2 ** 10 // self.chunk), self.chunk - 1
         else:  # steps per record pass, one state each
-            self.block = min(max(1, _RECORD_BLOCK // self.order.size), steps)
-            self.rows = np.empty((self.block + 1,) + self.order.shape, dtype=complex)
+            self.block = rows = min(max(1, _RECORD_BLOCK // self.order.size), steps)
+        self.rows = np.empty((rows + 1,) + self.order.shape, dtype=complex)  # a pass, or a chunk
 
     def _tables(self, pt: np.ndarray, in_band: np.ndarray) -> None:
         """e2, the march's H_K and e_rest^K, and ht (adjoint) or bt and wt: see the class."""
@@ -413,7 +415,7 @@ class _Stepper:
         self.h_chunk = ht[:, -1].swapaxes(1, 2) if self.adjoint else ht[:, -1].copy()
         # J <= K starts a pass (K^2 <= steps), with their table products in _RECORD_BLOCK entries
         J = _RECORD_BLOCK // (nf * (points + (2 - self.adjoint) * K * b))
-        self.starts = np.empty((max(1, min(K, J)), nf, points), dtype=complex)
+        self.starts = np.empty((max(1, min(K, J)) + 1, nf, points), dtype=complex)
         if self.adjoint:
             self.ht = ht
             return
@@ -434,14 +436,15 @@ class _Stepper:
         out[self.order] = c
         return out.reshape(self.shape)
 
-    def advance(self, rows: np.ndarray) -> None:
-        """Fill rows[1:], each row one step after the row before it."""
+    def advance(self, rows: np.ndarray, pair: tuple = ()) -> None:
+        """Fill rows[1:], each row one step after the row before it. A fold step is c <- e c
+        + c[reads] op for (op, e) = pair: one step by default, K for (h_chunk, e_chunk)."""
         steps = zip(rows, rows[1:])
         if self.lam == 0.0:
             for prev, c in steps:
                 np.multiply(prev, self.e_full, out=c)
         elif self.op is not None:  # the fold reads and writes views of rows
-            op, e, u, u0 = self.op, self.e_full, self.u, self.u[:, 0]
+            (op, e), u, u0 = pair or (self.op, self.e_full), self.u, self.u[:, 0]
             for x, (prev, c), w in zip(rows[..., None, self.reads], steps,
                                        rows[1:, ..., self.writes]):
                 np.matmul(x, op, out=u)
@@ -468,8 +471,8 @@ class _Stepper:
     def record(self, c: np.ndarray, norm_sq: np.ndarray, low_sq: np.ndarray,
                picks: list) -> tuple:
         """Write the squared norm and band norm of c and of the n = len(norm_sq) - 1
-        <= block states after it. Returns the last state and the states after
-        the step counts in picks, as views that the next call may overwrite."""
+        <= block states after it. Returns the last state, a view that the next call may
+        overwrite, and the states after the step counts in picks, in lattice order."""
         n, K = len(norm_sq) - 1, self.chunk
         if K == 1:
             rows = self.rows[:n + 1]
@@ -478,16 +481,24 @@ class _Stepper:
             flat = rows.reshape(n + 1, -1)
             low = flat.take(self.band, axis=1)
             norm_sq[:], low_sq[:] = np.vecdot(flat, flat).real, np.vecdot(low, low).real
-            return rows[-1], [rows[i] for i in picks]
+            return rows[-1], [self.leave(rows[i]) for i in picks]
+        (nf, points), J, states = c.shape, len(self.starts) - 1, []
         low = c.reshape(-1)[self.band]
         norm_sq[0], low_sq[0] = np.vdot(c, c).real, np.vdot(low, low).real
-        (nf, points), J, states = c.shape, len(self.starts), []
         for s in range(0, n, J * K):  # passes of up to J chunks, the last maybe partial
             m = min(J * K, n - s)
-            x = self.starts[:-(-m // K)]
-            x[0], xf = c, x.swapaxes(0, 1)  # each fiber's starts as rows of xf
-            for prev, start in zip(x, x[1:]):  # phase 1: the chunk starts
-                self._power(prev, K, start)
+            x = self.starts[:m // K + 1]  # the chunk starts, then the end of a last full chunk
+            x[0] = c
+            self.advance(x, (self.h_chunk, self.e_chunk))  # phase 1: the chunk starts
+            at = [i - s for i in picks if s < i <= s + m]
+            for j in sorted({i // K for i in at} | ({m // K} if m % K else set())):
+                offsets = [i - j * K for i in at if i // K == j]
+                rows = self.rows[:(m % K if j == m // K else max(offsets)) + 1]
+                rows[0] = x[j]
+                self.advance(rows)
+                states += [self.leave(rows[i]) for i in offsets]
+            c, x = (rows[-1], x) if m % K else (x[-1], x[:-1])  # a partial chunk steps last
+            xf = x.swapaxes(0, 1)  # each fiber's starts as rows of xf; the norms spend x
             if self.adjoint:  # phase 2: every step's norms, from one product per table
                 v, cross = np.matmul(xf, self.ht.reshape(nf, -1, points).swapaxes(1, 2)), 0.0
             else:  # Re <x_band, W_k x>; then the band values take over the memory
@@ -496,21 +507,9 @@ class _Stepper:
                                   xf[..., self.reads].view(float)[..., None]).sum(0)[..., 0]
                 np.matmul(xf[..., self.reads], self.bt, out=v)
             low = np.square(v.view(float), out=v.view(float)).sum(0).reshape(len(x) * K, -1).sum(1)
-            states += [self._power(x[(i - s - 1) // K], (i - s - 1) % K + 1)
-                       for i in picks if s < i <= s + m]
-            c, w = self._power(x[-1], m - (len(x) - 1) * K), x.view(float)
-            norm = np.square(w, out=w).reshape(len(x), -1) @ self.e2.T + cross  # spends x
+            norm = np.square(w := x.view(float), out=w).reshape(len(x), -1) @ self.e2.T + cross
             norm_sq[s + 1:][:m], low_sq[s + 1:][:m] = (norm.reshape(-1) + low)[:m], low[:m]
         return c, states
-
-    def _power(self, x: np.ndarray, k: int, out: np.ndarray | None = None) -> np.ndarray:
-        """S^k x, k <= K: the march (advance's step with H_K and e_rest^K) or k single steps."""
-        if k < self.chunk:
-            self.advance(rows := np.array([x] * (k + 1)))
-            return rows[k]
-        out = np.multiply(x, self.e_chunk, out=out)
-        out[:, self.writes] += np.matmul(x[:, None, self.reads], self.h_chunk, out=self.u)[:, 0]
-        return out
 
 
 def step_closed_loop(f: SpectralField, F: MultiplierSymbol, mask: SupportMask,
@@ -621,7 +620,7 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
         if check_monotone and v[j + 1] > v[j] * (1.0 + 1e-8):
             raise NumericalError(f"Lyapunov functional increased at step "
                                  f"{k + j + 1}: {v[j]} -> {v[j + 1]}")
-        snaps += [(float(times[i]), stepper.leave(x)) for i, x in zip(picks, states)]
+        snaps += [(float(times[i]), x) for i, x in zip(picks, states)]
 
     high_sq = np.maximum(norm_sq - low_sq, 0.0)
     traj = Trajectory(grid=grid, times=times, norms=np.sqrt(norm_sq),

@@ -752,8 +752,9 @@ def _chunk_case(support):
 
 
 def _recorded_states(stepper, c, n):
-    """The n states after c, each picked from one record call."""
-    return stepper.record(c, np.empty(n + 1), np.empty(n + 1), list(range(1, n + 1)))[1]
+    """The n states after c, each picked from one record call, in the stepper's layout."""
+    picked = stepper.record(c, np.empty(n + 1), np.empty(n + 1), list(range(1, n + 1)))[1]
+    return [stepper.enter(x) for x in picked]
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -811,7 +812,7 @@ def test_chunk_size_rule():
     # fibers x points x widest band entries fit in 3 * 2^14. A record pass
     # takes J <= K chunk starts, fewer if the starts and their products with
     # the tables (two in the forward order, one in the adjoint) would pass
-    # _RECORD_BLOCK entries
+    # _RECORD_BLOCK entries; starts holds one more row, for the next pass's start
     g, mask, cfg = _chunk_case("1-D periodic")
     F, dt = halfheat(), cfg.dt_max
     for steps, K in ((1, 1), (2 ** 10 - 1, 1), (2 ** 10, 16), (2 ** 20, 16)):
@@ -819,7 +820,7 @@ def test_chunk_size_rule():
         assert stepper.chunk == K and stepper.op.shape == (16, 3, 64)
         assert K == 1 or (stepper.wt.shape == (16, K * 3, 64)
                           and stepper.bt.shape == (16, 3, K * 3)
-                          and len(stepper.starts) == 16)
+                          and len(stepper.starts) == 16 + 1)
     # 16 fibers x 4 points x 1 band mode: 768 tables fit, so sqrt(steps) rules;
     # a start and its products take 16 (4 + 2 K) entries forward, 16 (4 + K)
     # in the adjoint order
@@ -830,7 +831,7 @@ def test_chunk_size_rule():
         for adjoint in (False, True):
             stepper = _Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, steps)
             assert stepper.chunk == K
-            assert K == 1 or len(stepper.starts) == starts[adjoint]
+            assert K == 1 or len(stepper.starts) == starts[adjoint] + 1
 
 
 def _per_step_records(g, F, mask, cfg, dt, adjoint, f0, n, every=0):
@@ -852,13 +853,22 @@ def _per_step_records(g, F, mask, cfg, dt, adjoint, f0, n, every=0):
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
-def test_long_run_matches_per_step_loop(adjoint):
+def test_long_run_matches_per_step_loop(monkeypatch, adjoint):
     # one record block plus 31 steps, and two blocks plus 37, read their
     # records from the K-step tables (K = 16, 17, 24, each with a partial last
     # chunk), in passes of up to K chunk starts; the per-step loop over a
     # one-step stepper is the reference for norms, band norms, V and
-    # snapshots, taken every 97 steps, which no K divides
-    F = halfheat()
+    # snapshots, taken every step, every 7 and every 97 steps, which no K
+    # divides. A chunk with picked states inside steps once from its start,
+    # so a run of n steps takes at most n single steps (advance's one-step
+    # calls), criterion 08's 1100-step run with a snapshot every step too
+    F, single, advance = halfheat(), [], _Stepper.advance
+
+    def counted(self, rows, *pair):
+        single.append(0 if pair else len(rows) - 1)
+        advance(self, rows, *pair)
+
+    monkeypatch.setattr(_Stepper, "advance", counted)
     for (support, K), (n, blocks) in itertools.product(
             (("1-D periodic", 16), ("1-D one fiber", 17), ("2-D periodic", 24)),
             ((2 ** 10 + 31, 1), (2 * 2 ** 10 + 37, 2))):
@@ -866,25 +876,34 @@ def test_long_run_matches_per_step_loop(adjoint):
         rng = np.random.default_rng(12)
         f0 = field_from_values(g, rng.standard_normal(g.shape)
                                + 1j * rng.standard_normal(g.shape))
-        res = run_stabilization(f0, F, mask, cfg, n * cfg.dt_max,
-                                dt=cfg.dt_max, snapshot_every=97,
-                                adjoint_order=adjoint)
-        assert res.trajectory.times.size == n + 1 and n % K > 0
-        stepper = _Stepper(g, F, mask, cfg, res.dt, adjoint, n)
-        assert stepper.chunk == K and n // stepper.block == blocks
-        assert stepper.block > K * len(stepper.starts)  # several passes a block
-        norm_sq, low_sq, snaps = _per_step_records(g, F, mask, cfg, res.dt,
-                                                   adjoint, f0, n, every=97)
-        traj = res.trajectory
-        for got, want in ((traj.norms, np.sqrt(norm_sq)),
-                          (traj.low_norms, np.sqrt(low_sq)),
-                          (traj.lyapunov, cfg.mu * low_sq + norm_sq - low_sq)):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0,
-                                       err_msg=support)
-        ks = [round(t / res.dt) for t, _ in traj.snapshots]
-        assert ks == [*range(0, n, 97), n]
-        for (t, got), want in zip(traj.snapshots, snaps):
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        stepper = _Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, n)
+        assert stepper.chunk == K and n // stepper.block == blocks and n % K > 0
+        assert stepper.block > K * (len(stepper.starts) - 1)  # several passes a block
+        norm_sq, low_sq, snaps = _per_step_records(g, F, mask, cfg, cfg.dt_max,
+                                                   adjoint, f0, n, every=1)
+        for every in (1, 7, 97):
+            single.clear()
+            res = run_stabilization(f0, F, mask, cfg, n * cfg.dt_max,
+                                    dt=cfg.dt_max, snapshot_every=every,
+                                    adjoint_order=adjoint)
+            assert sum(single) <= n, (support, n, every, sum(single))
+            traj = res.trajectory
+            assert traj.times.size == n + 1 and res.dt == cfg.dt_max
+            for got, want in ((traj.norms, np.sqrt(norm_sq)),
+                              (traj.low_norms, np.sqrt(low_sq)),
+                              (traj.lyapunov, cfg.mu * low_sq + norm_sq - low_sq)):
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0,
+                                           err_msg=support)
+            ks = [round(t / res.dt) for t, _ in traj.snapshots]
+            assert ks == [*range(0, n, every), n]
+            for (t, got), k in zip(traj.snapshots, ks):
+                want = snaps[k]
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    g, mask, cfg = _chunk_case("1-D periodic")
+    single.clear()
+    run_stabilization(field_from_values(g, np.ones(g.shape)), F, mask, cfg, 1100 * cfg.dt_max,
+                      dt=cfg.dt_max, snapshot_every=1, adjoint_order=adjoint)
+    assert 0 < sum(single) <= 1100
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -916,7 +935,7 @@ def test_long_run_guards_name_the_per_step_step(monkeypatch, shift, match, adjoi
     want = f"non-finite at step {step} " if bad.size else f"at step {step}:"
     for starts, budget in ((17, _RECORD_BLOCK), (2, 1300)):
         monkeypatch.setattr("thickstab.stabilize._RECORD_BLOCK", budget)
-        assert len(_Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, n).starts) == starts
+        assert len(_Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, n).starts) == starts + 1
         with pytest.raises(NumericalError, match=match) as err:
             run_stabilization(f0, F, mask, cfg, n * cfg.dt_max, dt=cfg.dt_max,
                               adjoint_order=adjoint, check_monotone=True)
