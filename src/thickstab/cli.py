@@ -287,8 +287,7 @@ def _run_stabilize(cfg, inp, out):
     if steps > 10 ** 7:
         print(f"warning: dt = {dt:.3e} needs {steps} steps to reach "
               f"T = {run['T']}; expect a long run", file=sys.stderr)
-    res = run_stabilization(f0, F, mask, fb, run["T"], dt=dt,
-                            snapshot_every=run["snapshot_every"])
+    res = run_stabilization(f0, F, mask, fb, run["T"], dt=dt)
     records = res.trajectory.times.size
     stride = run["csv_stride"] or max(1, records // 4096)
     write_trajectory_csv(res, out / "trajectory.csv", stride=stride)
@@ -435,7 +434,7 @@ _SCENARIOS = {
                  "dt": _Key(_at_least(_float, 0, strict=True), None,
                             "time step (default: stability cap)"),
                  "snapshot_every": _Key(_at_least(_int, 0), 0,
-                                        "coefficient snapshot stride"),
+                                        "no effect (no output reads snapshots)"),
                  "csv_stride": _Key(_at_least(_int, 0), 0,
                                     "CSV row stride (0 = auto)"),
                  "trials": _Key(_int, 4, "no effect (the eigensolve is dense)"),

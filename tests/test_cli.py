@@ -354,6 +354,13 @@ def test_stabilize_auto_constant(tmp_path, capsys):
     assert main(["stabilize", "--config", str(cfg), "--out", str(out)]) == 0
     assert ((out / "trajectory.csv").read_bytes()
             == (out_ns / "trajectory.csv").read_bytes())
+    # no output reads snapshots, so their stride changes no byte
+    for stride in ("0", "1"):
+        out_s = tmp_path / f"out_s{stride}"
+        assert main(["stabilize", "--config", str(cfg), "--out", str(out_s),
+                     "--set", f"run.snapshot_every={stride}"]) == 0
+        assert ((out_s / "trajectory.csv").read_bytes()
+                == (out / "trajectory.csv").read_bytes())
     manifest = json.loads((out / "manifest.json").read_text())
     d = manifest["derived"]
     g = make_grid(1, 16.0, 64)

@@ -12,6 +12,7 @@ controls through exact slice propagators.
 
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,9 +23,10 @@ from thickstab import stabilize
 from thickstab.errors import (ConvergenceError, MomentDivergenceError,
                               ValidationError)
 from thickstab.grid import (GaussianProbe, field_from_values, make_grid, norm,
-                            project_ball, restricted_norm, to_coefficients,
-                            zero_field)
-from thickstab.observe import (classify_cubes, estimate_observability_constant,
+                            project_ball, restricted_norm,
+                            semigroup_multiplier, to_coefficients, zero_field)
+from thickstab.observe import (_restricted_march, classify_cubes,
+                               estimate_observability_constant,
                                kovrijkine_empirical, make_probe_set,
                                necessity_probe_scan, negative_limit_experiment,
                                shift_observability_identity_check,
@@ -248,6 +250,28 @@ def test_necessity_scan_reads_the_estimate(dim, points):
     report = estimate_observability_constant(halfheat(), mask, 0.5, 0.25,
                                              probes, 48)
     assert scan.required == tuple(r.required_C for r in report.probe_results)
+
+
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 16), (2, 64)])
+def test_restricted_march_memory_stays_within_a_chunk(dim, points):
+    # beyond its output, a long march allocates a few chunks of states: at
+    # most six times the larger of 2^13 complex entries and one state
+    g = make_grid(dim, 16.0, points)
+    rng = np.random.default_rng(points)
+    shape = (8,) + g.shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    e_step = semigroup_multiplier(g, halfheat(), 1e-3)
+    frac = rng.uniform(0.0, 1.0, g.shape)
+    _restricted_march(g, c.copy(), e_step, frac, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        integrand = _restricted_march(g, c, e_step, frac, 2000)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert integrand.shape == (8, 2001)
+    assert peak - integrand.nbytes <= 6 * 16 * max(2 ** 13, c.size)
 
 
 def test_kovrijkine_growth():

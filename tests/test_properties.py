@@ -11,8 +11,9 @@ closed-loop stepper (fiber fold or matrix-free) must agree with a Strang
 step written out from that form and commute with a shift by one period of
 the mask, and each row of a stacked
 restricted-norm march must agree with a plain per-step loop through the
-public field functions. The cube classifier's window sums must match a loop
-over the cubes. The coefficient transform must keep Parseval's identity, and the
+public field functions, and equal one inverse FFT per time to the bit
+across the march's chunks of times. The cube classifier's window sums must
+match a loop over the cubes. The coefficient transform must keep Parseval's identity, and the
 semigroup multipliers must compose. The control synthesizer's stacked
 Gramian apply must match its dense closed form at every stack size, its
 closed-form diagonal must match the dense diagonal, and a dense solve of the
@@ -236,6 +237,48 @@ def test_restricted_march_matches_per_step_loop(case, family, dt, steps, rows,
             want[k] = restricted_norm(from_coefficients(grid, ref), masks[j]) ** 2
         np.testing.assert_allclose(got[j], want, rtol=1e-12, atol=0.0)
         assert np.array_equal(c[j], ref)
+
+
+def _march_per_step(grid, c, e_step, frac, steps):
+    # the march with one inverse FFT per time, kept as the bitwise reference
+    axes = tuple(range(1, c.ndim))
+    integrand = np.empty((len(c), steps + 1))
+    for k in range(steps + 1):
+        if k > 0:
+            c *= e_step
+        vals = np.fft.ifftn(c, axes=axes) / grid.cell_measure
+        sq = frac * (vals.real**2 + vals.imag**2)
+        integrand[:, k] = sq.reshape(len(c), -1).sum(axis=1) * grid.cell_measure
+    return integrand
+
+
+@pytest.mark.parametrize("dim, points, rows", [(1, 64, 3), (1, 256, 5), (2, 16, 2),
+                                               (2, 32, 3)])
+@pytest.mark.parametrize("row_steps, row_masks", [(False, False), (True, False),
+                                                  (False, True), (True, True)])
+def test_restricted_march_chunks_match_per_step_loop(dim, points, rows, row_steps,
+                                                     row_masks):
+    # the march spans three whole chunks of times and ends on a partial one;
+    # every norm and the final state equal the per-step loop's to the bit
+    grid = make_grid(dim, 16.0, points)
+    rng = np.random.default_rng(points + rows)
+    shape = (rows,) + grid.shape
+    per_chunk = observe._MARCH_CHUNK // (rows * grid.points)
+    assert per_chunk > 1
+    steps = 3 * per_chunk + per_chunk // 2 - 1  # steps + 1 times
+    assert (steps + 1) % per_chunk
+    F = halfheat()
+    e_step = (np.stack([semigroup_multiplier(grid, F, 0.01 / (j + 1))
+                        for j in range(rows)]) if row_steps
+              else semigroup_multiplier(grid, F, 0.01))
+    frac = rng.uniform(0.0, 1.0, shape if row_masks else grid.shape)
+    c0 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c, ref = c0.copy(), c0.copy()
+    got = _restricted_march(grid, c, e_step, frac, steps)
+    want = _march_per_step(grid, ref, e_step, frac, steps)
+    assert got.shape == (rows, steps + 1) and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+    assert np.array_equal(c, ref)
 
 
 # (fiber fold?, dim, points, R range as a fraction of xi_max, tile periods);
