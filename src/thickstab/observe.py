@@ -79,10 +79,10 @@ def _restricted_march(grid: Grid, c: np.ndarray, e_step: np.ndarray,
 
     c stacks the coefficients of the fields along its first axis and is
     advanced in place by the one-step multiplier e_step, so it ends as the
-    coefficients at the final time. e_step and frac broadcast against c:
-    either one array shared by every field or one row per field. The states
-    fill chunks of up to _MARCH_CHUNK complex entries (one time at least),
-    each sent through one inverse FFT and summed per (time, row): the same
+    coefficients at the final time. e_step and frac broadcast against c: either
+    one array shared by every field or one row per field. The states fill
+    chunks of up to _MARCH_CHUNK complex entries (one time at least), each sent
+    in place through one inverse FFT and summed per (time, row): the same
     per-row transforms and sums as one call per time, to the bit.
     """
     axes = tuple(range(2, c.ndim + 1))
@@ -98,7 +98,7 @@ def _restricted_march(grid: Grid, c: np.ndarray, e_step: np.ndarray,
             if k0 + j > 0:
                 c *= e_step
             chunk[j] = c
-        vals = np.fft.ifftn(chunk[:n], axes=axes)
+        vals = np.fft.ifftn(chunk[:n], axes=axes, out=chunk[:n])
         vals /= grid.cell_measure
         sq = vals.real**2
         sq += vals.imag**2

@@ -11,16 +11,17 @@ at least the spectral constant of the support, giving
 
 Time stepping is Strang splitting: exact multiplier half-steps around a
 classical 4-stage update of the bounded feedback part. Because the feedback
-sees only the K_R band, its 4-stage update is a degree-4 polynomial in the
-band Gram matrix, which is block diagonal over the Bloch fibers of a
-periodic support (see _fibers); one builder, _fiber_form, gathers every
-fiber block. The spectral constant comes from the blocks (for a support
-with no period, one real block: see _real_form), and the polynomial and
-the two half-multipliers fold into one block per fiber, so a step is one
-batched matrix product. Long runs go K steps at a time: a pass marches its
-chunk starts one S^K after another, and one product per table of the first K
-powers with all of them gives every step's norms. When the blocks would be
-too large the four stages go through the FFT, with no band matrix.
+sees only the K_R band, its 4-stage update is a degree-4 polynomial in the band
+Gram matrix, which is block diagonal over the Bloch fibers of a periodic
+support (see _fibers). Every fiber carries the same circulant mask form, so
+_fiber_form builds each block once per class of fibers with the same band
+(_classes), and it is factored once. The spectral constant comes from the
+blocks (for a support with no period, one real block: see _real_form), and the
+polynomial and the two half-multipliers fold into one block per fiber, so a
+step is one batched matrix product. Long runs go K steps at a time: a pass
+marches its chunk starts one S^K after another, and one product per table of
+the first K powers with all of them gives every step's norms. When the blocks
+would be too large the four stages go through the FFT, with no band matrix.
 """
 
 from __future__ import annotations
@@ -160,15 +161,29 @@ def _fibers(mask: SupportMask, points: np.ndarray) -> tuple:
     """The flat lattice indices points grouped by the Bloch fibers of mask.
 
     With p the mask's period per axis and M = N / p, the mask's DFT lives on
-    multiples of M, so the mask form couples mode k only to k' = k (mod M):
-    one fiber of p^dim modes per residue. Returns the points sorted stably
-    by fiber, the number of them in each fiber and M.
+    multiples of M, so the mask form couples mode k = r + M j only to
+    k' = r + M j', through fhat[M (j - j')]: every fiber r of p^dim modes
+    carries the same p^dim x p^dim circulant. Returns the points sorted
+    stably by fiber, the number of them in each fiber and M.
     """
     m = tuple(n // p for n, p in zip(mask.grid.shape, mask.periods))
     k = np.unravel_index(points, mask.grid.shape)
     fiber = np.ravel_multi_index([a % r for a, r in zip(k, m)], m)
     return (points[np.argsort(fiber, kind="stable")],
             np.bincount(fiber, minlength=math.prod(m)), m)
+
+
+def _classes(mask: SupportMask, modes: np.ndarray, counts: np.ndarray, first=None) -> tuple:
+    """Fibers in classes by the local indices j (k = r + M j) of their band modes, counts per
+    fiber, or with first by the offsets j - j[first] mod p, compared as bytes. Equal offsets give
+    equal band blocks; equal j, equal column blocks too, row by row. Returns the first fiber of
+    each fiber's class, and of each class."""
+    k = np.unravel_index(modes, mask.grid.shape)
+    j = np.ravel_multi_index([(a if first is None else a - a[first]) // (n // p) for a, n, p
+                              in zip(k, mask.grid.shape, mask.periods)], mask.periods, mode="wrap")
+    raw, w, ends, firsts = j.tobytes(), j.itemsize, np.cumsum(counts).tolist(), {}
+    of = [firsts.setdefault(raw[a * w:z * w], f) for f, (a, z) in enumerate(zip([0] + ends, ends))]
+    return of, [*firsts.values()]
 
 
 def _fiber_form(fhat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -209,12 +224,15 @@ def _real_form(fhat: np.ndarray, band: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_blocks(fhat: np.ndarray, band: np.ndarray, counts: np.ndarray):
-    """Band Gram fiber blocks: a stack per size, or on one fiber one real block (_real_form)."""
+def _band_blocks(mask: SupportMask, band: np.ndarray, counts: np.ndarray) -> list:
+    """Band Gram blocks: one per class of fibers with band modes, or one real block (_real_form)."""
+    fhat = np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size
+    if len(counts) == 1:
+        return [_real_form(fhat, band)]
+    counts = counts[counts > 0]  # the fibers with band modes, each a run of band
     start = np.cumsum(counts) - counts
-    for s in np.unique(counts[counts > 0]):
-        modes = band[start[counts == s, None] + np.arange(s)]
-        yield _real_form(fhat, band)[None] if len(counts) == 1 else _fiber_form(fhat, modes, modes)
+    reps = _classes(mask, band, counts, np.repeat(start, counts))[1]
+    return [_fiber_form(fhat, x, x) for x in (band[start[f]:start[f] + counts[f]] for f in reps)]
 
 
 def _mask_form(frac: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -257,8 +275,8 @@ def estimate_spectral_constant(mask: SupportMask, R: float,
     Works on the band Gram matrix (the mask quadratic form compressed to
     the <= R frequency lattice, which quotients out the zero modes of
     K_R 1_omega K_R) and returns 1/sqrt(sigma_min) from dense eigvalsh of
-    its Bloch fiber blocks, exact up to rounding. _band_blocks builds them
-    from the one gather _fiber_form. A support with no period is one fiber,
+    its Bloch fiber blocks, exact up to rounding, one eigvalsh per class of
+    fibers (_band_blocks). A support with no period is one fiber,
     whose block it takes real, in the basis cos(k.x), sin(k.x) (_real_form):
     the same eigenvalues from a 3-4x cheaper eigensolve.
     The eigensolve is direct, so seed has no effect; it is still accepted
@@ -288,9 +306,8 @@ def estimate_spectral_constant(mask: SupportMask, R: float,
             f"the widest Bloch fiber of the band below R = {R} holds {b} modes, "
             f"over the block budget of {_BLOCK_MAX} modes of the dense "
             "spectral-constant eigensolve (lower R or coarsen the grid)")
-    lo, hi = np.inf, 0.0
-    for ev in map(np.linalg.eigvalsh, _band_blocks(np.fft.fftn(frac) / frac.size, band, counts)):
-        lo, hi = min(lo, ev[:, 0].min()), max(hi, ev[:, -1].max())
+    ev = [np.linalg.eigvalsh(x) for x in _band_blocks(mask, band, counts)]
+    lo, hi = min(e[0] for e in ev), max(e[-1] for e in ev)
     if lo <= n * np.finfo(float).eps * hi:
         raise ConvergenceError(
             "band Gram matrix is numerically singular on this support "
@@ -320,12 +337,12 @@ class _Stepper:
     band) has at most _DENSE_STEP_MAX entries, a step is one batched product
     on the state in fiber layout (see _fibers): per fiber c <- e_full c +
     P c_band with P = E_half T[:, band] Q E_half,band padded to the widest
-    band, or c_band += P^H c in the adjoint order. Larger stacks apply Q by
-    Horner with A applied through the FFT: four FFT pairs per step on the
-    state in lattice order. band lists the K_R band's flat positions in the
-    stepper's layout. advance writes each step into the next row of a block,
-    so a step allocates and copies nothing; the multipliers e_full and
-    e_half are stored complex, so applying them casts nothing either.
+    band, or c_band += P^H c in the adjoint order; T[:, band] Q is formed once per
+    class of fibers (_classes). Larger stacks apply Q by Horner with A applied
+    through the FFT: four FFT pairs per step on the state in lattice order. band
+    lists the K_R band's flat positions in the stepper's layout. advance writes
+    each step into the next row of a block, so a step allocates and copies
+    nothing; e_full and e_half are stored complex, so applying them casts nothing.
 
     On fold runs of at least 2^10 steps record reads the norms of K steps at a
     time from tables and forms one state per chunk. With R the band restriction
@@ -368,13 +385,16 @@ class _Stepper:
                 self.order, (nf, points) = order, order.shape
                 in_band = np.arange(points) < counts[:, None]
                 self.band = np.flatnonzero(in_band)
-                t = _fiber_form(np.fft.fftn(frac) / frac.size, order, order[:, :b])
-                t *= in_band[:, None, :b]
+                of, rep = ([0], [0]) if nf == 1 else _classes(mask, order.flat[self.band], counts)
+                t = _fiber_form(np.fft.fftn(frac) / frac.size, order[rep], order[rep, :b])
+                t *= in_band[rep, None, :b]
                 e = e_half.reshape(-1)[order]
                 self.e_full = (e * e).astype(complex)
                 q = _stages(np.eye(b), lambda w: t[:, :b] @ w, self.coeffs)
                 # t's padding columns are zero, so P's are exactly zero
-                p = e[:, :, None] * (t @ q) * e[:, None, :b]
+                p = t @ q if len(rep) == nf else np.take(t @ q, np.searchsorted(rep, of), axis=0)
+                p *= e[:, :, None]
+                p *= e[:, None, :b]
                 if self.adjoint:
                     self.op, self.reads, self.writes = p.conj(), slice(None), slice(b)
                 else:

@@ -254,8 +254,9 @@ def test_necessity_scan_reads_the_estimate(dim, points):
 
 @pytest.mark.parametrize("dim, points", [(1, 256), (2, 16), (2, 64)])
 def test_restricted_march_memory_stays_within_a_chunk(dim, points):
-    # beyond its output, a long march allocates a few chunks of states: at
-    # most six times the larger of 2^13 complex entries and one state
+    # beyond its output, a long march holds its chunk of states, transformed
+    # in place, and the squares: at most three times the larger of 2^13
+    # complex entries and one state (about two, in 1-D and 2-D alike)
     g = make_grid(dim, 16.0, points)
     rng = np.random.default_rng(points)
     shape = (8,) + g.shape
@@ -271,7 +272,7 @@ def test_restricted_march_memory_stays_within_a_chunk(dim, points):
     finally:
         tracemalloc.stop()
     assert integrand.shape == (8, 2001)
-    assert peak - integrand.nbytes <= 6 * 16 * max(2 ** 13, c.size)
+    assert peak - integrand.nbytes <= 3 * 16 * max(2 ** 13, c.size)
 
 
 def test_kovrijkine_growth():

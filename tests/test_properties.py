@@ -2,7 +2,11 @@
 
 The closed-form band Gram, fiber block by fiber block, must act like the
 FFT-applied mask form on the band, and the stepper's rectangular blocks
-must equal a dense modular gather exactly. For a support with no period,
+must equal a dense modular gather exactly. Every fiber's block must be the
+one circulant of the mask's DFT on the fiber's local indices, and the blocks
+built once per class of fibers must equal a fiber-by-fiber build, and its
+spectral constants a fiber-by-fiber eigensolve, to the bit. For a support
+with no period,
 its real block in the basis cos(k.x), sin(k.x) must be exactly symmetric,
 equal W^H G W entry by entry and have the spectrum of the dense complex
 Gram G, and the spectral constant must be 1/sqrt of its least
@@ -20,6 +24,8 @@ closed-form diagonal must match the dense diagonal, and a dense solve of the
 dual system must give the synthesizer's ratio and cost.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,11 +40,12 @@ from thickstab.observe import (_cube_sums, _restricted_march,
                                synthesize_control)
 from thickstab.stabilize import (_DENSE_STEP_MAX, FeedbackConfig, _Stepper,
                                  _apply_band_gram, _band_indices, _fiber_form,
-                                 _fibers, _real_form,
+                                 _fibers, _real_form, _stages, design_feedback,
                                  estimate_spectral_constant)
 from thickstab.symbols import (constant, fractional, halfheat, iterated,
                                loglog, saturating)
-from thickstab.thick import SupportMask, make_full
+from thickstab.thick import (SupportMask, make_full, make_periodic_thick,
+                             make_random_thick)
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -111,6 +118,98 @@ def test_rectangular_fiber_blocks_match_dense_gather(dim, points, period):
     gram = _dense_gram(mask, np.arange(grid.points ** dim))
     got = _fiber_form(np.fft.fftn(frac) / frac.size, order, order[:, :b])
     assert np.array_equal(got, gram[order[:, :, None], order[:, None, :b]])
+
+
+@pytest.mark.parametrize("dim, points, period", [(1, 64, 8), (2, 16, 4), (1, 64, 64), (2, 16, 16)])
+def test_every_fiber_carries_one_circulant(dim, points, period):
+    # mode k = r + M j meets k' = r + M j' through c[j - j'], c the mask's DFT on
+    # the multiples of M (to rounding, the DFT of one period): whole fiber blocks,
+    # tiled or untiled (one fiber, M = 1), in each fiber's local order
+    grid = make_grid(dim, 16.0, points)
+    rng = np.random.default_rng(points + period)
+    cell = rng.uniform(0.0, 1.0, (period,) * dim)
+    mask = SupportMask(grid=grid, cell_fraction=np.tile(cell, (points // period,) * dim))
+    fhat = np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size
+    order, counts, m = _fibers(mask, np.arange(grid.points ** dim))
+    assert len(counts) == (points // period) ** dim and set(counts) == {period ** dim}
+    c = fhat[(slice(None, None, m[0]),) * dim]
+    np.testing.assert_allclose(c, np.fft.fftn(cell) / cell.size, rtol=0.0, atol=1e-15)
+    for fiber in order.reshape(len(counts), -1):
+        j = [a // m[0] for a in np.unravel_index(fiber, grid.shape)]
+        want = c[tuple((a[:, None] - a[None, :]) % period for a in j)]
+        assert np.array_equal(_fiber_form(fhat, fiber, fiber), want)
+
+
+def _per_fiber_fold(grid, F, mask, cfg, dt, adjoint):
+    """The fold's step blocks and e_full built fiber by fiber: the reference
+    for the build once per class of fibers."""
+    e_half = semigroup_multiplier(grid, F, 0.5 * dt)
+    frac = mask.cell_fraction
+    coeffs = np.cumprod([-dt * cfg.lam / j for j in range(1, 5)])
+    order, _, m = _fibers(mask, np.argsort(grid.rho.ravel() > cfg.R, kind="stable"))
+    order = order.reshape(math.prod(m), -1)
+    counts = np.count_nonzero(grid.rho.ravel()[order] <= cfg.R, axis=1)
+    b = int(counts.max())
+    in_band = np.arange(order.shape[1]) < counts[:, None]
+    t = _fiber_form(np.fft.fftn(frac) / frac.size, order, order[:, :b])
+    t *= in_band[:, None, :b]
+    e = e_half.reshape(-1)[order]
+    q = _stages(np.eye(b), lambda w: t[:, :b] @ w, coeffs)
+    p = e[:, :, None] * (t @ q) * e[:, None, :b]
+    op = p.conj() if adjoint else np.ascontiguousarray(p.transpose(0, 2, 1))
+    return op, (e * e).astype(complex), in_band
+
+
+@pytest.mark.parametrize("dim, points, kind, R", [
+    (1, 1024, "periodic", 2.0), (1, 1024, "periodic", 4.0), (1, 1024, "periodic", 8.0),
+    (2, 64, "periodic", 2.0), (2, 64, "periodic", 4.0), (2, 64, "periodic", 8.0),
+    (1, 1024, "random", 4.0)])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_class_build_equals_per_fiber_build(dim, points, kind, R, adjoint):
+    # the benchmark's supports: step blocks, multipliers and K-step tables of a
+    # 2^10-step run to the bit (2-D R = 8 takes K = 1 and has no tables)
+    grid = make_grid(dim, 16.0, points)
+    mask = (make_periodic_thick(grid, 1.0, 0.5) if kind == "periodic"
+            else make_random_thick(grid, 2.0, 0.3, 0))
+    F, cfg = halfheat(), design_feedback(halfheat(), R, 1.0)
+    stepper = _Stepper(grid, F, mask, cfg, cfg.dt_max, adjoint, 2 ** 10)
+    op, e_full, in_band = _per_fiber_fold(grid, F, mask, cfg, cfg.dt_max, adjoint)
+    assert np.array_equal(stepper.op, op) and np.array_equal(stepper.e_full, e_full)
+    assert (stepper.chunk > 1) == (R < 8.0 or dim == 1)
+    if stepper.chunk > 1:
+        ref = _Stepper(grid, F, mask, cfg, cfg.dt_max, adjoint)
+        ref.op, ref.e_full, ref.chunk = op, e_full, stepper.chunk
+        ref._tables(op.swapaxes(1, 2) if adjoint else op, in_band)
+        for name in ("h_chunk", "e_chunk", "e2") + (("ht",) if adjoint else ("bt", "wt")):
+            assert np.array_equal(getattr(stepper, name), getattr(ref, name)), name
+
+
+def _per_fiber_constant(mask, R):
+    """The spectral constant from one eigvalsh per Bloch fiber block."""
+    band, counts, _ = _fibers(mask, _band_indices(mask.grid, R))
+    fhat = np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size
+    blocks = ([_real_form(fhat, band)] if len(counts) == 1 else
+              [_fiber_form(fhat, x, x) for x in np.split(band, np.cumsum(counts)[:-1]) if len(x)])
+    return 1.0 / math.sqrt(min(np.linalg.eigvalsh(x)[0] for x in blocks))
+
+
+def test_class_constants_equal_per_fiber_eigensolves():
+    # the band sweep's estimates and Kovrijkine ladder; the benchmark pins the
+    # ladder to 1e-9, and its pins were printed to 16 digits, not to the bit
+    for dim, points, radii in ((1, 1024, (2.0, 4.0, 8.0)), (2, 64, (2.0, 4.0))):
+        grid = make_grid(dim, 16.0, points)
+        for mask in (make_periodic_thick(grid, 1.0, 0.5), make_random_thick(grid, 2.0, 0.3, 0)):
+            for R in radii:
+                assert estimate_spectral_constant(mask, R) == _per_fiber_constant(mask, R)
+    # at 2-D R = 8 the band outnumbers the cells of one period in a fiber
+    with pytest.raises(ConvergenceError, match=r"7 of them in fiber r = \(0, 4\) of 256"):
+        estimate_spectral_constant(make_periodic_thick(make_grid(2, 16.0, 64), 1.0, 0.5), 8.0)
+    mask = make_periodic_thick(make_grid(1, 16.0, 256), 1.0, 0.5)
+    ladder = (2.0, 4.0, 8.0, 16.0)
+    pins = (1.414213562373095, 2.3594122665930577, 4.615786171223051, 71.62355165761892)
+    want = tuple(_per_fiber_constant(mask, R) for R in ladder)
+    assert observe.kovrijkine_empirical(mask, ladder).constants == want
+    np.testing.assert_allclose(want, pins, rtol=1e-9, atol=0.0)
 
 
 def _real_basis(grid, band):
