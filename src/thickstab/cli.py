@@ -12,10 +12,13 @@ an unknown or inapplicable key aborts with exit code 2 and a message naming
 it. Numerical failures (non-convergence, overflow) exit with code 3.
 
 Each run writes its data files plus a manifest.json that echoes the fully
-resolved configuration, the sha256 of the config file, and the sha256 of
-every emitted artifact. Identical configs produce byte-identical CSVs: all
-floats are written with repr, line endings are LF, and every randomized
-scenario takes an explicit seed.
+resolved configuration, the sha256 of the config file, and the sha256 of the
+bytes written for each artifact; every artifact, TSM1 masks too, goes through
+grid._write_bytes. A rerun into the same --out overwrites each file in place;
+files an earlier run left there and this run does not write stay on disk,
+outside the manifest. Identical configs produce byte-identical CSVs: floats
+are written with repr, line endings are LF, and every randomized scenario
+takes an explicit seed.
 """
 
 from __future__ import annotations
@@ -169,10 +172,6 @@ class _Inputs:
     field: object = None
 
 
-def _hash_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _build_symbol(scfg: dict):
     # family -> (constructor, its keys and defaults in argument order); built
     # per call, like the mask table, so wrappers on these names (bench/) run
@@ -266,10 +265,11 @@ def _run_simulate(cfg, inp, out):
     traj = run_stabilization(inp.field, inp.F, None, None, T, dt=T / (rows - 1),
                              snapshot_every=rows - 1).trajectory
     # linspace ends on T itself; the runner's last time is (rows - 1) * (T / (rows - 1))
-    _write_csv(out / "evolution.csv", "t,norm", zip(np.linspace(0.0, T, rows), traj.norms))
-    write_field(out / "final.tsf", from_coefficients(inp.grid, traj.snapshots[-1][1]))
     return ({"initial_norm": float(traj.norms[0]), "final_norm": float(traj.norms[-1])},
-            ["evolution.csv", "final.tsf"])
+            {"evolution.csv": _write_csv(out / "evolution.csv", "t,norm",
+                                         zip(np.linspace(0.0, T, rows), traj.norms)),
+             "final.tsf": write_field(out / "final.tsf",
+                                      from_coefficients(inp.grid, traj.snapshots[-1][1]))})
 
 
 def _run_stabilize(cfg, inp, out):
@@ -290,11 +290,11 @@ def _run_stabilize(cfg, inp, out):
     res = run_stabilization(f0, F, mask, fb, run["T"], dt=dt)
     records = res.trajectory.times.size
     stride = run["csv_stride"] or max(1, records // 4096)
-    write_trajectory_csv(res, out / "trajectory.csv", stride=stride)
+    sha = write_trajectory_csv(res, out / "trajectory.csv", stride=stride)
     derived.update(fb.to_manifest())
     derived.update({"fitted_rate": res.fitted_rate, "dt": res.dt,
                     "steps": records - 1, "csv_stride": stride})
-    return derived, ["trajectory.csv"]
+    return derived, {"trajectory.csv": sha}
 
 
 def _run_observability(cfg, inp, out):
@@ -304,14 +304,14 @@ def _run_observability(cfg, inp, out):
     report = estimate_observability_constant(inp.F, inp.mask, run["T"],
                                              run["epsilon"], probes,
                                              run["quadrature_steps"])
-    write_report_json(report, out / "report.json")
-    _write_csv(out / "probes.csv",
-               "index,center,frequency,width,lhs,obs_integral,required_C",
-               ((r.index, ";".join(map(repr, probes[r.index].center)),
-                 ";".join(map(repr, probes[r.index].frequency)),
-                 probes[r.index].width, r.lhs, r.obs_integral, r.required_C)
-                for r in report.probe_results))
-    return {"C_est": report.C_est}, ["report.json", "probes.csv"]
+    return {"C_est": report.C_est}, {
+        "report.json": write_report_json(report, out / "report.json"),
+        "probes.csv": _write_csv(
+            out / "probes.csv", "index,center,frequency,width,lhs,obs_integral,required_C",
+            ((r.index, ";".join(map(repr, probes[r.index].center)),
+              ";".join(map(repr, probes[r.index].frequency)),
+              probes[r.index].width, r.lhs, r.obs_integral, r.required_C)
+             for r in report.probe_results))}
 
 
 def _run_necessity(cfg, inp, out):
@@ -321,15 +321,13 @@ def _run_necessity(cfg, inp, out):
     scan = necessity_probe_scan(inp.F, inp.mask, run["T"], run["epsilon"],
                                 run["C"], centers, run["width"],
                                 run["quadrature_steps"])
-    _write_csv(out / "necessity.csv", "center,required_C",
-               zip(scan.centers, scan.required))
-    derived = {
+    return {
         "xi0": list(scan.xi0),
         "witness_index": scan.witness_index,
         "growth_ratio": (float(scan.required[-1] / scan.required[0])
                          if scan.required[0] > 0 else float("inf")),
-    }
-    return derived, ["necessity.csv"]
+    }, {"necessity.csv": _write_csv(out / "necessity.csv", "center,required_C",
+                                    zip(scan.centers, scan.required))}
 
 
 def _run_negative_limit(cfg, inp, out):
@@ -337,19 +335,17 @@ def _run_negative_limit(cfg, inp, out):
     curve = negative_limit_experiment(inp.F, inp.field, run["radius"],
                                       run["T0"], run["h_ladder"],
                                       run["quadrature_steps"])
-    _write_csv(out / "curve.csv", "h,constant,integral",
-               zip(curve.h_values, curve.constants, curve.integrals))
     return ({"growth_ratio": float(curve.constants[-1] / curve.constants[0])},
-            ["curve.csv"])
+            {"curve.csv": _write_csv(out / "curve.csv", "h,constant,integral",
+                                     zip(curve.h_values, curve.constants, curve.integrals))})
 
 
 def _run_qa(cfg, inp, out):
     run = cfg["run"]
     seq = build_sequence(inp.F, run["k_max"], run["scale"])
-    write_moments_csv(seq, out / "moments.csv")
     return ({"ratio_bound": seq.ratio_bound,
              "dc_partial_sum": dc_partial_sum(seq, run["k_max"] + 1)},
-            ["moments.csv"])
+            {"moments.csv": write_moments_csv(seq, out / "moments.csv")})
 
 
 def _run_thick_check(cfg, inp, out):
@@ -357,29 +353,26 @@ def _run_thick_check(cfg, inp, out):
     run = cfg["run"]
     measured = thickness_certificate(mask, run["L"], run["stride"])
     claimed = mask.certificate[0] if mask.certificate else float("nan")
-    write_mask(out / "mask.tsm", mask)
-    _write_csv(out / "thickness.csv", "L,stride,gamma_measured,gamma_claimed",
-               [(run["L"], run["stride"], measured, claimed)])
-    derived = {"gamma_measured": measured,
-               "measure_fraction": mask.measure_fraction,
-               "certificate": list(mask.certificate) if mask.certificate else None}
-    return derived, ["mask.tsm", "thickness.csv"]
+    return ({"gamma_measured": measured, "measure_fraction": mask.measure_fraction,
+             "certificate": list(mask.certificate) if mask.certificate else None},
+            {"mask.tsm": write_mask(out / "mask.tsm", mask),
+             "thickness.csv": _write_csv(out / "thickness.csv",
+                                         "L,stride,gamma_measured,gamma_claimed",
+                                         [(run["L"], run["stride"], measured, claimed)])})
 
 
 def _run_cubes(cfg, inp, out):
     run = cfg["run"]
     rep = classify_cubes(inp.field, inp.F, run["T"], run["epsilon"], run["L"],
                          run["beta_max"])
-    write_cube_csv(rep, out / "cubes.csv")
-    derived = {
+    return {
         "bad_cubes": int(np.sum(~rep.labels)),
         "total_cubes": int(rep.labels.size),
         "bad_mass": rep.bad_mass,
         "mass_budget": rep.mass_budget,
         "tested_weight": rep.tested_weight,
         "tail_weight": rep.tail_weight,
-    }
-    return derived, ["cubes.csv"]
+    }, {"cubes.csv": write_cube_csv(rep, out / "cubes.csv")}
 
 
 def _run_synthesize(cfg, inp, out):
@@ -389,28 +382,26 @@ def _run_synthesize(cfg, inp, out):
                              slices=run["slices"], tol=run["tol"],
                              max_cg=run["max_cg"], penalty0=run["penalty0"],
                              max_penalty_steps=run["max_penalty_steps"])
-    files, rows = [], []
+    files, rows = {}, []
     (out / "controls").mkdir(exist_ok=True)
     for i, values in enumerate(res.controls):
         h = field_from_values(grid, values)
-        files.append(f"controls/slice_{i:03d}.tsf")
-        write_field(out / files[-1], h)
+        name = f"controls/slice_{i:03d}.tsf"
+        files[name] = write_field(out / name, h)
         rows.append((i, res.times[i], res.times[i + 1], norm(h)))
-    _write_csv(out / "control.csv", "slice,t_start,t_end,control_norm", rows)
-    write_field(out / "final.tsf", res.final_field)
-    derived = {"cost": res.cost, "ratio": res.ratio, "penalty": res.penalty,
-               "cg_iterations": res.cg_iterations}
-    return derived, ["control.csv", "final.tsf"] + files
+    files["control.csv"] = _write_csv(out / "control.csv", "slice,t_start,t_end,control_norm", rows)
+    files["final.tsf"] = write_field(out / "final.tsf", res.final_field)
+    return ({"cost": res.cost, "ratio": res.ratio, "penalty": res.penalty,
+             "cg_iterations": res.cg_iterations}, files)
 
 
 def _run_kovrijkine(cfg, inp, out):
     run = cfg["run"]
     fit = kovrijkine_empirical(inp.mask, run["R_ladder"], C_n=run["C_n"])
-    _write_csv(out / "kovrijkine.csv", "R,c_emp,log_c_emp",
-               ((r, c, math.log(c)) for r, c in zip(fit.R_values, fit.constants)))
-    derived = {"slope": fit.slope, "intercept": fit.intercept,
-               "reference_slope": fit.reference_slope}
-    return derived, ["kovrijkine.csv"]
+    return ({"slope": fit.slope, "intercept": fit.intercept,
+             "reference_slope": fit.reference_slope},
+            {"kovrijkine.csv": _write_csv(out / "kovrijkine.csv", "R,c_emp,log_c_emp", (
+                (r, c, math.log(c)) for r, c in zip(fit.R_values, fit.constants)))})
 
 
 _SCENARIOS = {
@@ -565,21 +556,21 @@ def _resolve(scenario: str, raw: dict) -> dict:
     return resolved
 
 
-def _read_config(path: Path) -> dict:
+def _read_config(path: Path) -> tuple:
+    """Sections of the INI file, parsed with universal newlines, and the sha256 of its bytes."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
-        text = path.read_text()
-    except OSError as exc:
+        data = path.read_bytes()
+        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}")
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
         raise ValidationError(f"malformed config {path}: {exc}")
-    raw = {}
-    for section in parser.sections():
-        raw[section] = dict(parser.items(section))
-    return raw
+    raw = {section: dict(parser.items(section)) for section in parser.sections()}
+    return raw, hashlib.sha256(data).hexdigest()
 
 
 def _apply_overrides(raw: dict, sets: list) -> None:
@@ -610,24 +601,24 @@ def _print_catalog(as_json: bool) -> None:
 
 
 def _run(scenario: str, config_path: Path, out_dir: Path, sets: list) -> int:
-    raw = _read_config(config_path)
+    raw, config_sha = _read_config(config_path)
     _apply_overrides(raw, sets)
     resolved = _resolve(scenario, raw)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out_dir}: {exc}")
     spec = _SCENARIOS[scenario]
     inputs = _build_inputs(spec, resolved)
-    derived, files = spec.run(resolved, inputs, out_dir)
+    derived, outputs = spec.run(resolved, inputs, out_dir)
     if inputs.mask is not None:
         derived["mask_hash"] = mask_hash(inputs.mask)
     manifest = {
         "scenario": scenario,
         "config": resolved,
-        "inputs": {
-            "config_path": str(config_path),
-            "config_sha256": _hash_file(config_path),
-        },
+        "inputs": {"config_path": str(config_path), "config_sha256": config_sha},
         "derived": derived,
-        "outputs": {name: _hash_file(out_dir / name) for name in sorted(files)},
+        "outputs": outputs,  # sorted by the writer's sort_keys
     }
     _write_json(out_dir / "manifest.json", manifest)
     return 0

@@ -17,8 +17,10 @@ holds exactly on the lattice.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -295,18 +297,26 @@ def sample_probe(grid: Grid, probe: GaussianProbe) -> SpectralField:
 # complex128 field values (re, im interleaved), TSM1 f64 cell fractions.
 
 
-def _write_csv(path, header: str, rows) -> None:
+def _write_bytes(path, data: bytes) -> str:
+    """Make data the whole of path: open(path, "wb") without O_TRUNC, so an
+    existing file is overwritten in place and then cut to length (a truncating
+    open, on ext4 with discard, costs more than the write). Returns sha256(data)."""
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.write(data)
+        fh.truncate()
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_csv(path, header: str, rows) -> str:
     lines = [header] + [",".join([repr(float(v)) if isinstance(v, _FLOATS) else str(v)
                                   for v in row]) for row in rows]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return _write_bytes(path, "\n".join(lines + [""]).encode())
 
 
-def _write_json(path, payload) -> None:
+def _write_json(path, payload) -> str:
     # numpy scalars are written as the Python values their .item() gives
-    with open(path, "w", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=np.generic.item)
-        fh.write("\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, default=np.generic.item)
+    return _write_bytes(path, (text + "\n").encode())
 
 
 def _snapshot_bytes(magic: bytes, grid: Grid, values, dtype: str) -> bytes:
@@ -337,9 +347,8 @@ def _read_snapshot(path, magic: bytes, dtype: str) -> tuple:
     return grid, np.frombuffer(body, dtype=dtype).reshape(grid.shape)
 
 
-def write_field(path, f: SpectralField) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_snapshot_bytes(_TSF1_MAGIC, f.grid, f.values, "<c16"))
+def write_field(path, f: SpectralField) -> str:
+    return _write_bytes(path, _snapshot_bytes(_TSF1_MAGIC, f.grid, f.values, "<c16"))
 
 
 def read_field(path) -> SpectralField:

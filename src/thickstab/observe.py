@@ -200,7 +200,7 @@ def make_probe_set(grid: Grid, count: int, seed: int,
     return tuple(probes)
 
 
-def write_report_json(report: ObservabilityReport, path) -> None:
+def write_report_json(report: ObservabilityReport, path) -> str:
     payload = {
         "symbol": report.symbol.describe(),
         "mask_hash": mask_hash(report.mask),
@@ -219,7 +219,7 @@ def write_report_json(report: ObservabilityReport, path) -> None:
             for r in report.probe_results
         ],
     }
-    _write_json(path, payload)
+    return _write_json(path, payload)
 
 
 def shift_observability_identity_check(report: ObservabilityReport,
@@ -459,12 +459,12 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
         tested_weight=tested, tail_weight=(2.0 / 3.0) ** n - tested)
 
 
-def write_cube_csv(report: CubeReport, path) -> None:
-    _write_csv(path, "cube,label,worst_beta,ratio",
-               ((i, "good" if good else "bad", ";".join(map(str, beta)), ratio)
-                for i, (good, beta, ratio) in enumerate(zip(
-                    report.labels.ravel(), report.worst_beta,
-                    report.worst_ratio.ravel()))))
+def write_cube_csv(report: CubeReport, path) -> str:
+    return _write_csv(path, "cube,label,worst_beta,ratio",
+                      ((i, "good" if good else "bad", ";".join(map(str, beta)), ratio)
+                       for i, (good, beta, ratio) in enumerate(zip(
+                           report.labels.ravel(), report.worst_beta,
+                           report.worst_ratio.ravel()))))
 
 
 # ---------------------------------------------------------------------------

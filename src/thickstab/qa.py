@@ -276,11 +276,11 @@ def ratio_lower_bound_check(p: int, k) -> bool:
     return bool(ratio >= bound * (1.0 - 1e-9))
 
 
-def write_moments_csv(seq: QASequence, path) -> None:
+def write_moments_csv(seq: QASequence, path) -> str:
     """Rows k = 0..k_max with the ratio M_k/M_{k+1} and the running ratio sum."""
     logs = np.array(seq.log_moments + (seq.tail_log_moment,))
     ratios = np.exp(logs[:-1] - logs[1:])
     partial = np.cumsum(ratios)
-    _write_csv(path, "k,log_moment,argmax,ratio,dc_partial_sum",
-               zip(range(seq.k_max + 1), seq.log_moments,
-                   seq.argmax_locations, ratios, partial))
+    return _write_csv(path, "k,log_moment,argmax,ratio,dc_partial_sum",
+                      zip(range(seq.k_max + 1), seq.log_moments,
+                          seq.argmax_locations, ratios, partial))

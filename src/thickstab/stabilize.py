@@ -698,12 +698,12 @@ def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
 
 
 def write_trajectory_csv(result: StabilizationResult, path,
-                         stride: int = 1) -> None:
+                         stride: int = 1) -> str:
     """One row per recorded step; stride > 1 thins to every k-th row plus
     the final one, for runs long enough that a full dump is unhelpful."""
     _check_count(stride=stride)
     traj = result.trajectory
     idx = [*range(0, traj.times.size - 1, stride), traj.times.size - 1]
-    _write_csv(path, "t,norm,lyapunov,low_norm,high_norm",
-               ((traj.times[i], traj.norms[i], traj.lyapunov[i],
-                 traj.low_norms[i], traj.high_norms[i]) for i in idx))
+    return _write_csv(path, "t,norm,lyapunov,low_norm,high_norm",
+                      ((traj.times[i], traj.norms[i], traj.lyapunov[i],
+                        traj.low_norms[i], traj.high_norms[i]) for i in idx))

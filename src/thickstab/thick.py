@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid, _check_count, _read_snapshot, _readonly, _snapshot_bytes
+from .grid import Grid, _check_count, _read_snapshot, _readonly, _snapshot_bytes, _write_bytes
 
 _TSM1_MAGIC = b"TSM1"
 _SUBSAMPLES = 16  # sub-cell lattice per axis on cells a ball boundary cuts
@@ -226,9 +226,8 @@ def thickness_certificate(mask: SupportMask, L: float, stride: int = 1) -> float
 # Mask snapshots: the TSM1 layout of grid.py, with f64 cell fractions.
 
 
-def write_mask(path, mask: SupportMask) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_snapshot_bytes(_TSM1_MAGIC, mask.grid, mask.cell_fraction, "<f8"))
+def write_mask(path, mask: SupportMask) -> str:
+    return _write_bytes(path, _snapshot_bytes(_TSM1_MAGIC, mask.grid, mask.cell_fraction, "<f8"))
 
 
 def read_mask(path) -> SupportMask:

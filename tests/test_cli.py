@@ -123,6 +123,34 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def outputs_on_disk(out):
+    """The manifest's outputs, checked against the sha256 of each file on disk."""
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert outputs == {name: sha256(out / name) for name in outputs}
+    return outputs
+
+
+SYNTH_CFG = """\
+[grid]
+extent = 16.0
+points = 32
+
+[symbol]
+family = constant
+value = 0.0
+
+[mask]
+kind = full
+
+[run]
+T = 1.0
+epsilon = 0.5
+slices = 4
+f0 = mode
+f0_mode = 3
+"""
+
+
 def test_list_catalog(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -163,6 +191,16 @@ def test_qa_run_and_manifest(tmp_path):
     s = manifest["derived"]["dc_partial_sum"]
     assert 2.0 < s - math.log(101) < 3.0
 
+    # a CRLF config parses like its LF twin; its hash is that of its own bytes
+    crlf = tmp_path / "crlf.ini"
+    crlf.write_bytes(QA_CFG.replace("\n", "\r\n").encode())
+    out_crlf = tmp_path / "out_crlf"
+    assert main(["qa", "--config", str(crlf), "--out", str(out_crlf)]) == 0
+    twin = json.loads((out_crlf / "manifest.json").read_text())
+    assert twin["config"] == manifest["config"]
+    assert twin["outputs"] == manifest["outputs"]
+    assert twin["inputs"]["config_sha256"] == sha256(crlf) != sha256(cfg)
+
 
 def test_determinism_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, QA_CFG)
@@ -179,14 +217,28 @@ def test_determinism_byte_identical(tmp_path):
     for name in ("probes.csv", "report.json", "manifest.json"):
         assert (o1 / name).read_bytes() == (o2 / name).read_bytes()
 
+    # reruns into an existing --out (here a) write the fresh runs' bytes
+    # again, over a longer manifest too; synthesize covers controls/
+    scfg = write_cfg(tmp_path, SYNTH_CFG, "synth.ini")
+    synth = tmp_path / "s"
+    assert main(["synthesize", "--config", str(scfg), "--out", str(synth)]) == 0
+    assert sum(name.startswith("controls/") for name in outputs_on_disk(synth)) == 4
+    for scenario, config, fresh in [("synthesize", scfg, synth), ("qa", cfg, out2)]:
+        assert main([scenario, "--config", str(config), "--out", str(out1)]) == 0
+        for name in [*outputs_on_disk(out1), "manifest.json"]:
+            assert (out1 / name).read_bytes() == (fresh / name).read_bytes()
+
 
 def test_set_overrides(tmp_path):
     cfg = write_cfg(tmp_path, "[symbol]\nfamily = halfheat\n")
     out = tmp_path / "out"
-    # --set can create a missing section and key
-    assert main(["qa", "--config", str(cfg), "--out", str(out),
-                 "--set", "run.k_max=5"]) == 0
+    # --set can create a missing section and key; a shorter rerun into the
+    # same --out leaves no tail of the longer one
+    for k_max in (100, 5):
+        assert main(["qa", "--config", str(cfg), "--out", str(out),
+                     "--set", f"run.k_max={k_max}"]) == 0
     assert len((out / "moments.csv").read_text().splitlines()) == 7
+    outputs_on_disk(out)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["run"]["k_max"] == 5
     assert main(["qa", "--config", str(cfg), "--out", str(out),
@@ -204,6 +256,14 @@ def test_validation_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["observability", "--config", str(cfg)]) == 2
     assert main(["observability", "--config", str(tmp_path / "absent.ini"),
                  "--out", str(out)]) == 2
+    latin1 = tmp_path / "latin1.ini"
+    latin1.write_bytes(b"[symbol]\nfamily = halfheat\n# caf\xe9\n")
+    assert main(["qa", "--config", str(latin1), "--out", str(out)]) == 2
+    assert f"error: cannot read config {latin1}" in capsys.readouterr().err
+    # an --out that is a file, or lies under one, is named, not a traceback
+    for bad_out in (cfg, cfg / "sub"):
+        assert main(["observability", "--config", str(cfg), "--out", str(bad_out)]) == 2
+        assert f"error: cannot create output directory {bad_out}" in capsys.readouterr().err
 
     # a misspelled key is named before anything runs
     assert main(["observability", "--config", str(cfg), "--out", str(out),

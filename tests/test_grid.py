@@ -238,6 +238,32 @@ def test_artifact_format_pins(tmp_path):
     assert mask_hash(m) == hashlib.sha256(tsm.read_bytes()).hexdigest()
 
 
+def test_shorter_rewrite_leaves_no_stale_tail(tmp_path):
+    # writers overwrite in place, so a shorter artifact must cut the file to
+    # its own length; each returns the sha256 of exactly what it wrote
+    small, large = make_grid(1, 16.0, 8), make_grid(2, 16.0, 16)
+    cases = [
+        (lambda p: _write_csv(p, "a,b", [(0.1, 2)] * 50),
+         lambda p: _write_csv(p, "a,b", [(0.5, 1)]), b"a,b\n0.5,1\n"),
+        (lambda p: _write_json(p, {"k": list(range(50))}),
+         lambda p: _write_json(p, {"k": 1}), b'{\n  "k": 1\n}\n'),
+        (lambda p: write_field(p, zero_field(large)),
+         lambda p: write_field(p, zero_field(small)), None),
+        (lambda p: write_mask(p, make_periodic_thick(large, 2.0, 0.5)),
+         lambda p: write_mask(p, make_periodic_thick(small, 2.0, 0.5)), None),
+    ]
+    path = tmp_path / "artifact"
+    for i, (longer, shorter, want) in enumerate(cases):
+        fresh = tmp_path / f"fresh{i}"
+        shorter(fresh)
+        want = want or fresh.read_bytes()
+        assert fresh.read_bytes() == want
+        longer(path)
+        assert path.stat().st_size > len(want)
+        assert shorter(path) == hashlib.sha256(want).hexdigest()
+        assert path.read_bytes() == want
+
+
 def test_field_values_immutable():
     g = make_grid(1, 16.0, 64)
     f = zero_field(g)
