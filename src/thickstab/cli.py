@@ -10,6 +10,8 @@ and [run]; which sections and keys a scenario accepts is listed by
 `thickstab list`. Every key is validated before any computation starts, and
 an unknown or inapplicable key aborts with exit code 2 and a message naming
 it. Numerical failures (non-convergence, overflow) exit with code 3.
+The argument parser is built once per process, at import, so in-process
+callers may call main repeatedly; no call's options reach the next.
 
 Each run writes its data files plus a manifest.json that echoes the fully
 resolved configuration, the sha256 of the config file, and the sha256 of the
@@ -52,10 +54,6 @@ from .thick import (make_ball_complement, make_full, make_periodic_thick,
                     write_mask)
 
 _REQUIRED = object()
-
-
-def _int(raw: str) -> int:
-    return int(raw, 10)
 
 
 def _float(raw: str) -> float:
@@ -110,9 +108,9 @@ class _Key:
 
 
 _GRID_KEYS = {
-    "dim": _Key(_int, 1, "spatial dimension (1 or 2)"),
+    "dim": _Key(int, 1, "spatial dimension (1 or 2)"),
     "extent": _Key(_float, help="side length of the periodic box"),
-    "points": _Key(_int, help="grid points per axis"),
+    "points": _Key(int, help="grid points per axis"),
 }
 
 _SYMBOL_KEYS = {
@@ -121,7 +119,7 @@ _SYMBOL_KEYS = {
                    help="multiplier family F(|xi|)"),
     "s": _Key(_float, None, "exponent for fractional / loglog"),
     "delta": _Key(_float, None, "log-log tilt"),
-    "p": _Key(_int, None, "iteration depth"),
+    "p": _Key(int, None, "iteration depth"),
     "knee": _Key(_float, None, "saturating knee radius"),
     "span": _Key(_float, None, "saturating tabulation span"),
     "value": _Key(_float, None, "constant symbol value"),
@@ -136,7 +134,7 @@ _MASK_KEYS = {
     "cert_scale": _Key(_float, None, "window length for the measured certificate"),
     "gamma": _Key(_float, None, "random thickness target"),
     "L": _Key(_float, None, "random block length"),
-    "seed": _Key(_at_least(_int, 0), None, "random mask seed"),
+    "seed": _Key(_at_least(int, 0), None, "random mask seed"),
 }
 
 
@@ -150,7 +148,7 @@ def _field_keys(prefix: str, what: str) -> dict:
                                  "gaussian center (default: box center)"),
         f"{prefix}_frequency": _Key(_float, 0.0,
                                     "gaussian modulation along the first axis"),
-        f"{prefix}_mode": _Key(_int, 1, "cosine mode index along the first axis"),
+        f"{prefix}_mode": _Key(int, 1, "cosine mode index along the first axis"),
     }
 
 
@@ -378,12 +376,12 @@ def _run_cubes(cfg, inp, out):
 def _run_synthesize(cfg, inp, out):
     grid, mask = inp.grid, inp.mask
     run = cfg["run"]
+    _make_dir(out / "controls")  # before the solve, which an unusable path would waste
     res = synthesize_control(inp.field, inp.F, mask, run["T"], run["epsilon"],
                              slices=run["slices"], tol=run["tol"],
                              max_cg=run["max_cg"], penalty0=run["penalty0"],
                              max_penalty_steps=run["max_penalty_steps"])
     files, rows = {}, []
-    (out / "controls").mkdir(exist_ok=True)
     for i, values in enumerate(res.controls):
         h = field_from_values(grid, values)
         name = f"controls/slice_{i:03d}.tsf"
@@ -410,7 +408,7 @@ _SCENARIOS = {
         {"grid": _GRID_KEYS, "symbol": _SYMBOL_KEYS,
          "run": {"T": _Key(_at_least(_float, 0, strict=True),
                            help="final time"),
-                 "snapshots": _Key(_at_least(_int, 2), 129,
+                 "snapshots": _Key(_at_least(int, 2), 129,
                                    "rows in evolution.csv"),
                  **_field_keys("f0", "initial data")}},
         _run_simulate, "f0"),
@@ -424,13 +422,13 @@ _SCENARIOS = {
                  "T": _Key(_float, help="final time"),
                  "dt": _Key(_at_least(_float, 0, strict=True), None,
                             "time step (default: stability cap)"),
-                 "snapshot_every": _Key(_at_least(_int, 0), 0,
+                 "snapshot_every": _Key(_at_least(int, 0), 0,
                                         "no effect (no output reads snapshots)"),
-                 "csv_stride": _Key(_at_least(_int, 0), 0,
+                 "csv_stride": _Key(_at_least(int, 0), 0,
                                     "CSV row stride (0 = auto)"),
-                 "trials": _Key(_int, 4, "no effect (the eigensolve is dense)"),
-                 "iterations": _Key(_int, 200, "no effect (the eigensolve is dense)"),
-                 "seed": _Key(_int, None, "no effect (the eigensolve is dense)"),
+                 "trials": _Key(int, 4, "no effect (the eigensolve is dense)"),
+                 "iterations": _Key(int, 200, "no effect (the eigensolve is dense)"),
+                 "seed": _Key(int, None, "no effect (the eigensolve is dense)"),
                  **_field_keys("f0", "initial data")}},
         _run_stabilize, "f0"),
     "observability": _Scenario(
@@ -439,9 +437,9 @@ _SCENARIOS = {
         {"grid": _GRID_KEYS, "symbol": _SYMBOL_KEYS, "mask": _MASK_KEYS,
          "run": {"T": _Key(_float, help="observation time"),
                  "epsilon": _Key(_float, help="allowed mass leak, in (0,1)"),
-                 "probes": _Key(_int, 8, "dictionary size"),
-                 "seed": _Key(_at_least(_int, 0), help="probe dictionary seed"),
-                 "quadrature_steps": _Key(_int, 64, "time quadrature steps"),
+                 "probes": _Key(int, 8, "dictionary size"),
+                 "seed": _Key(_at_least(int, 0), help="probe dictionary seed"),
+                 "quadrature_steps": _Key(int, 64, "time quadrature steps"),
                  "xi_fraction": _Key(_at_least(_float, 0), 0.1,
                                      "modulation spread as a fraction of the "
                                      "frequency headroom")}},
@@ -455,9 +453,9 @@ _SCENARIOS = {
                  "C": _Key(_float, help="constant the scan tries to defeat"),
                  "center_start": _Key(_float, help="first probe center"),
                  "center_stop": _Key(_float, help="last probe center"),
-                 "center_count": _Key(_at_least(_int, 1), 9, "schedule length"),
+                 "center_count": _Key(_at_least(int, 1), 9, "schedule length"),
                  "width": _Key(_float, help="probe width"),
-                 "quadrature_steps": _Key(_int, 64, "time quadrature steps")}},
+                 "quadrature_steps": _Key(int, 64, "time quadrature steps")}},
         _run_necessity),
     "negative-limit": _Scenario(
         "bounded symbol with a non-negative limit: observability constants "
@@ -467,14 +465,14 @@ _SCENARIOS = {
                  "T0": _Key(_float, help="observation time"),
                  "h_ladder": _Key(_floats, (1.0, 0.5, 0.25, 0.125),
                                   "comma-separated dilation ladder"),
-                 "quadrature_steps": _Key(_int, 64, "time quadrature steps"),
+                 "quadrature_steps": _Key(int, 64, "time quadrature steps"),
                  **_field_keys("psi", "fixed profile")}},
         _run_negative_limit, "psi"),
     "qa": _Scenario(
         "Bernstein moments M_k = sup_r r^k e^{-F(r)}: the sequence, its "
         "ratios, and the divergence partial sums",
         {"symbol": _SYMBOL_KEYS,
-         "run": {"k_max": _Key(_at_least(_int, 1),
+         "run": {"k_max": _Key(_at_least(int, 1),
                                help="largest moment order"),
                  "scale": _Key(_float, 1.0, "time scale inside the exponent")}},
         _run_qa),
@@ -483,7 +481,7 @@ _SCENARIOS = {
         "certificate it was built with",
         {"grid": _GRID_KEYS, "mask": _MASK_KEYS,
          "run": {"L": _Key(_float, help="window side length"),
-                 "stride": _Key(_int, 1, "window anchor stride, in cells")}},
+                 "stride": _Key(int, 1, "window anchor stride, in cells")}},
         _run_thick_check),
     "cubes": _Scenario(
         "good/bad cube labels for the smoothed field e^{-TG} g: per-cube "
@@ -492,7 +490,7 @@ _SCENARIOS = {
          "run": {"T": _Key(_float, help="smoothing time"),
                  "epsilon": _Key(_float, help="mass budget fraction, in (0,1)"),
                  "L": _Key(_at_least(_float, 0, strict=True), help="cube side length"),
-                 "beta_max": _Key(_int, 3, "largest tested derivative order"),
+                 "beta_max": _Key(int, 3, "largest tested derivative order"),
                  **_field_keys("g", "field to classify")}},
         _run_cubes, "g"),
     "synthesize": _Scenario(
@@ -501,11 +499,11 @@ _SCENARIOS = {
         {"grid": _GRID_KEYS, "symbol": _SYMBOL_KEYS, "mask": _MASK_KEYS,
          "run": {"T": _Key(_float, help="steering horizon"),
                  "epsilon": _Key(_float, help="target norm ratio, in (0,1)"),
-                 "slices": _Key(_int, 32, "time slices"),
+                 "slices": _Key(int, 32, "time slices"),
                  "tol": _Key(_float, 1e-9, "dual conjugate-gradient tolerance"),
-                 "max_cg": _Key(_int, 2000, "dual conjugate-gradient iteration cap"),
+                 "max_cg": _Key(int, 2000, "dual conjugate-gradient iteration cap"),
                  "penalty0": _Key(_float, 1.0, "initial penalty weight, > 0"),
-                 "max_penalty_steps": _Key(_int, 12, "penalty ladder length"),
+                 "max_penalty_steps": _Key(int, 12, "penalty ladder length"),
                  **_field_keys("f0", "initial data")}},
         _run_synthesize, "f0"),
     "kovrijkine": _Scenario(
@@ -515,9 +513,9 @@ _SCENARIOS = {
          "run": {"R_ladder": _Key(_floats, (2.0, 4.0, 8.0, 16.0),
                                   "comma-separated radii"),
                  "C_n": _Key(_float, 10.0, "reference-slope constant"),
-                 "trials": _Key(_int, 4, "no effect (the eigensolve is dense)"),
-                 "iterations": _Key(_int, 200, "no effect (the eigensolve is dense)"),
-                 "seed": _Key(_int, 0, "no effect (the eigensolve is dense)")}},
+                 "trials": _Key(int, 4, "no effect (the eigensolve is dense)"),
+                 "iterations": _Key(int, 200, "no effect (the eigensolve is dense)"),
+                 "seed": _Key(int, 0, "no effect (the eigensolve is dense)")}},
         _run_kovrijkine),
 }
 
@@ -600,14 +598,18 @@ def _print_catalog(as_json: bool) -> None:
         print(f"{entry['name']}\n    {entry['summary']}\n    required: {required}")
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {path}: {exc}")
+
+
 def _run(scenario: str, config_path: Path, out_dir: Path, sets: list) -> int:
     raw, config_sha = _read_config(config_path)
     _apply_overrides(raw, sets)
     resolved = _resolve(scenario, raw)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot create output directory {out_dir}: {exc}")
+    _make_dir(out_dir)
     spec = _SCENARIOS[scenario]
     inputs = _build_inputs(spec, resolved)
     derived, outputs = spec.run(resolved, inputs, out_dir)
@@ -624,21 +626,19 @@ def _run(scenario: str, config_path: Path, out_dir: Path, sets: list) -> int:
     return 0
 
 
+# one per process: parse_args keeps no state; append copies its default list
+_PARSER = argparse.ArgumentParser(prog="thickstab", description=(
+    "spectral experiments around observability and feedback stabilization from thick supports"))
+_PARSER.add_argument("scenario", help="a scenario name, or 'list' for the catalog")
+_PARSER.add_argument("--config", help="INI config path")
+_PARSER.add_argument("--out", help="output directory")
+_PARSER.add_argument("--set", action="append", default=[], dest="sets", metavar="SECTION.KEY=VALUE",
+                     help="override one config key (repeatable)")
+_PARSER.add_argument("--json", action="store_true", help="with 'list': machine-readable catalog")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="thickstab",
-        description="spectral experiments around observability and feedback "
-                    "stabilization from thick supports")
-    parser.add_argument("scenario",
-                        help="a scenario name, or 'list' for the catalog")
-    parser.add_argument("--config", help="INI config path")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--set", action="append", default=[], dest="sets",
-                        metavar="SECTION.KEY=VALUE",
-                        help="override one config key (repeatable)")
-    parser.add_argument("--json", action="store_true",
-                        help="with 'list': machine-readable catalog")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if args.scenario == "list":
         _print_catalog(args.json)

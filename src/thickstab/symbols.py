@@ -43,15 +43,17 @@ _ZOOM_POINTS = 8  # samples per bracket in each zoom of _refine_max
 _MAX_ZOOMS = 40  # ends a zoom whose bracket cannot get below tol in floats
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplierSymbol:
     """One radial symbol F(r) = F_family(r) - shift. Build through the
-    module constructors; shifted() moves the shift."""
+    module constructors; shifted() moves the shift. A custom symbol holds its
+    nodes as one read-only 2 x n float64 array, radii over values, in _nodes;
+    .table rebuilds the rows on access. Symbols compare by identity."""
 
     family: str
     params: tuple = ()
     shift: float = 0.0
-    table: tuple = ()
+    _nodes: np.ndarray | tuple = ()
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -59,14 +61,19 @@ class MultiplierSymbol:
         if not np.isfinite(self.shift):
             raise ValidationError(f"shift must be finite, got {self.shift}")
         if self.family == "custom":
-            xs, vs = _table_columns(self.table)
+            xs, vs = nodes = np.asarray(self._nodes, dtype=float)
             if np.any(xs[1:] <= xs[:-1]):
                 raise ValidationError("custom table radii must be strictly increasing")
             if xs[0] < 0:
                 raise ValidationError("custom table radii must be >= 0")
             if not np.all(np.isfinite(vs)):
                 raise ValidationError("custom table values must be finite")
-            object.__setattr__(self, "_nodes", (xs, vs))
+            nodes.setflags(write=False)
+            object.__setattr__(self, "_nodes", nodes)
+
+    @property
+    def table(self) -> tuple:  # a custom symbol's (radius, value) rows, Python floats
+        return tuple(zip(*np.asarray(self._nodes).tolist()))
 
     # -- evaluation --------------------------------------------------------
 
@@ -93,7 +100,7 @@ class MultiplierSymbol:
         """Value of the flat tail (bounded symbols only)."""
         if not self.is_bounded():
             raise ValidationError(f"{self.family} symbol is unbounded")
-        return float(self.table[-1][1] - self.shift)
+        return float(self._nodes[1, -1] - self.shift)
 
     @property
     def inf_value(self) -> float:
@@ -105,7 +112,7 @@ class MultiplierSymbol:
         return cached
 
     def describe(self) -> str:
-        name = _FAMILIES[self.family][1].format(*self.params, nodes=len(self.table))
+        name = _FAMILIES[self.family][1].format(*self.params, nodes=np.size(self._nodes) // 2)
         return f"shifted({name}, mu={self.shift})" if self.shift else name
 
 
@@ -148,8 +155,9 @@ def shifted(base: MultiplierSymbol, mu: float) -> MultiplierSymbol:
     return replace(base, shift=base.shift + float(mu))
 
 
-def _table_columns(table) -> np.ndarray:
-    """A custom table's (radius, value) rows as a 2 x n float array."""
+def custom(table) -> MultiplierSymbol:
+    """Tabulated symbol: linear interpolation, flat extrapolation. The
+    (radius, value) rows are kept as their two float64 columns."""
     try:
         rows = tuple(table)
         cols = np.array(tuple(zip(*rows, strict=True)), dtype=float).reshape(2, len(rows))
@@ -157,14 +165,7 @@ def _table_columns(table) -> np.ndarray:
         raise ValidationError("custom table must be a sequence of (radius, value) rows") from None
     if len(rows) < 2:
         raise ValidationError("custom table needs at least 2 nodes")
-    return cols
-
-
-def custom(table) -> MultiplierSymbol:
-    """Tabulated symbol: linear interpolation, flat extrapolation. The table
-    is kept as a tuple of (radius, value) float pairs."""
-    rows = tuple(zip(*_table_columns(table).tolist()))
-    return MultiplierSymbol(family="custom", table=rows)
+    return MultiplierSymbol(family="custom", _nodes=cols)
 
 
 def constant(c: float) -> MultiplierSymbol:
@@ -178,7 +179,7 @@ def saturating(r_knee: float = 1.0, r_span: float = 200.0) -> MultiplierSymbol:
     The table is uniform through twice the knee and geometric beyond, keeping
     the interpolation error under about 1e-6 of the true curve, and the flat
     extrapolation past r_span makes the symbol genuinely bounded with
-    limit_value() = r_span / (r_knee + r_span).
+    limit_value() = r_span / (r_knee + r_span). The columns go in as built.
     """
     if not (np.isfinite(r_knee) and r_knee > 0):
         raise ValidationError(f"saturating knee must be > 0, got {r_knee}")
@@ -189,8 +190,7 @@ def saturating(r_knee: float = 1.0, r_span: float = 200.0) -> MultiplierSymbol:
         np.linspace(0.0, 2.0 * knee, 2001),
         np.geomspace(2.0 * knee, span, 2001)[1:],
     ])
-    rows = tuple(zip(xs.tolist(), (xs / (knee + xs)).tolist()))  # floats already
-    return MultiplierSymbol(family="custom", table=rows)
+    return MultiplierSymbol(family="custom", _nodes=(xs, xs / (knee + xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def _default_hi(symbol: MultiplierSymbol, lo: float) -> float:
     """Right end of the scan window from lo: past the last node of a table,
     which is flat beyond it, else 1e4, where a still-falling formula is refused."""
     if symbol.family == "custom":
-        return max(symbol.table[-1][0], lo + 1.0)
+        return max(float(symbol._nodes[0, -1]), lo + 1.0)
     return max(1e4, lo + 10.0)
 
 

@@ -4,6 +4,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,6 +250,46 @@ def test_set_overrides(tmp_path):
                  "--set", "k_max=5"]) == 2
 
 
+def test_in_process_calls_are_independent(tmp_path, capsys, monkeypatch):
+    # the parser outlives a call: nothing of one call, an override or a parse
+    # error, may reach the next, and each call writes what a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps alike in both processes
+    cfg = write_cfg(tmp_path, QA_CFG)
+    run = ["qa", "--config", str(cfg), "--out"]
+    assert main([*run, str(tmp_path / "set"), "--set", "run.k_max=5"]) == 0
+    assert main([*run, str(tmp_path / "plain")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*run, str(tmp_path / "bad"), "--no-such-option"])
+    assert exc.value.code == 2
+    assert main([*run, str(tmp_path / "again")]) == 0
+    capsys.readouterr()
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+
+    def fresh(*argv):
+        return subprocess.run([sys.executable, "-m", "thickstab", *argv], env=env,
+                              capture_output=True, check=True).stdout
+
+    fresh(*run, str(tmp_path / "fresh"))
+    files = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert files == ["manifest.json", "moments.csv"]
+    for out in ("plain", "again"):
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert manifest["config"]["run"]["k_max"] == 100
+        for name in files:
+            assert (tmp_path / out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def printed(*argv):
+        try:
+            assert main(list(argv)) == 0
+        except SystemExit as exc:  # --help exits from the parser
+            assert exc.code == 0
+        return capsys.readouterr().out.encode()
+
+    for argv in (["--help"], ["list", "--json"]):
+        assert printed(*argv) == printed(*argv) == fresh(*argv)
+
+
 def test_validation_exit_codes(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, OBS_CFG)
     out = tmp_path / "out"
@@ -264,6 +307,17 @@ def test_validation_exit_codes(tmp_path, capsys, monkeypatch):
     for bad_out in (cfg, cfg / "sub"):
         assert main(["observability", "--config", str(cfg), "--out", str(bad_out)]) == 2
         assert f"error: cannot create output directory {bad_out}" in capsys.readouterr().err
+    # so is a file where synthesize puts controls/, and no solve is wasted on it
+    held = tmp_path / "held"
+    held.mkdir()
+    (held / "controls").write_bytes(b"")
+    synth = write_cfg(tmp_path, SYNTH_CFG, "synth.ini")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "synthesize_control",
+                  lambda *a, **k: pytest.fail("solved into an unusable --out"))
+        assert main(["synthesize", "--config", str(synth), "--out", str(held)]) == 2
+    assert (f"error: cannot create output directory {held / 'controls'}"
+            in capsys.readouterr().err)
 
     # a misspelled key is named before anything runs
     assert main(["observability", "--config", str(cfg), "--out", str(out),

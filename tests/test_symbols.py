@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from thickstab.errors import ValidationError
-from thickstab.symbols import (IteratedLogAux, MultiplierSymbol, _refine_max, alpha_R,
-                               constant, custom, fractional, halfheat, inf_F,
-                               iterated, loglog, saturating, shifted)
+from thickstab.symbols import (IteratedLogAux, MultiplierSymbol, _default_hi, _refine_max,
+                               alpha_R, constant, custom, fractional, halfheat,
+                               inf_F, iterated, loglog, saturating, shifted)
 
 
 def test_family_formulas():
@@ -53,12 +53,24 @@ def test_custom_table_and_messages():
     xs = np.concatenate([np.linspace(0.0, 2.0 * knee, 2001),
                          np.geomspace(2.0 * knee, span, 2001)[1:]])
     want = tuple((float(r), float(v)) for r, v in zip(xs, xs / (knee + xs)))
-    table = saturating(knee, span).table
-    assert table == want
-    assert all(type(r) is float and type(v) is float for r, v in table)
-    # and the interpolation nodes are its two columns
-    nodes = saturating(knee, span)._nodes
-    assert all(np.array_equal(a, b) for a, b in zip(nodes, zip(*want)))
+    F = saturating(knee, span)
+    assert F.table == want
+    assert all(type(r) is float and type(v) is float for r, v in F.table)
+    # the symbol holds that table's two columns as float64 arrays, bit for
+    # bit; a shift and a custom() of the rows hold them too
+    cols = np.array(want).T
+    G = shifted(F, 0.25)
+    for sym in (F, G, custom(want)):
+        assert len(sym._nodes) == 2
+        for got, col in zip(sym._nodes, cols):
+            assert got.dtype == np.float64 and got.tobytes() == col.tobytes()
+    # what reads the columns returns what it returned from the rows
+    assert F.limit_value() == F.sup_value() == 200.0 / 201.0
+    assert G.limit_value() == G.sup_value() == 200.0 / 201.0 - 0.25
+    assert custom(want).describe() == "custom(4001 nodes)"
+    assert G.describe() == "shifted(custom(4001 nodes), mu=0.25)"
+    for sym, lo, hi in ((F, 0.0, 200.0), (G, 150.0, 200.0), (F, 250.0, 251.0)):
+        assert type(_default_hi(sym, lo)) is float and _default_hi(sym, lo) == hi
     # each rejection keeps its message, wherever in the table the fault sits
     for bad, msg in ((((0.0, 1.0),), "at least 2 nodes"),
                      (((0.0, 1.0), (1.0, 2.0), (1.0, 3.0)), "strictly increasing"),
