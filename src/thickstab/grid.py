@@ -94,9 +94,9 @@ def make_grid(dim: int, extent: float, points: int) -> Grid:
     return Grid(dim=dim, extent=float(extent), points=int(points))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Complex field sampled on a grid's physical lattice (row-major)."""
+    """Complex field sampled on a grid's physical lattice (row-major); compares by identity."""
 
     grid: Grid
     values: np.ndarray

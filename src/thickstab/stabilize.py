@@ -14,9 +14,10 @@ classical 4-stage update of the bounded feedback part. Because the feedback
 sees only the K_R band, its 4-stage update is a degree-4 polynomial in the band
 Gram matrix, which is block diagonal over the Bloch fibers of a periodic
 support (see _fibers). Every fiber carries the same circulant mask form, so
-_fiber_form builds each block once per class of fibers with the same band
-(_classes), and it is factored once. The spectral constant comes from the
-blocks (for a support with no period, one real block: see _real_form), and the
+_fiber_form gathers each block once per class of fibers with the same band
+(_classes) from the DFT the mask took when it was built (SupportMask.fhat),
+and it is factored once. The spectral constant comes from the blocks (for a
+support with no period, one real block: see _real_form), and the
 polynomial and the two half-multipliers fold into one block per fiber, so a
 step is one batched matrix product. Long runs go K steps at a time: a pass
 marches its chunk starts one S^K after another, and one product per table of
@@ -52,9 +53,13 @@ _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
 # under 3.5x on these grids, where 2^20 loses 3.9x at N = 1024.
 _DENSE_STEP_MAX = 2 ** 19
 _RECORD_BLOCK = 2 ** 16  # complex entries (1 MB) of states per record pass
-# complex entries (768 kB) of the fold's K-step H table. K = 16 on criterion 08's stack: 2,385
-# steps took 8.1 / 6.9 ms (forward / adjoint), 8.9 / 7.1 at K = 32 and 9.9 / 9.5 at K = 48; its
-# 1.2M steps 5.0, 3.7 and 3.1 s (2-core x86, 1 BLAS thread, a loaded machine)
+# After each record block the carried state's entries below _FLUSH_BELOW in modulus are zeroed,
+# unless none exceeds _FLUSH_GUARD. Such an entry adds less than the least subnormal to a
+# squared norm, and a fold step on subnormal numbers costs about 20x one on normal numbers.
+_FLUSH_BELOW, _FLUSH_GUARD = 1e-290, 1e-250
+# complex entries (768 kB) of the fold's K-step H table. K = 16 on criterion 08's stack, with the
+# flush: 2,385 steps took 7.2 / 6.2 ms (forward / adjoint), 7.7 / 6.6 at K = 32 and 9.4 / 7.7 at
+# K = 48; its 1.2M steps 2.5-2.8, 2.2-2.9 and 2.4-3.3 s (2-core x86, 1 BLAS thread)
 _CHUNK_TABLE = 3 * 2 ** 14
 _FFT_STACK = 2 ** 12  # complex entries (64 kB) per stack sent through one batched FFT
 # widest dense block of the eigensolve; at the cap, on one core, 0.9 s for the
@@ -187,8 +192,8 @@ def _classes(mask: SupportMask, modes: np.ndarray, counts: np.ndarray, first=Non
 
 
 def _fiber_form(fhat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Blocks T[..., a, b] = fhat[k_rows[..., a] - k_cols[..., b]] of the mask form, fhat =
-    fftn(frac) / N^dim: one broadcast gather over any leading axes; negative k wrap."""
+    """Blocks T[..., a, b] = fhat[k_rows[..., a] - k_cols[..., b]] of the mask form, with fhat the
+    mask's own (SupportMask.fhat): one broadcast gather over any leading axes; negative k wrap."""
     kr, kc = np.unravel_index(rows, fhat.shape), np.unravel_index(cols, fhat.shape)
     return fhat[tuple(r[..., :, None] - c[..., None, :] for r, c in zip(kr, kc))]
 
@@ -225,8 +230,8 @@ def _real_form(fhat: np.ndarray, band: np.ndarray) -> np.ndarray:
 
 
 def _band_blocks(mask: SupportMask, band: np.ndarray, counts: np.ndarray) -> list:
-    """Band Gram blocks: one per class of fibers with band modes, or one real block (_real_form)."""
-    fhat = np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size
+    """Band Gram blocks from mask.fhat: one per class of fibers with band modes, or a real one."""
+    fhat = mask.fhat
     if len(counts) == 1:
         return [_real_form(fhat, band)]
     counts = counts[counts > 0]  # the fibers with band modes, each a run of band
@@ -386,7 +391,7 @@ class _Stepper:
                 in_band = np.arange(points) < counts[:, None]
                 self.band = np.flatnonzero(in_band)
                 of, rep = ([0], [0]) if nf == 1 else _classes(mask, order.flat[self.band], counts)
-                t = _fiber_form(np.fft.fftn(frac) / frac.size, order[rep], order[rep, :b])
+                t = _fiber_form(mask.fhat, order[rep], order[rep, :b])
                 t *= in_band[rep, None, :b]
                 e = e_half.reshape(-1)[order]
                 self.e_full = (e * e).astype(complex)
@@ -598,7 +603,8 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     _Stepper.record advances a block of steps and records the norms, from
     one state per step or, on long fold runs, from the K-step tables. One
     vectorised pass per block then runs the checks, whose errors name the
-    first non-finite step or the first step at which V rises.
+    first non-finite step or the first step at which V rises, and flushes
+    the carried state's entries below _FLUSH_BELOW to zero.
     """
     _check_positive(T=T)
     if cfg is not None and mask is None:
@@ -641,6 +647,8 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
             raise NumericalError(f"Lyapunov functional increased at step "
                                  f"{k + j + 1}: {v[j]} -> {v[j + 1]}")
         snaps += [(float(times[i]), x) for i, x in zip(picks, states)]
+        if (size := np.abs(c)).max() > _FLUSH_GUARD:  # c is a view of the stepper's buffers
+            c[size < _FLUSH_BELOW] = 0.0
 
     high_sq = np.maximum(norm_sq - low_sq, 0.0)
     traj = Trajectory(grid=grid, times=times, norms=np.sqrt(norm_sq),

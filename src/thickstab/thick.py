@@ -41,10 +41,11 @@ def _periods(frac: np.ndarray) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportMask:
-    """Per-cell covered fractions of a control support on one grid, with
-    the exact period of the fractions along each axis (periods)."""
+    """Per-cell covered fractions of a control support on one grid, with the exact
+    period of the fractions along each axis (periods) and their DFT fhat =
+    fftn(cell_fraction) / N^dim (read-only). Masks compare by identity."""
 
     grid: Grid
     cell_fraction: np.ndarray
@@ -62,6 +63,7 @@ class SupportMask:
         object.__setattr__(self, "total_measure",
                            float(frac.sum() * self.grid.cell_measure))
         object.__setattr__(self, "periods", _periods(frac))
+        object.__setattr__(self, "fhat", _readonly(np.fft.fftn(frac) / frac.size))
 
     @property
     def measure_fraction(self) -> float:

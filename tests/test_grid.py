@@ -271,3 +271,10 @@ def test_field_values_immutable():
         f.values[0] = 1.0
     with pytest.raises(ValidationError):
         field_from_values(g, np.zeros(12))
+
+
+def test_fields_compare_by_identity():
+    g = make_grid(1, 16.0, 64)
+    f, h = field_from_values(g, np.ones(g.shape)), field_from_values(g, np.ones(g.shape))
+    assert (f == h) is False and (f != h) is True and (f == f) is True
+    assert hash(f) == hash(f) and len({f, h, f}) == 2

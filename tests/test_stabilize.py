@@ -15,10 +15,13 @@ import math
 import numpy as np
 import pytest
 
+from thickstab import stabilize
+from thickstab.cli import main
 from thickstab.errors import (ConvergenceError, NumericalError,
                               ValidationError)
-from thickstab.grid import (field_from_values, make_grid, norm,
+from thickstab.grid import (field_from_values, from_coefficients, make_grid, norm,
                             semigroup_multiplier, to_coefficients)
+from thickstab.observe import kovrijkine_empirical
 from thickstab.stabilize import (FeedbackConfig, StabilizationResult,
                                  Trajectory, calibrate_constant,
                                  design_feedback, duhamel_residual,
@@ -960,3 +963,80 @@ def test_trajectory_csv_stride(tmp_path):
     for bad in (0, -1, 2.5):
         with pytest.raises(ValidationError, match="stride must be a positive integer"):
             write_trajectory_csv(res, path, stride=bad)
+
+
+def test_mask_fractions_are_transformed_once(monkeypatch, tmp_path):
+    # a mask takes its DFT when it is built; the estimator (fiber blocks and
+    # one real block), a fold stepper's set-up, a 4-rung Kovrijkine ladder
+    # and the CLI's stabilize with C = auto read it and transform no fractions
+    fftn, seen = np.fft.fftn, []
+
+    def recording(a, *args, **kwargs):
+        if not np.iscomplexobj(a):
+            seen.append(np.array(a))
+        return fftn(a, *args, **kwargs)
+
+    def count(frac):  # transforms of exactly these fractions since the last count
+        n = sum(x.shape == frac.shape and np.array_equal(x, frac) for x in seen)
+        seen.clear()
+        return n
+
+    monkeypatch.setattr(np.fft, "fftn", recording)
+    g = make_grid(1, 16.0, 1024)
+    mask = make_periodic_thick(g, 1.0, 0.5)
+    assert count(mask.cell_fraction) == 1
+    random = make_random_thick(make_grid(1, 16.0, 256), 1.0, 0.5, seed=3)
+    assert count(random.cell_fraction) == 1
+    estimate_spectral_constant(random, 4.0)
+    assert count(random.cell_fraction) == 0
+    assert estimate_spectral_constant(mask, 8.0) == pytest.approx(4.4873735863291, abs=1e-9)
+    assert count(mask.cell_fraction) == 0
+    cfg = design_feedback(halfheat(), 8.0, C=1.0)
+    for adjoint in (False, True):
+        assert _Stepper(g, halfheat(), mask, cfg, cfg.dt_max, adjoint, 2 ** 12).op is not None
+        assert count(mask.cell_fraction) == 0
+    assert len(kovrijkine_empirical(mask, (2.0, 4.0, 8.0, 16.0)).constants) == 4
+    assert count(mask.cell_fraction) == 0
+    ini = tmp_path / "stab.ini"
+    ini.write_text("[grid]\nextent = 16.0\npoints = 64\n\n[symbol]\nfamily = halfheat\n\n"
+                   "[mask]\nkind = periodic\nperiod = 1.0\nfill = 0.5\n\n[run]\nR = 2.0\nT = 0.5\n")
+    frac = make_periodic_thick(make_grid(1, 16.0, 64), 1.0, 0.5).cell_fraction
+    seen.clear()
+    assert main(["stabilize", "--config", str(ini), "--out", str(tmp_path / "out")]) == 0
+    assert count(frac) == 1  # the CLI's own mask, built once
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_flush_keeps_records_bitwise(monkeypatch, adjoint):
+    # criterion 08's support at R = 6 on 128 points, from a unit mode outside
+    # the band (k = 17) and a mode at 1e-307 in another Bloch fiber (k = 18):
+    # that fiber's entries reach the subnormal range while the state's largest
+    # entry stays above 1e-3. Zeroing the carried state's entries below
+    # _FLUSH_BELOW after each record block changes the state that the next
+    # block starts from, and leaves every recorded number as it was.
+    g, F = make_grid(1, 16.0, 128), halfheat()
+    mask, cfg = make_periodic_thick(g, 1.0, 0.5), design_feedback(F, 6.0, C=1.0)
+    coef = np.zeros(g.shape, dtype=complex)
+    coef[17], coef[18] = g.box_measure, 1e-307 * g.box_measure
+    f0, record, starts = from_coefficients(g, coef), _Stepper.record, []
+
+    def recording(self, c, *args):  # the state each record block starts from
+        starts[-1].append(np.abs(c))
+        return record(self, c, *args)
+
+    monkeypatch.setattr(_Stepper, "record", recording)
+    runs = []
+    for below in (stabilize._FLUSH_BELOW, 0.0):  # nothing is below 0: no flush
+        monkeypatch.setattr(stabilize, "_FLUSH_BELOW", below)
+        starts.append([])
+        runs.append(run_stabilization(f0, F, mask, cfg, 1.0, adjoint_order=adjoint))
+    flushed, plain = starts
+    assert len(plain) > 20 and min(a.max() for a in plain) > 1e-3
+    assert all(np.any((0 < a) & (a < np.finfo(float).tiny)) for a in plain[1:])
+    assert not any(np.any((0 < a) & (a < 1e-290)) for a in flushed[1:])
+    assert all(np.count_nonzero(a) < np.count_nonzero(b)
+               for a, b in zip(flushed[1:], plain[1:]))
+    for name in ("norms", "lyapunov", "low_norms", "high_norms"):
+        assert (getattr(runs[0].trajectory, name).tobytes()
+                == getattr(runs[1].trajectory, name).tobytes()), name
+    assert runs[0].fitted_rate == runs[1].fitted_rate

@@ -221,3 +221,31 @@ def test_seeded_lattice_objects_pinned():
     # cube classification breaks worst-beta ties in this order
     assert _multi_indices(2, 3) == [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0),
                                     (1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]
+
+
+def test_fhat_is_the_readonly_dft_of_the_fractions(tmp_path):
+    # every way to make a mask, a TSM1 round trip included, carries the DFT
+    # of its fractions bitwise as the plain transform gives it, read-only
+    g1, g2 = make_grid(1, 16.0, 64), make_grid(2, 8.0, 16)
+    frac = np.random.default_rng(4).random(g1.shape)
+    write_mask(tmp_path / "m.tsm", make_ball_complement(g2, 2.0))
+    masks = {"full": make_full(g1), "periodic 1-D": make_periodic_thick(g1, 1.0, 0.3),
+             "periodic 2-D": make_periodic_thick(g2, 2.0, 0.5),
+             "ball complement": make_ball_complement(g2, 2.0),
+             "random": make_random_thick(g1, 2.0, 0.5, seed=1),
+             "direct": SupportMask(grid=g1, cell_fraction=frac),
+             "TSM1": read_mask(tmp_path / "m.tsm")}
+    for name, m in masks.items():
+        want = np.fft.fftn(m.cell_fraction) / m.cell_fraction.size
+        assert m.fhat.dtype == want.dtype and m.fhat.shape == m.grid.shape, name
+        assert m.fhat.tobytes() == want.tobytes(), name
+        assert not m.fhat.flags.writeable, name
+        with pytest.raises(ValueError):
+            m.fhat[(0,) * m.grid.dim] = 0.0
+
+
+def test_masks_compare_by_identity():
+    g = make_grid(1, 16.0, 64)
+    a, b = make_periodic_thick(g, 1.0, 0.5), make_periodic_thick(g, 1.0, 0.5)
+    assert (a == b) is False and (a != b) is True and (a == a) is True
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
