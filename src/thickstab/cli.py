@@ -137,6 +137,14 @@ _MASK_KEYS = {
     "seed": _Key(_at_least(int, 0), None, "random mask seed"),
 }
 
+# Keys that older configs set and nothing reads (the eigensolve is dense; no stabilize output
+# reads snapshots), accepted with their converters and defaults so that those configs still run.
+_IGNORED_KEYS = {
+    "stabilize": {"snapshot_every": _Key(_at_least(int, 0), 0), "trials": _Key(int, 4),
+                  "iterations": _Key(int, 200), "seed": _Key(int, None)},
+    "kovrijkine": {"trials": _Key(int, 4), "iterations": _Key(int, 200), "seed": _Key(int, 0)},
+}
+
 
 def _field_keys(prefix: str, what: str) -> dict:
     return {
@@ -422,13 +430,9 @@ _SCENARIOS = {
                  "T": _Key(_float, help="final time"),
                  "dt": _Key(_at_least(_float, 0, strict=True), None,
                             "time step (default: stability cap)"),
-                 "snapshot_every": _Key(_at_least(int, 0), 0,
-                                        "no effect (no output reads snapshots)"),
                  "csv_stride": _Key(_at_least(int, 0), 0,
                                     "CSV row stride (0 = auto)"),
-                 "trials": _Key(int, 4, "no effect (the eigensolve is dense)"),
-                 "iterations": _Key(int, 200, "no effect (the eigensolve is dense)"),
-                 "seed": _Key(int, None, "no effect (the eigensolve is dense)"),
+                 **_IGNORED_KEYS["stabilize"],
                  **_field_keys("f0", "initial data")}},
         _run_stabilize, "f0"),
     "observability": _Scenario(
@@ -513,9 +517,7 @@ _SCENARIOS = {
          "run": {"R_ladder": _Key(_floats, (2.0, 4.0, 8.0, 16.0),
                                   "comma-separated radii"),
                  "C_n": _Key(_float, 10.0, "reference-slope constant"),
-                 "trials": _Key(int, 4, "no effect (the eigensolve is dense)"),
-                 "iterations": _Key(int, 200, "no effect (the eigensolve is dense)"),
-                 "seed": _Key(int, 0, "no effect (the eigensolve is dense)")}},
+                 **_IGNORED_KEYS["kovrijkine"]}},
         _run_kovrijkine),
 }
 

@@ -13,16 +13,17 @@ Time stepping is Strang splitting: exact multiplier half-steps around a
 classical 4-stage update of the bounded feedback part. Because the feedback
 sees only the K_R band, its 4-stage update is a degree-4 polynomial in the band
 Gram matrix, which is block diagonal over the Bloch fibers of a periodic
-support (see _fibers). Every fiber carries the same circulant mask form, so
-_fiber_form gathers each block once per class of fibers with the same band
-(_classes) from the DFT the mask took when it was built (SupportMask.fhat),
-and it is factored once. The spectral constant comes from the blocks (for a
-support with no period, one real block: see _real_form), and the
-polynomial and the two half-multipliers fold into one block per fiber, so a
-step is one batched matrix product. Long runs go K steps at a time: a pass
-marches its chunk starts one S^K after another, and one product per table of
-the first K powers with all of them gives every step's norms. When the blocks
-would be too large the four stages go through the FFT, with no band matrix.
+support. One function, _fibers, lays the lattice out by fiber and puts in one
+class the fibers whose band modes have the same local indices; every fiber
+carries the same circulant mask form, so _fiber_form gathers each class's
+block once from the mask's DFT (SupportMask.fhat). The spectral constant comes
+from the class blocks (for a support with no period, one real block: see
+_real_form), and the polynomial and the two half-multipliers fold into one
+block per fiber, so a step is one batched matrix product. Long runs go K steps
+at a time: a pass marches its chunk starts one S^K after another, and one
+product per table of the first K powers with all of them gives every step's
+norms. When the blocks would be too large the four stages go through the FFT,
+with no band matrix.
 """
 
 from __future__ import annotations
@@ -162,33 +163,24 @@ def _band_indices(grid: Grid, R: float) -> np.ndarray:
     return np.flatnonzero(grid.rho.ravel() <= R)
 
 
-def _fibers(mask: SupportMask, points: np.ndarray) -> tuple:
-    """The flat lattice indices points grouped by the Bloch fibers of mask.
+def _fibers(mask: SupportMask, R: float) -> tuple:
+    """The lattice by Bloch fiber of mask, its band below R, and the classes of fibers.
 
-    With p the mask's period per axis and M = N / p, the mask's DFT lives on
-    multiples of M, so the mask form couples mode k = r + M j only to
-    k' = r + M j', through fhat[M (j - j')]: every fiber r of p^dim modes
-    carries the same p^dim x p^dim circulant. Returns the points sorted
-    stably by fiber, the number of them in each fiber and M.
+    With p the mask's period per axis and M = N / p, the mask's DFT lives on multiples of M,
+    so the mask form couples mode k = r + M j only to k' = r + M j', through fhat[M (j - j')]:
+    every fiber r of p^dim modes carries the same p^dim x p^dim circulant. Returns the flat
+    lattice indices as a (fibers x modes) array, fiber r in row r by local index j, its band
+    mask, and the first fiber of each fiber's class and of each class. Fibers share a class
+    when their band rows are equal as bytes (the same j): equal band and column blocks.
     """
-    m = tuple(n // p for n, p in zip(mask.grid.shape, mask.periods))
-    k = np.unravel_index(points, mask.grid.shape)
-    fiber = np.ravel_multi_index([a % r for a, r in zip(k, m)], m)
-    return (points[np.argsort(fiber, kind="stable")],
-            np.bincount(fiber, minlength=math.prod(m)), m)
-
-
-def _classes(mask: SupportMask, modes: np.ndarray, counts: np.ndarray, first=None) -> tuple:
-    """Fibers in classes by the local indices j (k = r + M j) of their band modes, counts per
-    fiber, or with first by the offsets j - j[first] mod p, compared as bytes. Equal offsets give
-    equal band blocks; equal j, equal column blocks too, row by row. Returns the first fiber of
-    each fiber's class, and of each class."""
-    k = np.unravel_index(modes, mask.grid.shape)
-    j = np.ravel_multi_index([(a if first is None else a - a[first]) // (n // p) for a, n, p
-                              in zip(k, mask.grid.shape, mask.periods)], mask.periods, mode="wrap")
-    raw, w, ends, firsts = j.tobytes(), j.itemsize, np.cumsum(counts).tolist(), {}
-    of = [firsts.setdefault(raw[a * w:z * w], f) for f, (a, z) in enumerate(zip([0] + ends, ends))]
-    return of, [*firsts.values()]
+    m = [n // p for n, p in zip(mask.grid.shape, mask.periods)]
+    split = np.arange(mask.grid.rho.size).reshape([a for pm in zip(mask.periods, m) for a in pm])
+    axes = [*range(1, 2 * len(m), 2), *range(0, 2 * len(m), 2)]  # the r axes, then the j axes
+    order = split.transpose(axes).reshape(math.prod(m), -1)
+    band = mask.grid.rho.ravel()[order] <= R
+    raw, w, firsts = band.tobytes(), band.shape[1], {}  # a row's bytes are its class key
+    of = [firsts.setdefault(raw[f * w:f * w + w], f) for f in range(len(band))]
+    return order, band, (of, [*firsts.values()])
 
 
 def _fiber_form(fhat: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -227,17 +219,6 @@ def _real_form(fhat: np.ndarray, band: np.ndarray) -> np.ndarray:
     out[:nf] *= math.sqrt(0.5)
     out[:, :nf] *= math.sqrt(0.5)
     return out
-
-
-def _band_blocks(mask: SupportMask, band: np.ndarray, counts: np.ndarray) -> list:
-    """Band Gram blocks from mask.fhat: one per class of fibers with band modes, or a real one."""
-    fhat = mask.fhat
-    if len(counts) == 1:
-        return [_real_form(fhat, band)]
-    counts = counts[counts > 0]  # the fibers with band modes, each a run of band
-    start = np.cumsum(counts) - counts
-    reps = _classes(mask, band, counts, np.repeat(start, counts))[1]
-    return [_fiber_form(fhat, x, x) for x in (band[start[f]:start[f] + counts[f]] for f in reps)]
 
 
 def _mask_form(frac: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -281,7 +262,7 @@ def estimate_spectral_constant(mask: SupportMask, R: float,
     the <= R frequency lattice, which quotients out the zero modes of
     K_R 1_omega K_R) and returns 1/sqrt(sigma_min) from dense eigvalsh of
     its Bloch fiber blocks, exact up to rounding, one eigvalsh per class of
-    fibers (_band_blocks). A support with no period is one fiber,
+    fibers with band modes (_fibers). A support with no period is one fiber,
     whose block it takes real, in the basis cos(k.x), sin(k.x) (_real_form):
     the same eigenvalues from a 3-4x cheaper eigensolve.
     The eigensolve is direct, so seed has no effect; it is still accepted
@@ -293,12 +274,12 @@ def estimate_spectral_constant(mask: SupportMask, R: float,
     if not (0 < R <= grid.xi_max):
         raise ValidationError(
             f"R must lie in (0, pi N / extent] = (0, {grid.xi_max}], got {R}")
-    frac = mask.cell_fraction
-    band, counts, residues = _fibers(mask, _band_indices(grid, R))
+    order, band, (_, reps) = _fibers(mask, R)
+    counts = band.sum(axis=1)
     worst, nfib = int(np.argmax(counts)), len(counts)
-    n, b, cells = len(band), int(counts[worst]), int(np.count_nonzero(frac))
+    n, b, cells = int(counts.sum()), int(counts[worst]), int(np.count_nonzero(mask.cell_fraction))
     if b > cells // nfib:  # a fiber block has rank <= cells of one period
-        r = tuple(int(i) for i in np.unravel_index(worst, residues))
+        r = tuple(int(i) for i in np.unravel_index(order[worst, 0], grid.shape))  # its j = 0 mode
         where = (f", {b} of them in fiber r = {r} of {nfib} against "
                  f"{cells // nfib} cells per period," if nfib > 1 else "")
         raise ConvergenceError(
@@ -311,7 +292,9 @@ def estimate_spectral_constant(mask: SupportMask, R: float,
             f"the widest Bloch fiber of the band below R = {R} holds {b} modes, "
             f"over the block budget of {_BLOCK_MAX} modes of the dense "
             "spectral-constant eigensolve (lower R or coarsen the grid)")
-    ev = [np.linalg.eigvalsh(x) for x in _band_blocks(mask, band, counts)]
+    modes = [order[f][band[f]] for f in reps if counts[f]]  # the classes with band modes
+    ev = [np.linalg.eigvalsh(_real_form(mask.fhat, x) if nfib == 1 else
+                             _fiber_form(mask.fhat, x, x)) for x in modes]
     lo, hi = min(e[0] for e in ev), max(e[-1] for e in ev)
     if lo <= n * np.finfo(float).eps * hi:
         raise ConvergenceError(
@@ -340,10 +323,10 @@ class _Stepper:
 
     If the stack of fiber blocks (fibers x modes per fiber x widest fiber
     band) has at most _DENSE_STEP_MAX entries, a step is one batched product
-    on the state in fiber layout (see _fibers): per fiber c <- e_full c +
-    P c_band with P = E_half T[:, band] Q E_half,band padded to the widest
-    band, or c_band += P^H c in the adjoint order; T[:, band] Q is formed once per
-    class of fibers (_classes). Larger stacks apply Q by Horner with A applied
+    on the state in fiber layout (_fibers, each row band modes first): per fiber
+    c <- e_full c + P c_band with P = E_half T[:, band] Q E_half,band padded to
+    the widest band, or c_band += P^H c in the adjoint order; T[:, band] Q is
+    formed once per class of fibers. Larger stacks apply Q by Horner with A applied
     through the FFT: four FFT pairs per step on the state in lattice order. band
     lists the K_R band's flat positions in the stepper's layout. advance writes
     each step into the next row of a block, so a step allocates and copies
@@ -380,24 +363,22 @@ class _Stepper:
             e_half = semigroup_multiplier(grid, symbol, 0.5 * dt)
             self.frac = frac = mask.cell_fraction
             self.coeffs = np.cumprod([-dt * self.lam / j for j in range(1, 5)])
-            # the lattice, band modes first, grouped stably by fiber
-            order, _, m = _fibers(mask, np.argsort(grid.rho.ravel() > cfg.R,
-                                                   kind="stable"))
-            order = order.reshape(math.prod(m), -1)
-            counts = np.count_nonzero(grid.rho.ravel()[order] <= cfg.R, axis=1)
-            b = int(counts.max())
+            order, band, (of, rep) = _fibers(mask, cfg.R)
+            counts = band.sum(axis=1)
+            (nf, points), b = order.shape, int(counts.max())
             if order.size * b <= _DENSE_STEP_MAX:
-                self.order, (nf, points) = order, order.shape
+                # each fiber's band modes first, both parts in the order of j
+                self.order = order = np.take_along_axis(
+                    order, np.argsort(~band, axis=1, kind="stable"), axis=1)
                 in_band = np.arange(points) < counts[:, None]
                 self.band = np.flatnonzero(in_band)
-                of, rep = ([0], [0]) if nf == 1 else _classes(mask, order.flat[self.band], counts)
                 t = _fiber_form(mask.fhat, order[rep], order[rep, :b])
                 t *= in_band[rep, None, :b]
                 e = e_half.reshape(-1)[order]
                 self.e_full = (e * e).astype(complex)
                 q = _stages(np.eye(b), lambda w: t[:, :b] @ w, self.coeffs)
                 # t's padding columns are zero, so P's are exactly zero
-                p = t @ q if len(rep) == nf else np.take(t @ q, np.searchsorted(rep, of), axis=0)
+                p = (t @ q)[np.searchsorted(rep, of)]
                 p *= e[:, :, None]
                 p *= e[:, None, :b]
                 if self.adjoint:

@@ -86,9 +86,10 @@ def _periodic_coverage(x: np.ndarray, period: float, width: float) -> np.ndarray
 def make_periodic_thick(grid: Grid, period: float, fill: float) -> SupportMask:
     """Union of an interval of relative length fill repeated with the period.
 
-    In 2-D the pattern is the product set, which is (fill^2)-thick at the
-    period scale; every cell's covered fraction is computed from the exact
-    interval-overlap formula, so the certificate is exact, not sampled.
+    In 2-D the pattern is the product set, which is (fill^2)-thick at the period scale;
+    every cell's covered fraction is computed from the exact interval-overlap formula, so
+    the certificate is exact, not sampled. One lattice period, N / gcd(N, extent / period)
+    cells, is computed and tiled, so the fractions are periodic to the bit whatever the fill.
     """
     if not (np.isfinite(period) and 0 < period <= grid.extent):
         raise ValidationError(f"period must lie in (0, extent], got {period}")
@@ -98,10 +99,9 @@ def make_periodic_thick(grid: Grid, period: float, fill: float) -> SupportMask:
             f"period must divide the box extent (extent/period = {reps})")
     if not (np.isfinite(fill) and 0 < fill <= 1):
         raise ValidationError(f"fill must lie in (0, 1], got {fill}")
-    width = fill * period
-    edges = np.arange(grid.points + 1) * grid.dx
-    cov = _periodic_coverage(edges, period, width)
-    axis = (cov[1:] - cov[:-1]) / grid.dx
+    cells = grid.points // math.gcd(grid.points, round(reps))
+    cov = _periodic_coverage(np.arange(cells + 1) * grid.dx, period, fill * period)
+    axis = np.tile((cov[1:] - cov[:-1]) / grid.dx, grid.points // cells)
     frac = math.prod(np.ix_(*[axis] * grid.dim))  # outer product over the axes
     return SupportMask(grid=grid, cell_fraction=frac, certificate=(fill**grid.dim, period, 1))
 

@@ -3,9 +3,12 @@
 The closed-form band Gram, fiber block by fiber block, must act like the
 FFT-applied mask form on the band, and the stepper's rectangular blocks
 must equal a dense modular gather exactly. Every fiber's block must be the
-one circulant of the mask's DFT on the fiber's local indices, and the blocks
-built once per class of fibers must equal a fiber-by-fiber build, and its
-spectral constants a fiber-by-fiber eigensolve, to the bit. For a support
+one circulant of the mask's DFT on the fiber's local indices. The fiber
+layout must equal a stable sort of the lattice by fiber (an oracle kept
+here), on masks periodic along every axis, one axis or none, and its
+classes must group exactly the fibers with the same band local indices. The
+blocks built once per class of fibers must equal a fiber-by-fiber build, and
+its spectral constants a fiber-by-fiber eigensolve, to the bit. For a support
 with no period,
 its real block in the basis cos(k.x), sin(k.x) must be exactly symmetric,
 equal W^H G W entry by entry and have the spectrum of the dense complex
@@ -51,6 +54,17 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
 
 
+def _oracle_fibers(mask, points):
+    """The flat lattice indices points sorted stably by Bloch fiber r = k mod M
+    (M = N / period per axis), the number of them in each fiber and M: the
+    reference for stabilize._fibers's index-arithmetic layout."""
+    m = tuple(n // p for n, p in zip(mask.grid.shape, mask.periods))
+    k = np.unravel_index(points, mask.grid.shape)
+    fiber = np.ravel_multi_index([a % r for a, r in zip(k, m)], m)
+    return (points[np.argsort(fiber, kind="stable")],
+            np.bincount(fiber, minlength=math.prod(m)), m)
+
+
 def _mask(draw, grid, period=None):
     """Seeded cell fractions, fractional or a 0/1 set, drawn on one period
     of `period` points per axis (the whole grid by default) and tiled."""
@@ -87,7 +101,7 @@ def test_band_gram_matches_fft_matvec(case, r_fraction):
     lattice = np.zeros(z.size, dtype=complex)
     lattice[idx] = w
     # block by block: the band modes of each Bloch fiber
-    band, counts, _ = _fibers(mask, idx)
+    band, counts, _ = _oracle_fibers(mask, idx)
     fhat = np.fft.fftn(frac) / frac.size
     for fiber in np.split(band, np.cumsum(counts)[:-1]):
         if len(fiber):
@@ -130,7 +144,7 @@ def test_every_fiber_carries_one_circulant(dim, points, period):
     cell = rng.uniform(0.0, 1.0, (period,) * dim)
     mask = SupportMask(grid=grid, cell_fraction=np.tile(cell, (points // period,) * dim))
     fhat = np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size
-    order, counts, m = _fibers(mask, np.arange(grid.points ** dim))
+    order, counts, m = _oracle_fibers(mask, np.arange(grid.points ** dim))
     assert len(counts) == (points // period) ** dim and set(counts) == {period ** dim}
     c = fhat[(slice(None, None, m[0]),) * dim]
     np.testing.assert_allclose(c, np.fft.fftn(cell) / cell.size, rtol=0.0, atol=1e-15)
@@ -140,13 +154,44 @@ def test_every_fiber_carries_one_circulant(dim, points, period):
         assert np.array_equal(_fiber_form(fhat, fiber, fiber), want)
 
 
+def _tiled_mask(grid, periods, seed):
+    """Seeded cell fractions on one cell of periods points per axis, tiled."""
+    cell = np.random.default_rng(seed).uniform(0.2, 1.0, periods)
+    mask = SupportMask(grid=grid, cell_fraction=np.tile(cell, [grid.points // p for p in periods]))
+    assert mask.periods == tuple(periods)
+    return mask
+
+
+@pytest.mark.parametrize("dim, points, periods", [
+    (1, 64, (8,)), (1, 64, (64,)), (1, 64, (1,)), (2, 16, (4, 4)), (2, 16, (4, 16)),
+    (2, 16, (16, 2)), (2, 32, (8, 1))])
+def test_fiber_layout_and_classes_match_stable_sort(dim, points, periods):
+    # periodic along every axis, along one axis only, or constant along one;
+    # each row is a fiber by local index j, and a class holds exactly the
+    # fibers whose band modes have the same j, named by its first fiber
+    grid = make_grid(dim, 16.0, points)
+    mask = _tiled_mask(grid, periods, points + sum(periods))
+    want, _, m = _oracle_fibers(mask, np.arange(points ** dim))
+    for R in (0.5, 2.0, 0.3 * grid.xi_max, grid.xi_max):
+        order, band, (of, reps) = _fibers(mask, R)
+        assert np.array_equal(order, want.reshape(math.prod(m), -1))
+        assert np.array_equal(band, grid.rho.ravel()[order] <= R)
+        keys = [tuple(tuple(a // b) for a, b in zip(np.unravel_index(row[inside], grid.shape), m))
+                for row, inside in zip(order, band)]  # the band modes' local indices j
+        firsts = {}
+        for f, key in enumerate(keys):
+            firsts.setdefault(key, f)
+        assert list(of) == [firsts[key] for key in keys]
+        assert list(reps) == sorted(firsts.values())
+
+
 def _per_fiber_fold(grid, F, mask, cfg, dt, adjoint):
     """The fold's step blocks and e_full built fiber by fiber: the reference
     for the build once per class of fibers."""
     e_half = semigroup_multiplier(grid, F, 0.5 * dt)
     frac = mask.cell_fraction
     coeffs = np.cumprod([-dt * cfg.lam / j for j in range(1, 5)])
-    order, _, m = _fibers(mask, np.argsort(grid.rho.ravel() > cfg.R, kind="stable"))
+    order, _, m = _oracle_fibers(mask, np.argsort(grid.rho.ravel() > cfg.R, kind="stable"))
     order = order.reshape(math.prod(m), -1)
     counts = np.count_nonzero(grid.rho.ravel()[order] <= cfg.R, axis=1)
     b = int(counts.max())
@@ -186,11 +231,24 @@ def test_class_build_equals_per_fiber_build(dim, points, kind, R, adjoint):
 
 def _per_fiber_constant(mask, R):
     """The spectral constant from one eigvalsh per Bloch fiber block."""
-    band, counts, _ = _fibers(mask, _band_indices(mask.grid, R))
+    band, counts, _ = _oracle_fibers(mask, _band_indices(mask.grid, R))
     fhat = np.fft.fftn(mask.cell_fraction) / mask.cell_fraction.size
     blocks = ([_real_form(fhat, band)] if len(counts) == 1 else
               [_fiber_form(fhat, x, x) for x in np.split(band, np.cumsum(counts)[:-1]) if len(x)])
     return 1.0 / math.sqrt(min(np.linalg.eigvalsh(x)[0] for x in blocks))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_one_axis_period_equals_per_fiber_build(adjoint):
+    # periodic along the first axis only: fibers of unequal extent per axis
+    grid, F = make_grid(2, 16.0, 32), halfheat()
+    mask = _tiled_mask(grid, (4, 32), 7)
+    for R in (2.0, 4.0):
+        cfg = design_feedback(F, R, 1.0)
+        stepper = _Stepper(grid, F, mask, cfg, cfg.dt_max, adjoint, 2 ** 10)
+        op, e_full, _ = _per_fiber_fold(grid, F, mask, cfg, cfg.dt_max, adjoint)
+        assert np.array_equal(stepper.op, op) and np.array_equal(stepper.e_full, e_full)
+        assert estimate_spectral_constant(mask, R) == _per_fiber_constant(mask, R)
 
 
 def test_class_constants_equal_per_fiber_eigensolves():
@@ -419,7 +477,7 @@ def test_stepper_matches_strang_reference(case, adjoint, lam, dt_fraction):
     grid, R, dense, _, mask, rng = case
     frac = mask.cell_fraction
     idx = _band_indices(grid, R)
-    _, counts, _ = _fibers(mask, idx)
+    _, counts, _ = _oracle_fibers(mask, idx)
     assert (frac.size * counts.max() <= _DENSE_STEP_MAX) == dense
     F = halfheat()
     cfg = _test_config(R, lam)
