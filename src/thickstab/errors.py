@@ -28,8 +28,8 @@ class ConvergenceError(NumericalError):
 
 
 class IntegrationError(NumericalError):
-    """Adaptive quadrature missed its error gate; step is the left edge of
-    the failing interval."""
+    """A quadrature panel's value is not finite or missed its error gate;
+    step is the left edge of the failing panel."""
 
     def __init__(self, message, step=None):
         super().__init__(message)

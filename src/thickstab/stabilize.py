@@ -55,8 +55,8 @@ _DT_SAFETY = 0.1  # dt_max = _DT_SAFETY / lam keeps the 4-stage update stable
 _DENSE_STEP_MAX = 2 ** 19
 _RECORD_BLOCK = 2 ** 16  # complex entries (1 MB) of states per record pass
 # After each record block the carried state's entries below _FLUSH_BELOW in modulus are zeroed,
-# unless none exceeds _FLUSH_GUARD. Such an entry adds less than the least subnormal to a
-# squared norm, and a fold step on subnormal numbers costs about 20x one on normal numbers.
+# unless the run starts with none above _FLUSH_GUARD. Such an entry adds less than the least
+# subnormal to a squared norm, and a fold step on subnormals costs about 20x one on normals.
 _FLUSH_BELOW, _FLUSH_GUARD = 1e-290, 1e-250
 # complex entries (768 kB) of the fold's K-step H table. K = 16 on criterion 08's stack, with the
 # flush: 2,385 steps took 7.2 / 6.2 ms (forward / adjoint), 7.7 / 6.6 at K = 32 and 9.4 / 7.7 at
@@ -333,14 +333,14 @@ class _Stepper:
     nothing; e_full and e_half are stored complex, so applying them casts nothing.
 
     On fold runs of at least 2^10 steps record reads the norms of K steps at a
-    time from tables and forms one state per chunk. With R the band restriction
-    and e_rest = e_full off the band (padding included), 0 on it, S^k =
-    diag(e_rest^k) + H_k R, H_1 = P + diag(e_full) R^T and H_{k+1} = e_full H_k
-    + P H_k[band rows]; the adjoint powers are the S^k^H. K is the largest
-    value whose H_k fit in _CHUNK_TABLE entries with K^2 <= steps. A pass
-    marches up to K chunk starts x, each S^K of the one before (advance with
-    the pair h_chunk, e_chunk); a chunk with picked states, or partial, steps
-    once from its start. One product per table with all the starts gives the
+    time from tables and forms one state per chunk, so it picks no states. With
+    R the band restriction and e_rest = e_full off the band (padding included),
+    0 on it, S^k = diag(e_rest^k) + H_k R, H_1 = P + diag(e_full) R^T and
+    H_{k+1} = e_full H_k + P H_k[band rows]; the adjoint powers are the S^k^H.
+    K is the largest value whose H_k fit in _CHUNK_TABLE entries with K^2 <=
+    steps. A pass marches up to K chunk starts x, each S^K of the one before
+    (advance with the pair h_chunk, e_chunk); a partial last chunk steps once
+    from its start. One product per table with all the starts gives the
     band norms, of H_k[band rows] x_band (bt) or H_k^H x (ht), and the rest
     norms, sum e_rest^2k |x|^2 (e2) plus, forward, Re <x_band, W_k x> = 2 Re
     <e_rest^k x, H_k x_band> + x_band^H Gamma_k x_band, where W_k = conj(2
@@ -478,7 +478,7 @@ class _Stepper:
                picks: list) -> tuple:
         """Write the squared norm and band norm of c and of the n = len(norm_sq) - 1
         <= block states after it. Returns the last state, a view that the next call may
-        overwrite, and the states after the step counts in picks, in lattice order."""
+        overwrite, and, at K = 1, the states after the step counts in picks, in lattice order."""
         n, K = len(norm_sq) - 1, self.chunk
         if K == 1:
             rows = self.rows[:n + 1]
@@ -488,7 +488,7 @@ class _Stepper:
             low = flat.take(self.band, axis=1)
             norm_sq[:], low_sq[:] = np.vecdot(flat, flat).real, np.vecdot(low, low).real
             return rows[-1], [self.leave(rows[i]) for i in picks]
-        (nf, points), J, states = c.shape, len(self.starts) - 1, []
+        (nf, points), J = c.shape, len(self.starts) - 1
         low = c.reshape(-1)[self.band]
         norm_sq[0], low_sq[0] = np.vdot(c, c).real, np.vdot(low, low).real
         for s in range(0, n, J * K):  # passes of up to J chunks, the last maybe partial
@@ -496,14 +496,10 @@ class _Stepper:
             x = self.starts[:m // K + 1]  # the chunk starts, then the end of a last full chunk
             x[0] = c
             self.advance(x, (self.h_chunk, self.e_chunk))  # phase 1: the chunk starts
-            at = [i - s for i in picks if s < i <= s + m]
-            for j in sorted({i // K for i in at} | ({m // K} if m % K else set())):
-                offsets = [i - j * K for i in at if i // K == j]
-                rows = self.rows[:(m % K if j == m // K else max(offsets)) + 1]
-                rows[0] = x[j]
+            if m % K:  # a partial last chunk steps once from its start
+                (rows := self.rows[:m % K + 1])[0] = x[-1]
                 self.advance(rows)
-                states += [self.leave(rows[i]) for i in offsets]
-            c, x = (rows[-1], x) if m % K else (x[-1], x[:-1])  # a partial chunk steps last
+            c, x = (rows[-1], x) if m % K else (x[-1], x[:-1])
             xf = x.swapaxes(0, 1)  # each fiber's starts as rows of xf; the norms spend x
             if self.adjoint:  # phase 2: every step's norms, from one product per table
                 v, cross = np.matmul(xf, self.ht.reshape(nf, -1, points).swapaxes(1, 2)), 0.0
@@ -515,7 +511,7 @@ class _Stepper:
             low = np.square(v.view(float), out=v.view(float)).sum(0).reshape(len(x) * K, -1).sum(1)
             norm = np.square(w := x.view(float), out=w).reshape(len(x), -1) @ self.e2.T + cross
             norm_sq[s + 1:][:m], low_sq[s + 1:][:m] = (norm.reshape(-1) + low)[:m], low[:m]
-        return c, states
+        return c, []
 
 
 def step_closed_loop(f: SpectralField, F: MultiplierSymbol, mask: SupportMask,
@@ -581,11 +577,12 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     enforces per-step V decrease; only meaningful when cfg.C is at least the
     spectral constant of the mask, so it is off by default.
 
-    _Stepper.record advances a block of steps and records the norms, from
-    one state per step or, on long fold runs, from the K-step tables. One
-    vectorised pass per block then runs the checks, whose errors name the
-    first non-finite step or the first step at which V rises, and flushes
-    the carried state's entries below _FLUSH_BELOW to zero.
+    _Stepper.record advances a block of steps and records the norms, from one
+    state per step or, on long fold runs without snapshots, from the K-step
+    tables. One vectorised pass per block then runs the checks, whose errors
+    name the first non-finite step or the first step at which V rises, and,
+    unless f0 has no entry above _FLUSH_GUARD, zeroes the carried state's
+    entries below _FLUSH_BELOW.
     """
     _check_positive(T=T)
     if cfg is not None and mask is None:
@@ -602,11 +599,14 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
         raise ValidationError(f"cannot record {n_steps} steps to T = {T} at dt = {dt:.3e}: "
                               "raise dt or shorten T") from None
     grid = f0.grid
-    stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order, n_steps)
+    # below 2^10 steps a stepper has no K-step tables: a run with snapshots takes single steps
+    stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order, min(n_steps, 2 ** 10 - 1)
+                       if snapshot_every > 0 else n_steps)
     mu = cfg.mu if cfg is not None else 1.0
 
     # the state stays in the stepper's layout for the whole run
     c = stepper.enter(to_coefficients(f0))
+    flush = np.abs(c).max() > _FLUSH_GUARD
     snaps = [(0.0, stepper.leave(c))] if snapshot_every > 0 else []
     for k in range(0, n_steps, stepper.block):
         end, s = min(k + stepper.block, n_steps), snapshot_every  # steps k .. end
@@ -628,8 +628,8 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
             raise NumericalError(f"Lyapunov functional increased at step "
                                  f"{k + j + 1}: {v[j]} -> {v[j + 1]}")
         snaps += [(float(times[i]), x) for i, x in zip(picks, states)]
-        if (size := np.abs(c)).max() > _FLUSH_GUARD:  # c is a view of the stepper's buffers
-            c[size < _FLUSH_BELOW] = 0.0
+        if flush:  # c is a view of the stepper's buffers
+            c[np.abs(c) < _FLUSH_BELOW] = 0.0
 
     high_sq = np.maximum(norm_sq - low_sq, 0.0)
     traj = Trajectory(grid=grid, times=times, norms=np.sqrt(norm_sq),

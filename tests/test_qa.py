@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from thickstab.errors import (ConvergenceError, MomentDivergenceError,
-                              ValidationError)
+from thickstab.errors import (ConvergenceError, IntegrationError,
+                              MomentDivergenceError, ValidationError)
 from thickstab.qa import (build_sequence, dc_partial_sum, integral_test,
                           log_convexity_report, log_moment,
                           ratio_lower_bound_check, scaling_inequality_check,
@@ -88,31 +89,83 @@ def test_divergence_signature_separates_families():
     assert inc2 < 0.01
 
 
+def _table_integral(symbol, t_max):
+    """Exact integral of the piecewise-linear table over [0, t_max]: on each node
+    interval the interpolant is alpha + beta t, flat past the last node."""
+    xs, vs = symbol._nodes
+    vs = vs - symbol.shift
+    edges = np.append(xs[xs < t_max], t_max)
+    total = 0.0
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        beta = (vs[i + 1] - vs[i]) / (xs[i + 1] - xs[i]) if i + 1 < xs.size else 0.0
+        alpha = vs[i] - beta * xs[i]
+        total += (alpha * (math.atan(b) - math.atan(a))
+                  + 0.5 * beta * (math.log1p(b * b) - math.log1p(a * a)))
+    return total
+
+
 def test_integral_signature():
-    # int_0^T r / (1 + r^2) dr = log(1 + T^2) / 2
-    assert integral_test(halfheat(), 1e4) == pytest.approx(
-        0.5 * math.log(1 + 1e8), rel=1e-10)
+    # int_0^T r / (1 + r^2) dr = log1p(T^2) / 2, which is log T to rounding
+    # from 1e150 on; past 1.3e154 t * t overflows, so the weight must not
+    for t_max in (1e4, 1e150, 1e160, 1e300):
+        want = 0.5 * math.log1p(t_max * t_max) if t_max < 1e150 else math.log(t_max)
+        assert integral_test(halfheat(), t_max) == pytest.approx(want, rel=1e-13), t_max
+    # t^2 / (1 + t^2) = 1 - 1 / (1 + t^2)
+    assert integral_test(fractional(1.0), 50.0) == pytest.approx(
+        50.0 - math.atan(50.0), rel=1e-13)
     assert integral_test(constant(3.0), 2.0) == pytest.approx(
-        3.0 * math.atan(2.0), rel=1e-10)
+        3.0 * math.atan(2.0), rel=1e-13)
+    # tables are exact piecewise: the panels split at their kinks
+    for F, t_max in ((saturating(1.0, 200.0), 2.0), (saturating(1.0, 200.0), 150.0),
+                     (saturating(1.0, 200.0), 1e3), (shifted(saturating(2.0, 50.0), 0.3), 1e3)):
+        assert integral_test(F, t_max) == pytest.approx(
+            _table_integral(F, t_max), rel=1e-13), (F.describe(), t_max)
     # convergent partner stays bounded far out
     assert integral_test(loglog(1.0, 2.0), 1e8) < 1.3
     with pytest.raises(ValidationError):
         integral_test(halfheat(), -1.0)
 
 
+def test_integral_test_matches_tight_quad():
+    # smooth families against SciPy's quad, tight, on the same dyadic and decade
+    # pieces, the first of which holds the r^0.1 cusp of fractional(0.05) at 0
+    def oracle(F, t_max):
+        cuts = [0.0, *(2.0 ** k for k in range(-40, 1)), *(10.0 ** k for k in range(1, 309))]
+        edges = [c for c in cuts if c < t_max] + [t_max]
+        return sum(quad(lambda t: F.eval(t) / (1.0 + t * t), a, b, epsabs=0.0,
+                        epsrel=1e-13, limit=200)[0] for a, b in zip(edges, edges[1:]))
+
+    for F, t_max in ((loglog(1.0, 2.0), 1e8), (loglog(1.0, 0.5), 1e5), (iterated(1), 1e12),
+                     (iterated(2), 1e6), (fractional(0.05), 1e4), (fractional(0.3), 1e4),
+                     (fractional(3.0), 1e2), (shifted(halfheat(), 5.0), 1e4)):
+        assert integral_test(F, t_max) == pytest.approx(
+            oracle(F, t_max), rel=1e-12), F.describe()
+
+
+def test_integral_test_fails_loudly_on_overflow():
+    # t^400 overflows past t = 5.9, so the decade [1, 10] is the first panel
+    # whose value is not finite; no RuntimeWarning escapes on the way
+    with pytest.raises(IntegrationError, match=r"quadrature failed on \[1.0, 10.0\]") as err:
+        integral_test(fractional(200.0), 1e8)
+    assert err.value.step == 1.0
+
+
 def test_import_loads_no_scipy():
-    # SciPy is loaded by integral_test alone, on its first call; a fresh
-    # interpreter that imports the package and its CLI must not pay for it
+    # a fresh interpreter that imports the package and its CLI, and computes
+    # an integral test, loads numpy only
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys, thickstab, thickstab.cli\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
-        "             or m == 'numpy.f2py' or m.startswith('numpy.f2py.')))\n"
-        "print(repr(thickstab.qa.integral_test(thickstab.halfheat(), 1e4)))\n")
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')\n"
+        "                 or m == 'numpy.f2py' or m.startswith('numpy.f2py.')))\n"
+        "loaded()\n"
+        "print(repr(thickstab.qa.integral_test(thickstab.halfheat(), 1e4)))\n"
+        "loaded()\n")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout.splitlines()
-    assert out[0] == "[]"
+    assert out[0] == "[]" and out[2] == "[]"
     assert float(out[1]) == pytest.approx(0.5 * math.log(1 + 1e8), rel=1e-10)
 
 

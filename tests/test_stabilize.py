@@ -755,9 +755,17 @@ def _chunk_case(support):
 
 
 def _recorded_states(stepper, c, n):
-    """The n states after c, each picked from one record call, in the stepper's layout."""
-    picked = stepper.record(c, np.empty(n + 1), np.empty(n + 1), list(range(1, n + 1)))[1]
-    return [stepper.enter(x) for x in picked]
+    """The n > K states after c in the stepper's layout: S^K c from the tables'
+    K-step pair (h_chunk, e_chunk), the states before and after it single steps."""
+    K = stepper.chunk
+    x = np.array([c, c])
+    stepper.advance(x, (stepper.h_chunk, stepper.e_chunk))
+    before, after = np.array([c] * K), np.array([x[1]] * (n - K + 1))
+    stepper.advance(before)
+    stepper.advance(after)
+    states = [*before[1:], *after]
+    assert len(states) == n
+    return states
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -765,7 +773,7 @@ def _recorded_states(stepper, c, n):
                                      "2-D periodic"])
 def test_chunked_steps_match_single_steps(support, adjoint):
     # a long-run stepper forms S^K c = diag(e_rest^K) c + H_K c_band (or its
-    # adjoint) from the tables, and fewer steps one at a time; k single steps
+    # adjoint) from the tables, and other steps one at a time; k single steps
     # of a one-step stepper are the reference, through a full chunk and one
     # step into the next
     g, mask, cfg = _chunk_case(support)
@@ -860,11 +868,14 @@ def test_long_run_matches_per_step_loop(monkeypatch, adjoint):
     # one record block plus 31 steps, and two blocks plus 37, read their
     # records from the K-step tables (K = 16, 17, 24, each with a partial last
     # chunk), in passes of up to K chunk starts; the per-step loop over a
-    # one-step stepper is the reference for norms, band norms, V and
-    # snapshots, taken every step, every 7 and every 97 steps, which no K
-    # divides. A chunk with picked states inside steps once from its start,
-    # so a run of n steps takes at most n single steps (advance's one-step
-    # calls), criterion 08's 1100-step run with a snapshot every step too
+    # one-step stepper is the reference for norms, band norms and V. Only the
+    # partial last chunk of a pass steps one step at a time, so a run takes
+    # fewer than n single steps (advance's one-step calls). A run with
+    # snapshots, every step, every 7 and every 97 steps, which no K divides,
+    # takes its n single steps and holds the per-step loop's states bit for
+    # bit, but for entries below _FLUSH_BELOW, which the flush may zero (the
+    # adjoint one-fiber run reaches 1e-308); criterion 08's 1100-step run with
+    # a snapshot every step too
     F, single, advance = halfheat(), [], _Stepper.advance
 
     def counted(self, rows, *pair):
@@ -884,12 +895,12 @@ def test_long_run_matches_per_step_loop(monkeypatch, adjoint):
         assert stepper.block > K * (len(stepper.starts) - 1)  # several passes a block
         norm_sq, low_sq, snaps = _per_step_records(g, F, mask, cfg, cfg.dt_max,
                                                    adjoint, f0, n, every=1)
-        for every in (1, 7, 97):
+        for every in (0, 1, 7, 97):
             single.clear()
             res = run_stabilization(f0, F, mask, cfg, n * cfg.dt_max,
                                     dt=cfg.dt_max, snapshot_every=every,
                                     adjoint_order=adjoint)
-            assert sum(single) <= n, (support, n, every, sum(single))
+            assert sum(single) == n if every else 0 < sum(single) < n, (support, n, every)
             traj = res.trajectory
             assert traj.times.size == n + 1 and res.dt == cfg.dt_max
             for got, want in ((traj.norms, np.sqrt(norm_sq)),
@@ -898,15 +909,16 @@ def test_long_run_matches_per_step_loop(monkeypatch, adjoint):
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0,
                                            err_msg=support)
             ks = [round(t / res.dt) for t, _ in traj.snapshots]
-            assert ks == [*range(0, n, every), n]
+            assert ks == ([*range(0, n, every), n] if every else [])
             for (t, got), k in zip(traj.snapshots, ks):
-                want = snaps[k]
-                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                tiny = np.abs(snaps[k]) < stabilize._FLUSH_BELOW
+                assert np.array_equal(np.where(tiny, 0.0, got), np.where(tiny, 0.0, snaps[k]))
+                assert np.all(np.abs(got[tiny]) < stabilize._FLUSH_BELOW), (support, every, k)
     g, mask, cfg = _chunk_case("1-D periodic")
     single.clear()
     run_stabilization(field_from_values(g, np.ones(g.shape)), F, mask, cfg, 1100 * cfg.dt_max,
                       dt=cfg.dt_max, snapshot_every=1, adjoint_order=adjoint)
-    assert 0 < sum(single) <= 1100
+    assert sum(single) == 1100
 
 
 @pytest.mark.parametrize("adjoint", [False, True])
@@ -1040,3 +1052,54 @@ def test_flush_keeps_records_bitwise(monkeypatch, adjoint):
         assert (getattr(runs[0].trajectory, name).tobytes()
                 == getattr(runs[1].trajectory, name).tobytes()), name
     assert runs[0].fitted_rate == runs[1].fitted_rate
+
+
+@pytest.mark.parametrize("points, R, T, adjoint", [
+    (64, 2.0, 200.0, False), (64, 2.0, 200.0, True), (512, 7.0, 2.0, True)])
+def test_dead_run_flushes_to_zero(monkeypatch, points, R, T, adjoint):
+    # from the constant mode, on criterion 08's support, the norm reads 0 long
+    # before T. The flush guard reads the initial state, so the flush keeps
+    # zeroing the decayed state, which ends exactly zero; left unflushed, the
+    # 512-point run keeps subnormal entries that a step rounds back to
+    # themselves. The records are those of the unflushed run, bit for bit
+    g, F = make_grid(1, 16.0, points), halfheat()
+    mask, cfg = make_periodic_thick(g, 1.0, 0.5), design_feedback(F, R, C=1.0)
+    f0, record, ends = field_from_values(g, np.ones(g.shape)), _Stepper.record, []
+
+    def recording(self, c, *args):  # the last state of each block, flushed in place
+        out = record(self, c, *args)
+        ends.append(out[0])
+        return out
+
+    monkeypatch.setattr(_Stepper, "record", recording)
+    runs, last = [], []
+    for below in (stabilize._FLUSH_BELOW, 0.0):  # nothing is below 0: no flush
+        monkeypatch.setattr(stabilize, "_FLUSH_BELOW", below)
+        runs.append(run_stabilization(f0, F, mask, cfg, T, adjoint_order=adjoint).trajectory)
+        last.append(ends[-1].copy())
+    assert len(runs[0].norms) > 2 ** 10 and not runs[0].norms[len(runs[0].norms) // 2:].any()
+    assert not last[0].any()
+    assert points == 64 or last[1].any()
+    for name in ("norms", "lyapunov", "low_norms", "high_norms"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_tiny_run_keeps_snapshots_bitwise(monkeypatch, adjoint):
+    # a state that starts below _FLUSH_GUARD is never flushed: its high modes
+    # pass below _FLUSH_BELOW, and its snapshots and records stay those of a
+    # run with no flush, bit for bit
+    g, F = make_grid(1, 16.0, 64), halfheat()
+    mask, cfg = make_periodic_thick(g, 1.0, 0.5), design_feedback(F, 2.0, C=1.0)
+    rng = np.random.default_rng(7)
+    f0 = field_from_values(g, 1e-260 * rng.standard_normal(g.shape))
+    runs = []
+    for below in (stabilize._FLUSH_BELOW, 0.0):
+        monkeypatch.setattr(stabilize, "_FLUSH_BELOW", below)
+        runs.append(run_stabilization(f0, F, mask, cfg, 10.0, snapshot_every=100,
+                                      adjoint_order=adjoint).trajectory)
+    snaps = np.array([x for _, x in runs[1].snapshots])
+    assert np.any((0 < np.abs(snaps)) & (np.abs(snaps) < 1e-290))
+    assert np.array_equal(np.array([x for _, x in runs[0].snapshots]), snaps)
+    for name in ("norms", "lyapunov", "low_norms", "high_norms"):
+        assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
