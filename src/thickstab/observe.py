@@ -13,7 +13,9 @@ damped field u = e^{-TG} g with G = F - inf F, whether every tested
 derivative order satisfies ||d^beta u||^2_Q <= 2^(2|beta|+n)/eps *
 (M_{|beta|})^2 ||u||^2_Q with the moments taken at half time. The mass
 carried by the failing cubes is then at most eps * ||g||^2 summed over the
-tested orders, a bound the report states alongside the labels.
+tested orders, a bound the report states alongside the labels. The orders,
+beta = 0 (u itself) first, go through grid._squared_moduli like the march's
+times: one inverse FFT per stack of grid._FFT_STACK entries, the one budget.
 """
 
 from __future__ import annotations
@@ -25,19 +27,15 @@ import numpy as np
 
 from .errors import ConvergenceError, MomentDivergenceError, ValidationError
 from .grid import (GaussianProbe, Grid, SpectralField, _check_count, _check_positive,
-                   _probe_headroom, _probe_widths, _symbol_values, _write_csv, _write_json,
-                   from_coefficients, probe_admissible, sample_probe, semigroup_multiplier,
-                   to_coefficients)
+                   _mask_form, _probe_headroom, _probe_widths, _squared_moduli, _stacks,
+                   _symbol_values, _write_csv, _write_json, from_coefficients, probe_admissible,
+                   sample_probe, semigroup_multiplier, to_coefficients)
 from .qa import log_moment
-from .stabilize import _mask_form, _stacks, estimate_spectral_constant
+from .stabilize import estimate_spectral_constant
 from .symbols import MultiplierSymbol, shifted
 from .thick import SupportMask, _whole_cells, make_ball_complement, mask_hash
 
 _PROBE_WIDTHS = (0.5, 1.3)  # range of the probe widths make_probe_set draws
-# complex entries (128 kB) of march states per inverse FFT in _restricted_march. The three
-# scenario-mix marches (6 and 9 rows of 256, 4 of 512; 65 times) took 2.3-3.0 ms at one FFT
-# per time; up to 22 % less at 2^12, 29-42 % less at 2^13 and 14-27 % less at 2^14 (2-core x86)
-_MARCH_CHUNK = 2 ** 13
 
 
 # ---------------------------------------------------------------------------
@@ -80,30 +78,24 @@ def _restricted_march(grid: Grid, c: np.ndarray, e_step: np.ndarray,
     c stacks the coefficients of the fields along its first axis and is
     advanced in place by the one-step multiplier e_step, so it ends as the
     coefficients at the final time. e_step and frac broadcast against c: either
-    one array shared by every field or one row per field. The states fill
-    chunks of up to _MARCH_CHUNK complex entries (one time at least), each sent
-    in place through one inverse FFT and summed per (time, row): the same
-    per-row transforms and sums as one call per time, to the bit.
+    one array shared by every field or one row per field. The states of
+    successive times go through _squared_moduli, one inverse FFT per stack of
+    times, and are summed per (time, row): the same per-row transforms and sums
+    as one call per time, to the bit.
     """
-    axes = tuple(range(2, c.ndim + 1))
     try:
         integrand = np.empty((len(c), steps + 1))
     except (MemoryError, ValueError):
         raise ValidationError(f"cannot record {steps} quadrature steps: lower the count") from None
-    m = min(steps + 1, max(1, _MARCH_CHUNK // c.size))
-    chunk = np.empty((m,) + c.shape, c.dtype)
-    for k0 in range(0, steps + 1, m):
-        n = min(m, steps + 1 - k0)
-        for j in range(n):
-            if k0 + j > 0:
-                c *= e_step
-            chunk[j] = c
-        vals = np.fft.ifftn(chunk[:n], axes=axes, out=chunk[:n])
-        vals /= grid.cell_measure
-        sq = vals.real**2
-        sq += vals.imag**2
+
+    def state(k, out):  # the state at time k, advanced in place
+        if k:
+            np.multiply(c, e_step, out=c)
+        out[...] = c
+
+    for s, sq in _squared_moduli(grid, steps + 1, c.shape, state):
         sq *= frac
-        integrand[:, k0:k0 + n] = sq.reshape(n, len(c), -1).sum(axis=2).T * grid.cell_measure
+        integrand[:, s] = sq.reshape(len(sq), len(c), -1).sum(axis=2).T * grid.cell_measure
     return integrand
 
 
@@ -397,18 +389,31 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
     grid = g.grid
     W = _whole_cells(grid, L, "cube side L", tile=True)
     n = grid.dim
-    f_rho = _symbol_values(grid, F).ravel()  # checked before inf F is scanned
+    g_rho = np.maximum(_symbol_values(grid, F).ravel() - F.inf_value, 0.0)  # F checked first
     base = shifted(F, F.inf_value)  # G = F - inf F, zero infimum
     t_half = 0.5 * T
+
+    cu = to_coefficients(g) * np.exp(-T * g_rho).reshape(grid.shape)
+    xi_axes = np.ix_(*[grid.axis_xi] * n)
+    betas = _multi_indices(n, beta_max)  # beta = 0, u itself, first
+
+    def order(j, out):  # d^beta u for beta = betas[j], (i xi)^b applied axis by axis
+        out[...] = cu
+        for axis, b in enumerate(betas[j]):
+            if b:
+                out *= (1j * xi_axes[axis]) ** b
+
+    d_sq = np.stack([_cube_sums(row, W, n) for _, sq in _squared_moduli(
+        grid, len(betas), cu.shape, order) for row in sq]) * grid.cell_measure
+    u_sq = d_sq[0].copy()
 
     # moments used in the thresholds: the continuum optimizer value, nudged
     # up by 1e-9 and floored by the exact lattice supremum so the bad-mass
     # chain is airtight on this grid
     rho_flat = grid.rho.ravel()
-    g_rho = np.maximum(f_rho - F.inf_value, 0.0)
     log_rho = np.log(rho_flat, out=np.full_like(rho_flat, -np.inf), where=rho_flat > 0)
-    log_m = {}
-    for k in range(1, beta_max + 1):  # no threshold reads M_0
+    log_thresh = np.full((len(betas),) + (1,) * n, np.inf)  # beta = 0 is untested
+    for k in range(1, beta_max + 1):
         try:
             lm, _ = log_moment(base, k, scale=t_half)
         except MomentDivergenceError as err:
@@ -417,44 +422,23 @@ def classify_cubes(g: SpectralField, F: MultiplierSymbol, T: float,
             raise ValidationError(f"T = {T} is too small for the half-time moments sup_r "
                                   f"r^k e^(-(T/2) G(r)) to be finite ({err}); raise T") from None
         grid_lm = np.max(k * log_rho - t_half * g_rho)
-        log_m[k] = max(lm + math.log1p(1e-9), float(grid_lm))
+        log_m = max(lm + math.log1p(1e-9), float(grid_lm))
+        log_thresh[[sum(b) == k for b in betas]] = (2 * k + n) * math.log(2.0) \
+            - math.log(epsilon) + 2.0 * log_m
 
-    cu = to_coefficients(g) * np.exp(-T * g_rho).reshape(grid.shape)
-    u_vals = np.fft.ifftn(cu) / grid.cell_measure
-    u_sq = _cube_sums(u_vals.real**2 + u_vals.imag**2, W, n) * grid.cell_measure
+    # log(||d^beta u||^2_Q / ||u||^2_Q) over the threshold, in place: -inf for beta = 0
+    margin = np.log(np.maximum(d_sq, 1e-300, out=d_sq), out=d_sq)
+    margin[1:] -= margin[0]
+    margin -= log_thresh
+    good = np.all(margin <= 0, axis=0)
 
-    xi_axes = np.ix_(*[grid.axis_xi] * n)
-    shape = u_sq.shape
-    worst_margin = np.full(shape, -np.inf)
-    worst_beta = np.zeros(shape + (n,), dtype=int)
-    good = np.ones(shape, dtype=bool)
-    log_u = np.log(np.maximum(u_sq, 1e-300))
-    for beta in _multi_indices(n, beta_max):
-        k = sum(beta)
-        if k == 0:
-            continue
-        dc = cu.copy()
-        for axis, b in enumerate(beta):
-            if b:
-                dc *= (1j * xi_axes[axis]) ** b
-        d_vals = np.fft.ifftn(dc) / grid.cell_measure
-        d_sq = _cube_sums(d_vals.real**2 + d_vals.imag**2, W, n) \
-            * grid.cell_measure
-        log_thresh = (2 * k + n) * math.log(2.0) - math.log(epsilon) \
-            + 2.0 * log_m[k]
-        margin = np.log(np.maximum(d_sq, 1e-300)) - log_u - log_thresh
-        good &= margin <= 0
-        better = margin > worst_margin
-        worst_margin = np.where(better, margin, worst_margin)
-        worst_beta[better] = beta
-
-    tested = sum(2.0 ** (-2 * sum(b) - n) for b in _multi_indices(n, beta_max))
+    tested = sum(2.0 ** (-2 * sum(b) - n) for b in betas)
     bad_mass = float(u_sq[~good].sum())
     g_sq = float(np.vdot(g.values, g.values).real) * grid.cell_measure
     return CubeReport(
-        L=float(L), epsilon=epsilon, beta_max=int(beta_max), shape=shape,
-        labels=good, worst_beta=tuple(map(tuple, worst_beta.reshape(-1, n))),
-        worst_ratio=np.exp(worst_margin), cube_mass=u_sq,
+        L=float(L), epsilon=epsilon, beta_max=int(beta_max), shape=u_sq.shape,
+        labels=good, worst_beta=tuple(map(tuple, np.array(betas)[margin.argmax(axis=0).ravel()])),
+        worst_ratio=np.exp(margin.max(axis=0)), cube_mass=u_sq,
         bad_mass=bad_mass, mass_budget=epsilon * g_sq,
         tested_weight=tested, tail_weight=(2.0 / 3.0) ** n - tested)
 

@@ -213,8 +213,9 @@ def integral_test(symbol: MultiplierSymbol, t_max: float) -> float:
         err = np.abs(value - whole)
         i = np.argmin(ok := err <= 1e-6 * (1.0 + np.abs(value)))  # the first failing panel, if any
     if not ok[i]:
-        raise IntegrationError(f"quadrature failed on [{a[i]}, {b[i]}]: halves and whole "
-                               f"panel differ by {err[i]:.3e}", step=float(a[i]))
+        why = (f"halves and whole panel differ by {err[i]:.3e}" if np.isfinite(err[i])
+               else "F(t) / (1 + t^2) is not finite there")
+        raise IntegrationError(f"quadrature failed on [{a[i]}, {b[i]}]: {why}", step=float(a[i]))
     return float(value.sum())
 
 

@@ -22,8 +22,8 @@ _real_form), and the polynomial and the two half-multipliers fold into one
 block per fiber, so a step is one batched matrix product. Long runs go K steps
 at a time: a pass marches its chunk starts one S^K after another, and one
 product per table of the first K powers with all of them gives every step's
-norms. When the blocks would be too large the four stages go through the FFT,
-with no band matrix.
+norms. When the blocks would be too large the four stages go through the FFT
+(grid._mask_form), with no band matrix.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
 from .grid import (Grid, SpectralField, _check_count, _check_positive, _check_times,
-                   _symbol_values, _write_csv, apply_semigroup,
-                   ball_multiplier, from_coefficients, semigroup_multiplier,
-                   to_coefficients)
+                   _mask_form, _stacks, _symbol_values, _write_csv, apply_semigroup,
+                   ball_multiplier, from_coefficients, semigroup_multiplier, to_coefficients)
 from .symbols import MultiplierSymbol, _bracket_root, alpha_R as tail_inf
 from .thick import SupportMask
 
@@ -62,7 +61,6 @@ _FLUSH_BELOW, _FLUSH_GUARD = 1e-290, 1e-250
 # flush: 2,385 steps took 7.2 / 6.2 ms (forward / adjoint), 7.7 / 6.6 at K = 32 and 9.4 / 7.7 at
 # K = 48; its 1.2M steps 2.5-2.8, 2.2-2.9 and 2.4-3.3 s (2-core x86, 1 BLAS thread)
 _CHUNK_TABLE = 3 * 2 ** 14
-_FFT_STACK = 2 ** 12  # complex entries (64 kB) per stack sent through one batched FFT
 # widest dense block of the eigensolve; at the cap, on one core, 0.9 s for the
 # real block of a support with no period and 3.0 s for a complex fiber block
 _BLOCK_MAX = 2048
@@ -219,21 +217,6 @@ def _real_form(fhat: np.ndarray, band: np.ndarray) -> np.ndarray:
     out[:nf] *= math.sqrt(0.5)
     out[:, :nf] *= math.sqrt(0.5)
     return out
-
-
-def _mask_form(frac: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """1_omega (the cell fractions) on a coefficient array, or on each of a
-    stack of them (leading axes): one FFT pair. Passing shape and axes keeps
-    a lone array at the plain transform's per-call cost."""
-    axes = tuple(range(c.ndim - frac.ndim, c.ndim))
-    return np.fft.fftn(frac * np.fft.ifftn(c, frac.shape, axes), frac.shape, axes)
-
-
-def _stacks(n: int, size: int) -> list:
-    """Slices of n arrays of size entries each, in stacks of at most _FFT_STACK
-    entries (one array at least): one FFT call per stack, not per array."""
-    k = max(1, _FFT_STACK // size)
-    return [slice(i, i + k) for i in range(0, n, k)]
 
 
 def _apply_band_gram(frac: np.ndarray, idx: np.ndarray,

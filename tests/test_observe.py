@@ -10,6 +10,7 @@ computed from first principles on a thick mask, and by replaying its
 controls through exact slice propagators.
 """
 
+import ast
 import json
 import math
 import tracemalloc
@@ -19,13 +20,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thickstab import stabilize
+from thickstab import grid, observe
 from thickstab.errors import (ConvergenceError, MomentDivergenceError,
                               ValidationError)
 from thickstab.grid import (GaussianProbe, field_from_values, make_grid, norm,
                             project_ball, restricted_norm,
                             semigroup_multiplier, to_coefficients, zero_field)
-from thickstab.observe import (_restricted_march, classify_cubes,
+from thickstab.observe import (_cube_sums, _multi_indices, _restricted_march, classify_cubes,
                                estimate_observability_constant,
                                kovrijkine_empirical, make_probe_set,
                                necessity_probe_scan, negative_limit_experiment,
@@ -356,6 +357,111 @@ def test_cubes_mass_conservation_random_fields():
     assert saw_bad  # the scenario is not vacuous: some cube does go bad
 
 
+def _cubes_per_order(g, F, T, epsilon, L, beta_max):
+    # the classifier with one inverse FFT and one compare per derivative order,
+    # kept as the bitwise reference for the stacked pass
+    lattice, n = g.grid, g.grid.dim
+    W = round(L * lattice.points / lattice.extent)
+    g_rho = np.maximum(F.eval(lattice.rho).ravel() - F.inf_value, 0.0)
+    rho = lattice.rho.ravel()
+    log_rho = np.log(rho, out=np.full_like(rho, -np.inf), where=rho > 0)
+    cu = to_coefficients(g) * np.exp(-T * g_rho).reshape(lattice.shape)
+
+    def cube_sq(c):
+        v = np.fft.ifftn(c) / lattice.cell_measure
+        return _cube_sums(v.real**2 + v.imag**2, W, n) * lattice.cell_measure
+
+    u_sq = cube_sq(cu)
+    log_u = np.log(np.maximum(u_sq, 1e-300))
+    xi = np.ix_(*[lattice.axis_xi] * n)
+    good = np.ones(u_sq.shape, dtype=bool)
+    worst = np.full(u_sq.shape, -np.inf)
+    worst_beta = np.zeros(u_sq.shape + (n,), dtype=int)
+    for beta in _multi_indices(n, beta_max)[1:]:
+        k = sum(beta)
+        lm = log_moment(shifted(F, F.inf_value), k, scale=0.5 * T)[0]
+        log_m = max(lm + math.log1p(1e-9), float(np.max(k * log_rho - 0.5 * T * g_rho)))
+        dc = cu.copy()
+        for axis, b in enumerate(beta):
+            if b:
+                dc *= (1j * xi[axis]) ** b
+        thresh = (2 * k + n) * math.log(2.0) - math.log(epsilon) + 2.0 * log_m
+        margin = np.log(np.maximum(cube_sq(dc), 1e-300)) - log_u - thresh
+        good &= margin <= 0
+        better = margin > worst
+        worst = np.where(better, margin, worst)
+        worst_beta[better] = beta
+    return good, np.exp(worst), tuple(map(tuple, worst_beta.reshape(-1, n))), u_sq
+
+
+@pytest.mark.parametrize("dim, points, L, beta_max, mode, T, bump", [
+    (1, 256, 0.5, 1, 40, 2.0, 3e-13), (1, 256, 0.5, 2, 40, 1.0, 3e-6),
+    (1, 256, 0.5, 6, 40, 1.0, 3e-6), (2, 64, 1.0, 2, 24, 2.0, 1e-6),
+    (2, 64, 1.0, 3, 24, 2.0, 1e-6)])
+def test_cubes_stacked_orders_match_per_order_loop(dim, points, L, beta_max, mode, T, bump):
+    # every stack size gives the per-order loop's labels, worst ratios, worst
+    # orders and cube masses to the bit: one order a stack, two, and all. A
+    # fast wave fails its cubes and a faint bump rescues those it covers
+    g = make_grid(dim, 16.0, points)
+    x = np.meshgrid(*[g.axis_x] * dim, indexing="ij")
+    f = field_from_values(g, sum(np.cos(2 * np.pi * mode * y / 16.0) for y in x)
+                          + bump * np.exp(-0.5 * sum((y - 8.0) ** 2 for y in x) / 0.36))
+    want = _cubes_per_order(f, halfheat(), T, 0.01, L, beta_max)
+    assert 0 < np.count_nonzero(want[0]) < want[0].size  # some cubes good, some bad
+    orders = len(_multi_indices(dim, beta_max))
+    for per_stack in (1, 2, orders):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(grid, "_FFT_STACK", per_stack * g.points**dim)
+            rep = classify_cubes(f, halfheat(), T, 0.01, L, beta_max)
+        assert np.array_equal(rep.labels, want[0])
+        assert np.array_equal(rep.worst_ratio, want[1])
+        assert rep.worst_beta == want[2]
+        assert np.array_equal(rep.cube_mass, want[3])
+
+
+@pytest.mark.parametrize("dim, points", [(1, 256), (2, 64)])
+def test_cubes_beta_max_zero_tests_nothing(dim, points):
+    # with no derivative order to test every cube is good, its worst ratio is
+    # 0 and its worst order beta = 0; the tested weight is beta = 0's alone
+    g = make_grid(dim, 16.0, points)
+    xi = 2.0 * np.pi * 20 / 16.0
+    f = field_from_values(g, np.cos(xi * g.axis_x).reshape((-1,) + (1,) * (dim - 1))
+                          * np.ones(g.shape))
+    rep = classify_cubes(f, halfheat(), 2.0, 0.01, 0.5, 0)
+    assert bool(rep.labels.all()) and rep.bad_mass == 0.0
+    assert not np.any(rep.worst_ratio)
+    assert rep.worst_beta == ((0,) * dim,) * rep.labels.size
+    assert rep.tested_weight == 2.0 ** -dim
+
+
+def test_cubes_memory_stays_within_a_stack():
+    # beyond the report it leaves, a 2-D classification at the highest order
+    # holds one stack of orders, the evolved field and the per-order cube
+    # sums: at most three times the larger of 2^13 complex entries and one
+    # field (the benchmark's tiling, L = 1 on 64^2, has 256 cubes)
+    g = make_grid(2, 16.0, 64)
+    rng = np.random.default_rng(8)
+    f = field_from_values(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    classify_cubes(f, halfheat(), 1.0, 0.25, 1.0, 8)
+    tracemalloc.start()
+    try:
+        rep = classify_cubes(f, halfheat(), 1.0, 0.25, 1.0, 8)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.labels.shape == (16, 16)
+    assert peak - kept <= 3 * 16 * max(2 ** 13, g.points ** 2)
+
+
+def test_observe_imports_no_private_stabilize_name():
+    # the stacked FFT helpers live in grid; observe uses stabilize's public API only
+    with open(observe.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             and node.level == 1 and node.module == "stabilize" for a in node.names]
+    assert names and not [n for n in names if n.startswith("_")]
+
+
 def test_cubes_validation_and_csv(tmp_path):
     g = make_grid(1, 16.0, 256)
     f = field_from_values(g, np.ones(g.shape))
@@ -439,7 +545,7 @@ def test_synthesize_thick_mask(monkeypatch):
         assert np.max(np.abs(h[off])) == 0.0
     assert abs(norm(res.final_field) / norm(f0) - res.ratio) < 1e-12
     # stacks of three slices, the last one short, give the same solve
-    monkeypatch.setattr(stabilize, "_FFT_STACK", 3 * g.points)
+    monkeypatch.setattr(grid, "_FFT_STACK", 3 * g.points)
     again = synthesize_control(f0, F, mask, 1.0, 0.1, slices=32)
     assert again.cg_iterations == res.cg_iterations
     scale = max(np.abs(h).max() for h in res.controls)

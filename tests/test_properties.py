@@ -34,7 +34,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thickstab import observe, stabilize
+from thickstab import grid as grid_module, observe
 from thickstab.errors import ConvergenceError
 from thickstab.grid import (field_from_values, from_coefficients, make_grid,
                             norm, restricted_norm, semigroup_multiplier,
@@ -420,7 +420,7 @@ def test_restricted_march_chunks_match_per_step_loop(dim, points, rows, row_step
     grid = make_grid(dim, 16.0, points)
     rng = np.random.default_rng(points + rows)
     shape = (rows,) + grid.shape
-    per_chunk = observe._MARCH_CHUNK // (rows * grid.points)
+    per_chunk = grid_module._FFT_STACK // (rows * grid.points)
     assert per_chunk > 1
     steps = 3 * per_chunk + per_chunk // 2 - 1  # steps + 1 times
     assert (steps + 1) % per_chunk
@@ -639,7 +639,7 @@ def test_dense_dual_oracle(case):
     want = G @ z.ravel()
     for per_stack in (1, 3, slices):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(stabilize, "_FFT_STACK", per_stack * z.size)
+            mp.setattr(grid_module, "_FFT_STACK", per_stack * z.size)
             gz = observe._gramian_apply(theta_grid, frac, z)
         assert np.linalg.norm(want - gz.ravel()) <= 1e-12 * np.linalg.norm(want)
     # the Jacobi preconditioner's closed-form diagonal

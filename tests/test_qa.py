@@ -144,8 +144,10 @@ def test_integral_test_matches_tight_quad():
 
 def test_integral_test_fails_loudly_on_overflow():
     # t^400 overflows past t = 5.9, so the decade [1, 10] is the first panel
-    # whose value is not finite; no RuntimeWarning escapes on the way
-    with pytest.raises(IntegrationError, match=r"quadrature failed on \[1.0, 10.0\]") as err:
+    # whose value is not finite, and the error says so; no RuntimeWarning
+    # escapes on the way
+    with pytest.raises(IntegrationError, match=r"quadrature failed on \[1.0, 10.0\]: "
+                       r"F\(t\) / \(1 \+ t\^2\) is not finite there") as err:
         integral_test(fractional(200.0), 1e8)
     assert err.value.step == 1.0
 
