@@ -1,11 +1,11 @@
 """Bernstein moment sequences M_k = sup_r r^k e^{-scale F(r)} and their tests.
 
-Everything runs on the log scale: log M_k = sup_s [k s - scale F(e^s)], a
-supremum whose maximizer moves monotonically to the right as k grows. The
-batch optimizer exploits that with a shared coarse grid, then refines all
-k at once with the symbols module's zoom search, which stops at a bracket
-width of 1e-8 in log radius; ten-thousand-moment sequences cost a fraction
-of a second.
+Everything runs on the log scale: log M_k = sup_s [k s - scale F(e^s)], a supremum whose
+maximizer moves monotonically to the right as k grows. The batch takes every k's coarse
+maximizer on one shared grid: if the grid slopes of scale F(e^s) never fall (F(e^s) convex,
+as for halfheat, fractional powers and iterated logs), one searchsorted of the ks in the slopes;
+else a loop that searches each k from the last maximizer. It then refines all k at once with the
+symbols module's zoom search, which stops at a bracket width of 1e-8 in log radius.
 
 The module also hosts the diagnostics used throughout: divergence of the
 ratio series sum M_k / M_{k+1} (the quasi-analyticity signature), log-convexity,
@@ -46,25 +46,33 @@ def _check_scale(scale) -> float:
     return scale
 
 
+def _coarse_argmax(s: np.ndarray, fe: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """First grid argmax of k s - fe for each k of the ascending ks: the first slope of fe >= k
+    if the slopes (inf past fe's finite part) never fall, else a search from the last maximizer."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf past the finite part
+        d = np.diff(fe) / np.diff(s)
+    d[np.isnan(d)] = np.inf
+    if np.all(d[1:] >= d[:-1]):
+        return np.searchsorted(d, ks)
+    idx, j0 = np.empty(len(ks), dtype=int), 0
+    for i, k in enumerate(ks):
+        idx[i] = j0 = j0 + int(np.argmax(k * s[j0:] - fe[j0:]))
+    return idx
+
+
 def _moment_batch(symbol: MultiplierSymbol, ks: np.ndarray,
                   scale: float) -> tuple:
-    """log M_k and argmax radius for an ascending array of k > 0."""
-    s_hi = math.log(_R_CAP)
-    s = np.linspace(_S_LO, s_hi, _GRID_POINTS)
+    """log M_k and argmax radius for an ascending array of k > 0, refined from _coarse_argmax."""
+    s = np.linspace(_S_LO, math.log(_R_CAP), _GRID_POINTS)
     # a steep F overflows far from the maximizer; inf is the exact value for a max scan
     with np.errstate(over="ignore"):
         fe = scale * symbol.eval(np.exp(s))
-    idx = np.empty(len(ks), dtype=int)
-    j0 = 0
-    for i, k in enumerate(ks):
-        # grid argmax of k*s - fe over j >= j0; the maximizer never moves left
-        j0 += int(np.argmax(k * s[j0:] - fe[j0:]))
-        idx[i] = j0
+    idx = _coarse_argmax(s, fe, ks)
     if np.any(idx >= _GRID_POINTS - 2):
         bad = float(ks[int(np.argmax(idx >= _GRID_POINTS - 2))])
         raise MomentDivergenceError(
             f"supremum of r^k e^(-scale F) appears infinite for k={bad}: "
-            f"maximizer ran into the search cap r={math.exp(s_hi):.3g}")
+            f"maximizer ran into the search cap r={_R_CAP:.3g}")
 
     def h(sv):
         return ks * sv - scale * symbol.eval(np.exp(sv))

@@ -565,7 +565,8 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     tables. One vectorised pass per block then runs the checks, whose errors
     name the first non-finite step or the first step at which V rises, and,
     unless f0 has no entry above _FLUSH_GUARD, zeroes the carried state's
-    entries below _FLUSH_BELOW.
+    entries below _FLUSH_BELOW. A state flushed to exactly zero ends the
+    stepping: the rest of the records and snapshots are zeros.
     """
     _check_positive(T=T)
     if cfg is not None and mask is None:
@@ -613,6 +614,11 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
         snaps += [(float(times[i]), x) for i, x in zip(picks, states)]
         if flush:  # c is a view of the stepper's buffers
             c[np.abs(c) < _FLUSH_BELOW] = 0.0
+            if end < n_steps and not c.any():  # a zero state steps to zeros: the run is over
+                norm_sq[end + 1:] = low_sq[end + 1:] = 0.0
+                snaps += [(float(times[i]), np.zeros(grid.shape, dtype=complex)) for i in
+                          ([*range(end - end % s + s, n_steps, s), n_steps] if s > 0 else [])]
+                break
 
     high_sq = np.maximum(norm_sq - low_sq, 0.0)
     traj = Trajectory(grid=grid, times=times, norms=np.sqrt(norm_sq),

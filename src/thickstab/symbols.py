@@ -39,8 +39,8 @@ _FAMILIES = {
 }
 _SCAN_POINTS = 4096  # grid of the infimum scans before refinement
 _R_CAP = 1e8  # radius at which qa's moment and root searches give up
-_ZOOM_POINTS = 8  # samples per bracket in each zoom of _refine_max
-_MAX_ZOOMS = 40  # ends a zoom whose bracket cannot get below tol in floats
+_ZOOM_BUDGET = 2 ** 10  # samples per zoom of _refine_max, shared by its brackets, at least 8 each
+_MAX_ZOOMS = 40  # each zoom shrinks a bracket at least 3.5-fold; ends one stuck above tol in floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,24 +261,24 @@ class InfResult:
 def _refine_max(h, grid, idx, vals, tol: float) -> tuple:
     """Refine coarse grid maxima of h, many brackets at once.
 
-    Bracket i is [grid[idx[i] - 1], grid[idx[i] + 1]], clipped at the grid
-    ends, and vals[i] is h at grid[idx[i]]. h maps a (_ZOOM_POINTS, m) array
-    of abscissae, column i inside bracket i, to its values. Each zoom samples
-    every bracket at _ZOOM_POINTS even points and narrows it to the best
-    sample's neighbours, until all are narrower than tol. The exact grid
-    value is kept unless the refinement beats it. Returns (argmax, max).
+    Bracket i is [grid[idx[i] - 1], grid[idx[i] + 1]], clipped at the grid ends, and vals[i]
+    is h at grid[idx[i]]. h maps a (p, m) array of abscissae, column i inside bracket i, to
+    its values. Each zoom samples every bracket at p = max(8, _ZOOM_BUDGET // m) even points
+    and narrows it to the best sample's neighbours, at least (p - 1) / 2-fold, until all are
+    narrower than tol. The grid value is kept unless refinement beats it. Returns (argmax, max).
     """
     a = grid[np.maximum(idx - 1, 0)]
     b = grid[np.minimum(idx + 1, len(grid) - 1)]
-    n = np.arange(_ZOOM_POINTS, dtype=float)[:, None]
-    for _ in range(_MAX_ZOOMS):  # each zoom shrinks a bracket at least 3.5-fold
-        step = (b - a) / (_ZOOM_POINTS - 1)
+    p = max(8, _ZOOM_BUDGET // len(idx))
+    n = np.arange(p, dtype=float)[:, None]
+    for _ in range(_MAX_ZOOMS):
+        step = (b - a) / (p - 1)
         x = a + step * n
         y = h(x)
         j = np.argmax(y, axis=0)
         if np.all(b - a < tol):
             break
-        a, b = a + step * np.maximum(j - 1, 0), a + step * np.minimum(j + 1, _ZOOM_POINTS - 1)
+        a, b = a + step * np.maximum(j - 1, 0), a + step * np.minimum(j + 1, p - 1)
     cols = np.arange(len(idx))
     keep = vals >= y[j, cols]
     return np.where(keep, grid[idx], x[j, cols]), np.where(keep, vals, y[j, cols])

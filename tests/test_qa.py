@@ -17,13 +17,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from thickstab import qa
 from thickstab.errors import (ConvergenceError, IntegrationError,
                               MomentDivergenceError, ValidationError)
 from thickstab.qa import (build_sequence, dc_partial_sum, integral_test,
                           log_convexity_report, log_moment,
                           ratio_lower_bound_check, scaling_inequality_check,
                           tk_bound_check, write_moments_csv)
-from thickstab.symbols import (constant, fractional, halfheat, iterated,
+from thickstab.symbols import (constant, custom, fractional, halfheat, iterated,
                                loglog, saturating, shifted)
 
 
@@ -64,6 +65,76 @@ def test_moment_scale_argument():
             want = log_moment(F, k, scale)[0] + scale * 0.7
             got = log_moment(shifted(F, 0.7), k, scale)[0]
             assert got == pytest.approx(want, rel=1e-12)
+
+
+def _monotone_loop(s, fe, ks):
+    """Coarse-maxima oracle: for each k, the first argmax of k s - fe at or right of the last."""
+    idx, j0 = [], 0
+    for k in ks:
+        j0 += int(np.argmax(k * s[j0:] - fe[j0:]))
+        idx.append(j0)
+    return np.array(idx)
+
+
+def _log_grid(F, scale):
+    """The moment batch's coarse grid s and scale F(e^s), with its slopes."""
+    s = np.linspace(qa._S_LO, math.log(qa._R_CAP), qa._GRID_POINTS)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fe = scale * F.eval(np.exp(s))
+        return s, fe, np.diff(fe) / np.diff(s)
+
+
+_QA_FAMILIES = {"halfheat": halfheat(), "fractional": fractional(1.0),
+                "loglog": loglog(1.0, 0.5), "iterated": iterated(2), "steep": fractional(40.0)}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.25])
+@pytest.mark.parametrize("name", [*_QA_FAMILIES, "ties"])
+def test_coarse_maxima_from_slopes_match_loop(name, scale):
+    # the qa scenario's families (and one that overflows past r = 7.13e3) have
+    # nondecreasing grid slopes, so one searchsorted gives every k's coarse
+    # maximizer: bitwise the loop's. On integer slopes k s - fe ties at two
+    # neighbours exactly, and the first is the loop's
+    if name == "ties":
+        s = np.arange(-20.0, 21.0)
+        fe = scale * s * (s + 1.0) / 2.0  # slopes scale (s + 1)
+        d, ks = np.diff(fe) / np.diff(s), scale * np.arange(1.0, 15.0)
+    else:
+        s, fe, d = _log_grid(_QA_FAMILIES[name], scale)
+        ks = np.arange(1.0, 102.0)
+    finite = d[np.isfinite(d)]
+    assert np.all(finite[1:] >= finite[:-1])
+    assert np.array_equal(qa._coarse_argmax(s, fe, ks), _monotone_loop(s, fe, ks))
+
+
+def test_nonconvex_table_takes_the_loop():
+    # a table whose slope in r drops at r = 1 is not convex on the log grid:
+    # the first slope >= k is not the maximizer there, and the loop is used
+    F = custom(((0.0, 0.0), (1.0, 5.0), (2.0, 5.2), (1e9, 1e10)))
+    s, fe, d = _log_grid(F, 1.0)
+    ks = np.arange(1.0, 41.0)
+    want = _monotone_loop(s, fe, ks)
+    assert not np.array_equal(np.searchsorted(d, ks), want)
+    assert np.array_equal(qa._coarse_argmax(s, fe, ks), want)
+
+
+def test_one_k_moment_takes_at_most_four_zooms(monkeypatch):
+    # one k gets the whole zoom budget: at most 4 objective calls; a 101-k
+    # batch keeps 10 samples a bracket
+    calls, refine = [], qa._refine_max
+
+    def counted(h, *args):
+        return refine(lambda x: calls.append(x.shape) or h(x), *args)
+
+    monkeypatch.setattr(qa, "_refine_max", counted)
+    for F in _QA_FAMILIES.values():
+        for k, scale in ((1, 1.0), (5, 0.25), (40, 3.0), (100, 1.0)):
+            calls.clear()
+            log_moment(F, k, scale)
+            assert 1 <= len(calls) <= 4, (F.describe(), k, scale)
+    calls.clear()
+    build_sequence(halfheat(), 100)
+    assert set(calls) == {(10, 101)} and len(calls) <= 12
 
 
 def test_dc_partial_sums_match_ratio_oracle():
@@ -186,7 +257,8 @@ def test_bounded_symbols_have_no_moments():
 
 
 def test_log_convexity_across_families():
-    for F in (fractional(0.5), fractional(1.0), fractional(2.0), halfheat(),
+    # fractional(40) overflows on the moment grid past r = 7.13e3: no RuntimeWarning may escape
+    for F in (fractional(0.5), fractional(1.0), fractional(2.0), fractional(40.0), halfheat(),
               loglog(1.0, 0.5), iterated(1), iterated(2), iterated(3),
               shifted(halfheat(), 1.0)):
         seq = build_sequence(F, 200)

@@ -1084,6 +1084,50 @@ def test_dead_run_flushes_to_zero(monkeypatch, points, R, T, adjoint):
         assert getattr(runs[0], name).tobytes() == getattr(runs[1], name).tobytes(), name
 
 
+class _LiveState(np.ndarray):
+    """A view of the carried state that never reads as zero, so a run with it steps to the end."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+@pytest.mark.parametrize("points, R, T, adjoint, snapshot_every", [
+    (64, 2.0, 200.0, False, 0), (64, 2.0, 200.0, True, 0), (512, 7.0, 2.0, True, 0),
+    (64, 2.0, 200.0, False, 997), (64, 2.0, 200.0, True, 997)])
+def test_dead_run_exit_is_bitwise(monkeypatch, points, R, T, adjoint, snapshot_every):
+    # the runs of test_dead_run_flushes_to_zero stop stepping once the flushed
+    # state is exactly zero, and write zeros for the rest: from the K-step
+    # tables, and (with snapshots) from single steps. Their records, snapshots
+    # and rate are those of the same run stepped to T, bit for bit
+    g, F = make_grid(1, 16.0, points), halfheat()
+    mask, cfg = make_periodic_thick(g, 1.0, 0.5), design_feedback(F, R, C=1.0)
+    f0, record, calls = field_from_values(g, np.ones(g.shape)), _Stepper.record, []
+
+    def recording(self, c, *args):
+        c, states = record(self, c, *args)
+        calls[-1] += 1
+        return (c.view(_LiveState) if live else c), states
+
+    monkeypatch.setattr(_Stepper, "record", recording)
+    runs = []
+    for live in (False, True):
+        calls.append(0)
+        runs.append(run_stabilization(f0, F, mask, cfg, T, snapshot_every=snapshot_every,
+                                      adjoint_order=adjoint))
+    (cut, full), n = runs, len(runs[0].trajectory.norms) - 1
+    assert 1 < calls[0] < calls[1]  # the exit skips the blocks after the death
+    for name in ("times", "norms", "lyapunov", "low_norms", "high_norms"):
+        a, b = getattr(cut.trajectory, name), getattr(full.trajectory, name)
+        assert a.tobytes() == b.tobytes(), name
+    assert cut.fitted_rate == full.fitted_rate
+    snaps = [s.trajectory.snapshots for s in runs]
+    assert len(snaps[0]) == len(snaps[1]) == (n // snapshot_every + 2 - (n % snapshot_every == 0)
+                                              if snapshot_every else 0)
+    for (ta, a), (tb, b) in zip(*snaps):
+        assert ta == tb and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert not snaps[0] or not snaps[0][-1][1].any()
+
+
 @pytest.mark.parametrize("adjoint", [False, True])
 def test_tiny_run_keeps_snapshots_bitwise(monkeypatch, adjoint):
     # a state that starts below _FLUSH_GUARD is never flushed: its high modes

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from thickstab import symbols
 from thickstab.errors import ValidationError
 from thickstab.symbols import (IteratedLogAux, MultiplierSymbol, _default_hi, _refine_max,
                                alpha_R, constant, custom, fractional, halfheat,
@@ -209,6 +210,29 @@ def test_refine_max_many_brackets():
     assert np.count_nonzero(node) == 6
     # a maximum on a node keeps the exact grid point and value
     assert np.array_equal(x[node], x0[node]) and np.all(v[node] == 0.0)
+
+
+def test_one_bracket_scan_takes_at_most_four_zooms(monkeypatch):
+    # one bracket gets the whole zoom budget, so a scan's refinement ends in at
+    # most 4 objective calls, and still hits the minimum
+    calls, refine = [], symbols._refine_max
+
+    def counted(h, *args, **kwargs):
+        return refine(lambda x: calls.append(x.shape) or h(x), *args, **kwargs)
+
+    monkeypatch.setattr(symbols, "_refine_max", counted)
+    dip = custom(((0.0, 3.0), (1.0, -1.0), (2.0, 4.0)))
+    for F in (halfheat(), fractional(1.0), fractional(40.0), loglog(0.5, 2.0), iterated(2), dip):
+        for search in (inf_F, lambda G: alpha_R(G, 7.3), lambda G: G.inf_value):
+            calls.clear()
+            search(shifted(F, 0.5))
+            assert 1 <= len(calls) <= 4 and calls[0] == (symbols._ZOOM_BUDGET, 1), F.describe()
+    res = inf_F(dip)
+    assert res.value == pytest.approx(-1.0, abs=1e-9)
+    assert res.location == pytest.approx(1.0, abs=1e-9)
+    res = alpha_R(loglog(0.5, 2.0), 1.0)  # an interior minimum, checked on a fine grid
+    r = np.linspace(res.location - 1e-3, res.location + 1e-3, 20001)
+    assert res.value <= loglog(0.5, 2.0).eval(r).min() + 1e-15
 
 
 def test_bounded_metadata():
