@@ -557,12 +557,12 @@ def _resolve(scenario: str, raw: dict) -> dict:
 
 
 def _read_config(path: Path) -> tuple:
-    """Sections of the INI file, parsed with universal newlines, and the sha256 of its bytes."""
+    """The INI file's sections (UTF-8, BOM allowed, universal newlines) and its bytes' sha256."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         data = path.read_bytes()
-        text = data.decode().replace("\r\n", "\n").replace("\r", "\n")
+        text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}")
     try:

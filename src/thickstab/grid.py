@@ -136,10 +136,11 @@ def norm(f: SpectralField) -> float:
 def restricted_norm(f: SpectralField, mask) -> float:
     """L2 norm over a support mask: sqrt(sum fraction*|f|^2 dx^dim).
 
-    `mask` is a SupportMask or a bare fraction array on the same lattice.
+    `mask` is a SupportMask on f's grid or a bare fraction array on the same lattice.
     """
-    frac = getattr(mask, "cell_fraction", mask)
-    frac = np.asarray(frac, dtype=float)
+    if hasattr(mask, "grid"):
+        _same_grid(f, mask)
+    frac = np.asarray(getattr(mask, "cell_fraction", mask), dtype=float)
     if frac.shape != f.grid.shape:
         raise ValidationError(f"mask shape {frac.shape} != grid shape {f.grid.shape}")
     s = float(np.sum(frac * (f.values.real**2 + f.values.imag**2)))
@@ -302,7 +303,7 @@ def probe_admissible(grid: Grid, probe: GaussianProbe) -> bool:
 
 def sample_probe(grid: Grid, probe: GaussianProbe) -> SpectralField:
     """Sample the probe on the lattice, periodized with one image per axis: the
-    probe is a product over axes, so each axis sums its three images.
+    probe is a product over axes, so each axis sums three images of its centre mod extent.
 
     Raises ValidationError for inadmissible probes (width too large for the
     box, or modulation too close to the Nyquist radius), naming the probe.
@@ -314,7 +315,7 @@ def sample_probe(grid: Grid, probe: GaussianProbe) -> SpectralField:
                               f"width={probe.width}) is not admissible on this grid: it needs"
                               " 6 l <= extent/2 and |xi0| + 3/l within the frequency lattice")
     x, l2 = grid.axis_x, probe.width**2
-    axes = [sum(np.exp(1j * q0 * y - (y - x0) ** 2 / (2.0 * l2))
+    axes = [sum(np.exp(1j * q0 * y - (y - (x0 % grid.extent)) ** 2 / (2.0 * l2))
                 for y in (x - grid.extent, x, x + grid.extent))
             for x0, q0 in zip(probe.center, probe.frequency)]
     return SpectralField(grid=grid, values=math.prod(np.ix_(*axes)) / probe.width**grid.dim)
@@ -393,6 +394,8 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _same_grid(f: SpectralField, g: SpectralField) -> None:
-    if f.grid != g.grid:
-        raise ValidationError("fields live on different grids")
+def _same_grid(a, b) -> None:
+    """Reject two grids, or objects with a .grid (fields, masks, runs), on different lattices."""
+    a, b = getattr(a, "grid", a), getattr(b, "grid", b)
+    if a != b:
+        raise ValidationError(f"different lattices in one call: {a} and {b}")

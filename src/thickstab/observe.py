@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MomentDivergenceError, ValidationError
 from .grid import (GaussianProbe, Grid, SpectralField, _check_count, _check_positive,
-                   _mask_form, _probe_headroom, _probe_widths, _squared_moduli, _stacks,
+                   _mask_form, _probe_headroom, _probe_widths, _same_grid, _squared_moduli, _stacks,
                    _symbol_values, _write_csv, _write_json, from_coefficients, probe_admissible,
                    sample_probe, semigroup_multiplier, to_coefficients)
 from .qa import log_moment
@@ -221,16 +221,12 @@ def shift_observability_identity_check(report: ObservabilityReport,
     shifted_report = estimate_observability_constant(
         shifted(report.symbol, float(mu)), report.mask, report.T,
         report.epsilon, report.probes, report.quadrature_steps)
-    tol = 1e-10
-    for r0, r1 in zip(report.probe_results, shifted_report.probe_results):
-        want = r0.lhs * math.exp(2.0 * report.T * mu)
-        if abs(r1.lhs - want) > tol * max(abs(want), 1e-300):
+    lhs = [[r.lhs for r in rep.probe_results] for rep in (report, shifted_report)]
+    for (a, b), t in ((lhs, report.T),
+                      ((report.integrands, shifted_report.integrands), np.array(report.times))):
+        want = np.asarray(a) * np.exp(2.0 * t * mu)  # one comparison per table, 1e-10 relative
+        if np.any(np.abs(np.asarray(b) - want) > 1e-10 * np.maximum(np.abs(want), 1e-300)):
             return False
-    for row0, row1 in zip(report.integrands, shifted_report.integrands):
-        for t, a, b in zip(report.times, row0, row1):
-            want = a * math.exp(2.0 * t * mu)
-            if abs(b - want) > tol * max(abs(want), 1e-300):
-                return False
     return True
 
 
@@ -506,6 +502,7 @@ def synthesize_control(f0: SpectralField, F: MultiplierSymbol,
         raise ValidationError(f"tol must lie in (0, 1), got {tol}")
     _check_count(slices=slices, max_cg=max_cg,
                  max_penalty_steps=max_penalty_steps)
+    _same_grid(f0, mask)
     grid = f0.grid
     box = grid.box_measure
     c0 = to_coefficients(f0)

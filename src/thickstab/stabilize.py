@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NumericalError, ValidationError
-from .grid import (Grid, SpectralField, _check_count, _check_positive, _check_times,
-                   _mask_form, _stacks, _symbol_values, _write_csv, apply_semigroup,
+from .grid import (Grid, SpectralField, _check_count, _check_positive, _check_times, _mask_form,
+                   _same_grid, _stacks, _symbol_values, _write_csv, apply_semigroup,
                    ball_multiplier, from_coefficients, semigroup_multiplier, to_coefficients)
 from .symbols import MultiplierSymbol, _bracket_root, alpha_R as tail_inf
 from .thick import SupportMask
@@ -111,8 +111,6 @@ class FeedbackConfig:
 
 def design_feedback(F: MultiplierSymbol, R: float, C: float = 1.0) -> FeedbackConfig:
     """Derive (lam, mu, predicted_rate) from the symbol's tail behavior at R."""
-    if not (np.isfinite(C) and C >= 1.0):
-        raise ValidationError(f"C must be >= 1, got {C}")
     a_R = tail_inf(F, R).value
     base = F.inf_value
     a_tilde = a_R - base
@@ -315,8 +313,8 @@ class _Stepper:
     each step into the next row of a block, so a step allocates and copies
     nothing; e_full and e_half are stored complex, so applying them casts nothing.
 
-    On fold runs of at least 2^10 steps record reads the norms of K steps at a
-    time from tables and forms one state per chunk, so it picks no states. With
+    On fold runs of at least 2^10 steps with no snapshots record reads the norms of
+    K steps at a time from tables and forms one state per chunk. With
     R the band restriction and e_rest = e_full off the band (padding included),
     0 on it, S^k = diag(e_rest^k) + H_k R, H_1 = P + diag(e_full) R^T and
     H_{k+1} = e_full H_k + P H_k[band rows]; the adjoint powers are the S^k^H.
@@ -333,13 +331,14 @@ class _Stepper:
 
     def __init__(self, grid: Grid, symbol: MultiplierSymbol, mask: SupportMask,
                  cfg: FeedbackConfig | None, dt: float,
-                 adjoint_order: bool = False, steps: int = 1):
+                 adjoint_order: bool = False, steps: int = 1, snapshots: bool = False):
         self.lam = 0.0 if cfg is None else cfg.lam
         self.adjoint = bool(adjoint_order)
         self.shape = grid.shape
         self.order = np.arange(math.prod(grid.shape)).reshape(grid.shape)
         self.op, self.band, self.chunk = None, np.arange(0), 1
-        if self.lam > 0:
+        if self.lam > 0:  # the mask acts only through a config
+            _same_grid(grid, mask)
             if dt > cfg.dt_max * (1.0 + 1e-12):
                 raise ValidationError(
                     f"dt = {dt} exceeds dt_max = {cfg.dt_max} for lam = {cfg.lam}")
@@ -370,7 +369,7 @@ class _Stepper:
                     self.op = np.ascontiguousarray(p.transpose(0, 2, 1))
                     self.reads, self.writes = slice(b), slice(None)
                 self.u = np.empty((nf, 1, self.op.shape[-1]), dtype=complex)
-                if steps >= 2 ** 10:
+                if steps >= 2 ** 10 and not snapshots:  # a run that keeps states steps singly
                     self.chunk = max(1, min(_CHUNK_TABLE // p.size, math.isqrt(steps)))
                 if self.chunk > 1:  # from P^T, or conj(P^T) in the adjoint order
                     self._tables(self.op.swapaxes(1, 2) if self.adjoint else self.op, in_band)
@@ -458,10 +457,10 @@ class _Stepper:
         return c
 
     def record(self, c: np.ndarray, norm_sq: np.ndarray, low_sq: np.ndarray,
-               picks: list) -> tuple:
+               picks: np.ndarray) -> tuple:
         """Write the squared norm and band norm of c and of the n = len(norm_sq) - 1
         <= block states after it. Returns the last state, a view that the next call may
-        overwrite, and, at K = 1, the states after the step counts in picks, in lattice order."""
+        overwrite, and, at K = 1, the states at the offsets in picks (0 is c), in lattice order."""
         n, K = len(norm_sq) - 1, self.chunk
         if K == 1:
             rows = self.rows[:n + 1]
@@ -555,10 +554,13 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     and 0.0 when the log-norms there span at most 1e3 eps (1 + max |log ||f|||):
     the fit's rounding error is about 10 eps over that span, so below it no
     rate is measured to 1 %.
-    snapshot_every > 0 stores every k-th coefficient array (plus the
-    endpoints) for later residual checks. check_monotone
-    enforces per-step V decrease; only meaningful when cfg.C is at least the
-    spectral constant of the mask, so it is off by default.
+    snapshot_every > 0 stores the coefficient arrays at the due steps, the
+    multiples of snapshot_every and then the last step, for later residual
+    checks. V = mu ||K_R f||^2 + max(||f||^2 - ||K_R f||^2, 0) (mu = 1 on the
+    open loop) is written once per step into the array Trajectory.lyapunov
+    returns. check_monotone reads that array and fails at the first step where
+    V rises by more than 1e-8 relative; it is only meaningful when cfg.C is at
+    least the spectral constant of the mask, so it is off by default.
 
     _Stepper.record advances a block of steps and records the norms, from one
     state per step or, on long fold runs without snapshots, from the K-step
@@ -566,7 +568,7 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     name the first non-finite step or the first step at which V rises, and,
     unless f0 has no entry above _FLUSH_GUARD, zeroes the carried state's
     entries below _FLUSH_BELOW. A state flushed to exactly zero ends the
-    stepping: the rest of the records and snapshots are zeros.
+    stepping: the rest of the records, and the snapshots still due, are zeros.
     """
     _check_positive(T=T)
     if cfg is not None and mask is None:
@@ -577,53 +579,50 @@ def run_stabilization(f0: SpectralField, F: MultiplierSymbol, mask: SupportMask,
     _check_positive(dt=dt)
     n_steps = _step_count(T, dt)
     dt = T / n_steps
-    try:
-        times, norm_sq, low_sq = np.arange(n_steps + 1) * dt, *np.empty((2, n_steps + 1))
+    try:  # squared norm, band and high norms, and V, filled in place block by block
+        times, rec = np.arange(n_steps + 1) * dt, [np.zeros(n_steps + 1) for _ in range(4)]
     except (MemoryError, ValueError):
         raise ValidationError(f"cannot record {n_steps} steps to T = {T} at dt = {dt:.3e}: "
                               "raise dt or shorten T") from None
-    grid = f0.grid
-    # below 2^10 steps a stepper has no K-step tables: a run with snapshots takes single steps
-    stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order, min(n_steps, 2 ** 10 - 1)
-                       if snapshot_every > 0 else n_steps)
-    mu = cfg.mu if cfg is not None else 1.0
-
+    grid, mu = f0.grid, (cfg.mu if cfg is not None else 1.0)
+    stepper = _Stepper(grid, F, mask, cfg, dt, adjoint_order, n_steps, snapshot_every > 0)
+    # the snapshot steps: the multiples of snapshot_every, then the last step
+    due = (np.append(np.arange(0, n_steps, min(snapshot_every, n_steps)), n_steps)
+           if snapshot_every > 0 else np.arange(0))
     # the state stays in the stepper's layout for the whole run
     c = stepper.enter(to_coefficients(f0))
-    flush = np.abs(c).max() > _FLUSH_GUARD
-    snaps = [(0.0, stepper.leave(c))] if snapshot_every > 0 else []
+    flush, snaps, i = np.abs(c).max() > _FLUSH_GUARD, [], 0
     for k in range(0, n_steps, stepper.block):
-        end, s = min(k + stepper.block, n_steps), snapshot_every  # steps k .. end
-        picks = ([*range(k - k % s + s, min(end + 1, n_steps), s)] + [n_steps] * (end == n_steps)
-                 if s > 0 else [])  # the multiples of s past step k, and the last step
-        ns, ls = norm_sq[k:end + 1], low_sq[k:end + 1]  # views
+        end = min(k + stepper.block, n_steps)  # steps k .. end
+        ns, ls, hs, v = (r[k:end + 1] for r in rec)  # views
+        picks = due[i:np.searchsorted(due, end, "right")]  # the due steps to end not yet taken
+        i += len(picks)
         # a block runs on past a blow-up; the first non-finite step is named
         with np.errstate(over="ignore", invalid="ignore"):
-            c, states = stepper.record(c, ns, ls, [i - k for i in picks])
+            c, states = stepper.record(c, ns, ls, picks - k)
         ns /= grid.box_measure
         ls /= grid.box_measure
-        j = k + np.argmin(np.isfinite(ns))
-        if not np.isfinite(norm_sq[j]):
+        j = np.argmin(np.isfinite(ns))
+        if not np.isfinite(ns[j]):
             raise NumericalError(
-                f"state became non-finite at step {j} (t = {times[j]})")
-        v = mu * ls + (ns - ls)
-        j = np.argmax(v[1:] > v[:-1] * (1.0 + 1e-8))
-        if check_monotone and v[j + 1] > v[j] * (1.0 + 1e-8):
+                f"state became non-finite at step {k + j} (t = {times[k + j]})")
+        np.maximum(np.subtract(ns, ls, out=hs), 0.0, out=hs)
+        np.add(np.multiply(ls, mu, out=v), hs, out=v)
+        if check_monotone and (rise := v[1:] > v[:-1] * (1.0 + 1e-8)).any():
+            j = np.argmax(rise)
             raise NumericalError(f"Lyapunov functional increased at step "
                                  f"{k + j + 1}: {v[j]} -> {v[j + 1]}")
-        snaps += [(float(times[i]), x) for i, x in zip(picks, states)]
+        snaps += [(float(times[p]), x) for p, x in zip(picks, states)]
         if flush:  # c is a view of the stepper's buffers
             c[np.abs(c) < _FLUSH_BELOW] = 0.0
             if end < n_steps and not c.any():  # a zero state steps to zeros: the run is over
-                norm_sq[end + 1:] = low_sq[end + 1:] = 0.0
-                snaps += [(float(times[i]), np.zeros(grid.shape, dtype=complex)) for i in
-                          ([*range(end - end % s + s, n_steps, s), n_steps] if s > 0 else [])]
+                snaps += [(float(times[p]), np.zeros(grid.shape, dtype=complex)) for p in due[i:]]
                 break
 
-    high_sq = np.maximum(norm_sq - low_sq, 0.0)
-    traj = Trajectory(grid=grid, times=times, norms=np.sqrt(norm_sq),
-                      lyapunov=mu * low_sq + high_sq, low_norms=np.sqrt(low_sq),
-                      high_norms=np.sqrt(high_sq), snapshots=tuple(snaps))
+    norm_sq, low_sq, high_sq, v = rec
+    traj = Trajectory(grid=grid, times=times, norms=np.sqrt(norm_sq), lyapunov=v,
+                      low_norms=np.sqrt(low_sq), high_norms=np.sqrt(high_sq),
+                      snapshots=tuple(snaps))
     tail = times >= 0.5 * T - 1e-12 * T
     logs = 0.5 * np.log(np.maximum(norm_sq[tail], 1e-300))
     e = math.frexp(T)[1]  # fit on times / 2^e: the same bits, and no underflow
@@ -658,6 +657,7 @@ def duhamel_residual(result: StabilizationResult, F: MultiplierSymbol,
     c0, cT = snaps[0][1], snaps[-1][1]
     rhs = np.exp(-T * vals) * c0
     if cfg is not None and cfg.lam > 0:
+        _same_grid(traj, mask)
         band, frac = ball_multiplier(grid, cfg.R), mask.cell_fraction
         ends = np.concatenate((ts[:1], ts, ts[-1:]))
         w = 0.5 * (ends[2:] - ends[:-2])

@@ -204,6 +204,16 @@ def test_qa_run_and_manifest(tmp_path):
     assert twin["outputs"] == manifest["outputs"]
     assert twin["inputs"]["config_sha256"] == sha256(crlf) != sha256(cfg)
 
+    # so does a copy saved with a UTF-8 byte-order mark; its hash too is of its own bytes
+    bom = tmp_path / "bom.ini"
+    bom.write_bytes(QA_CFG.encode("utf-8-sig"))
+    out_bom = tmp_path / "out_bom"
+    assert main(["qa", "--config", str(bom), "--out", str(out_bom)]) == 0
+    assert (out_bom / "moments.csv").read_bytes() == (out / "moments.csv").read_bytes()
+    twin = json.loads((out_bom / "manifest.json").read_text())
+    assert twin["config"] == manifest["config"]
+    assert twin["inputs"]["config_sha256"] == sha256(bom) != sha256(cfg)
+
 
 def test_determinism_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path, QA_CFG)

@@ -117,6 +117,23 @@ def test_probe_transform_modulus_law():
     assert np.max(rel) < 1e-6
 
 
+def test_probe_centre_wraps_into_the_box():
+    # a centre outside [0, extent) samples like its image inside: x0 = 36 and -28 are 4 on a
+    # box of extent 16, where an unwrapped 36 would sum three images that all miss the box
+    g = make_grid(1, 16.0, 256)
+    want = sample_probe(g, GaussianProbe(1.0, (4.0,), (0.0,))).values
+    for x0 in (36.0, -28.0):
+        probe = GaussianProbe(1.0, (x0,), (0.0,))
+        got = sample_probe(g, probe)
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+        assert abs(norm(got) ** 2 - probe.norm_squared()) < 1e-10 * probe.norm_squared()
+    # 2-D, each axis on its own; a lattice frequency keeps its phase across images
+    g2 = make_grid(2, 16.0, 64)
+    want = sample_probe(g2, GaussianProbe(1.25, (4.0, 12.0), (0.0, np.pi / 4))).values
+    got = sample_probe(g2, GaussianProbe(1.25, (36.0, -4.0), (0.0, np.pi / 4))).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_probe_admissibility_boundary():
     g = make_grid(1, 24.0, 256)
     # width cap: 6 l <= extent / 2
@@ -184,6 +201,17 @@ def test_restricted_norm_full_box():
     assert abs(restricted_norm(f, frac) - norm(f)) < 1e-12
     with pytest.raises(ValidationError):
         restricted_norm(f, np.ones(32))
+
+
+def test_restricted_norm_rejects_a_mask_on_another_lattice():
+    # a SupportMask on another grid is refused by name, also when its shape matches (extent 32)
+    g = make_grid(1, 16.0, 256)
+    f = field_from_values(g, np.ones(g.shape))
+    assert abs(restricted_norm(f, make_periodic_thick(g, 1.0, 0.5)) ** 2 - 8.0) < 1e-9
+    for other in (make_grid(1, 32.0, 256), make_grid(1, 16.0, 128)):
+        with pytest.raises(ValidationError, match=rf"different lattices.*{other.extent}, "
+                                                  rf"points={other.points}"):
+            restricted_norm(f, make_periodic_thick(other, 1.0, 0.5))
 
 
 def test_field_snapshot_roundtrip(tmp_path):

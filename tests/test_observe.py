@@ -13,6 +13,7 @@ controls through exact slice propagators.
 import ast
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -524,6 +525,18 @@ def test_synthesize_zero_initial_data():
                              make_periodic_thick(g, 1.0, 0.5), 1.0, 0.5)
     assert res.cost == 0.0 and res.ratio == 0.0 and res.cg_iterations == 0
     assert norm(res.final_field) == 0.0
+
+
+def test_synthesize_rejects_a_mask_on_another_lattice():
+    # the mask of the control must live on f0's grid: extent 32 (the same shape) and N 128
+    # are both named, before any solve
+    g = make_grid(1, 16.0, 256)
+    f0 = field_from_values(g, np.exp(-0.5 * (g.axis_x - 8.0) ** 2))
+    for other in (make_grid(1, 32.0, 256), make_grid(1, 16.0, 128)):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"different lattices in one call: {g} and {other}")):
+            synthesize_control(f0, fractional(1.0), make_periodic_thick(other, 1.0, 0.5),
+                               1.0, 0.1)
 
 
 def test_synthesize_thick_mask(monkeypatch):

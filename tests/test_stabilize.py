@@ -11,6 +11,7 @@ stacked Duhamel residual is checked against a loop over the snapshots.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -505,6 +506,26 @@ def test_duhamel_residual_matches_snapshot_loop(dim, points):
         assert abs(got - want) <= 1e-10 * want
 
 
+def test_entry_points_reject_a_mask_on_another_lattice():
+    # a field on (1-D, extent 16, N 256) with a mask on extent 32, or on N 128: every call
+    # where the mask acts names both grids, before any step
+    g, F = make_grid(1, 16.0, 256), halfheat()
+    cfg = design_feedback(F, 2.0, C=1.0)
+    f0 = field_from_values(g, np.exp(-((g.axis_x - 8.0) ** 2)))
+    res = run_stabilization(f0, F, make_periodic_thick(g, 1.0, 0.5), cfg, 0.1,
+                            snapshot_every=10)
+    for other in (make_grid(1, 32.0, 256), make_grid(1, 16.0, 128)):
+        bad = make_periodic_thick(other, 1.0, 0.5)
+        names = re.escape(f"different lattices in one call: {g} and {other}")
+        for call in (lambda: run_stabilization(f0, F, bad, cfg, 0.1),
+                     lambda: step_closed_loop(f0, F, bad, cfg, cfg.dt_max),
+                     lambda: duhamel_residual(res, F, bad)):
+            with pytest.raises(ValidationError, match=names):
+                call()
+        # with no config the mask does not act, and the free run is the semigroup's
+        assert run_stabilization(f0, F, bad, None, 0.1).trajectory.norms[-1] > 0
+
+
 def test_duhamel_requires_spanning_snapshots():
     g = make_grid(1, 16.0, 64)
     c = np.zeros(g.shape, dtype=complex)
@@ -843,6 +864,63 @@ def test_chunk_size_rule():
             stepper = _Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, steps)
             assert stepper.chunk == K
             assert K == 1 or len(stepper.starts) == starts[adjoint] + 1
+
+
+def test_snapshot_runs_take_single_steps():
+    # the stepper alone decides its K-step tables: a run that keeps snapshots gets none at any
+    # length, and the same run without snapshots keeps its K
+    g, mask, cfg = _chunk_case("1-D periodic")
+    for steps, adjoint in itertools.product((2 ** 10, 2 ** 20), (False, True)):
+        kept = _Stepper(g, halfheat(), mask, cfg, cfg.dt_max, adjoint, steps, snapshots=True)
+        assert kept.chunk == 1 and kept.block == _RECORD_BLOCK // g.points
+        assert _Stepper(g, halfheat(), mask, cfg, cfg.dt_max, adjoint, steps).chunk == 16
+
+
+def _rising_case(path):
+    """(grid, symbol, mask, cfg, steps) of a run whose V rises: C = 1 under the support's
+    spectral constant, on F = |xi| - 3, whose low modes grow, through each path of the stepper."""
+    F, g = shifted(halfheat(), 3.0), make_grid(1, 16.0, 256 if path != "matrix-free" else 1024)
+    mask = make_random_thick(g, 1.0, 0.5, seed=3)
+    if path == "matrix-free":  # 561 band modes with no period, as in _record_case
+        return g, F, mask, FeedbackConfig(R=110.0, C=1.0, inf_F=-3.0, alpha_R=55.0,
+                                          alpha_tilde=55.0, lam=5.0, mu=2.0,
+                                          predicted_rate=27.5), 300
+    assert estimate_spectral_constant(mask, 2.0) > 1.5
+    return g, F, mask, design_feedback(F, 2.0, C=1.0), 300 if path == "fold" else 1100
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("path", ["fold", "K-step", "matrix-free"])
+def test_monotone_check_reads_the_recorded_v(path, adjoint):
+    # check_monotone fails at exactly the first step where the V that the unchecked run
+    # returns rises by more than 1e-8 relative: one array serves both
+    g, F, mask, cfg, n = _rising_case(path)
+    stepper = _Stepper(g, F, mask, cfg, cfg.dt_max, adjoint, n)
+    assert (stepper.op is None, stepper.chunk > 1) == (path == "matrix-free", path == "K-step")
+    rng = np.random.default_rng(5)
+    f0 = field_from_values(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    V = run_stabilization(f0, F, mask, cfg, n * cfg.dt_max, dt=cfg.dt_max,
+                          adjoint_order=adjoint).trajectory.lyapunov
+    rise = np.flatnonzero(V[1:] > V[:-1] * (1.0 + 1e-8)) + 1
+    assert rise.size and rise[0] > 1
+    with pytest.raises(NumericalError, match=f"increased at step {rise[0]}: {V[rise[0] - 1]} "):
+        run_stabilization(f0, F, mask, cfg, n * cfg.dt_max, dt=cfg.dt_max,
+                          adjoint_order=adjoint, check_monotone=True)
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_monotone_check_passes_a_falling_v(adjoint):
+    # the support of _rising_case under F = |xi| at its calibrated C: V falls at every step,
+    # on the single-step and the K-step path
+    g = make_grid(1, 16.0, 256)
+    F, mask = halfheat(), make_random_thick(g, 1.0, 0.5, seed=3)
+    cfg = design_feedback(F, 2.0, C=calibrate_constant(estimate_spectral_constant(mask, 2.0), 2.0))
+    rng = np.random.default_rng(5)
+    f0 = field_from_values(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+    for n in (300, 1100):
+        V = run_stabilization(f0, F, mask, cfg, n * cfg.dt_max, dt=cfg.dt_max,
+                              adjoint_order=adjoint, check_monotone=True).trajectory.lyapunov
+        assert len(V) == n + 1 and np.all(V[1:] <= V[:-1])
 
 
 def _per_step_records(g, F, mask, cfg, dt, adjoint, f0, n, every=0):
