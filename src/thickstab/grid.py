@@ -51,6 +51,12 @@ def _check_count(**values) -> None:
             raise ValidationError(f"{name} must be a positive integer, got {n}")
 
 
+def _check_seed(seed) -> None:
+    """Reject a seed that is not an integer >= 0; None would draw fresh OS entropy."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on [0, extent)^dim.

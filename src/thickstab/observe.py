@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, MomentDivergenceError, ValidationError
-from .grid import (GaussianProbe, Grid, SpectralField, _check_count, _check_positive,
+from .grid import (GaussianProbe, Grid, SpectralField, _check_count, _check_positive, _check_seed,
                    _mask_form, _probe_headroom, _probe_widths, _same_grid, _squared_moduli, _stacks,
                    _symbol_values, _write_csv, _write_json, from_coefficients, probe_admissible,
                    sample_probe, semigroup_multiplier, to_coefficients)
@@ -68,6 +68,14 @@ def _check_epsilon(epsilon: float) -> float:
     if not (np.isfinite(epsilon) and 0 < epsilon < 1):
         raise ValidationError(f"epsilon must lie in (0, 1), got {epsilon}")
     return float(epsilon)
+
+
+def _check_steps(steps, floor: int) -> None:
+    if not isinstance(steps, (int, np.integer)):
+        raise ValidationError(f"quadrature_steps must be an integer, got {steps!r}")
+    if steps < floor:
+        noun = "quadrature steps" if floor > 1 else "quadrature step"
+        raise ValidationError(f"need at least {floor} {noun}, got {steps}")
 
 
 def _restricted_march(grid: Grid, c: np.ndarray, e_step: np.ndarray,
@@ -131,9 +139,7 @@ def estimate_observability_constant(F: MultiplierSymbol, mask: SupportMask,
     """
     epsilon = _check_epsilon(epsilon)
     _check_positive(T=T)
-    if quadrature_steps < 32:
-        raise ValidationError(
-            f"need at least 32 quadrature steps, got {quadrature_steps}")
+    _check_steps(quadrature_steps, 32)
     probes = tuple(probes)
     if not probes:
         raise ValidationError("need at least one probe")
@@ -167,6 +173,7 @@ def make_probe_set(grid: Grid, count: int, seed: int,
     modulations up to xi_fraction of each width's admissible headroom.
     """
     _check_count(count=count)
+    _check_seed(seed)
     if not 0.0 <= xi_fraction <= 1.0:
         raise ValidationError(f"xi_fraction must be in [0, 1], got {xi_fraction}")
     rng = np.random.default_rng(seed)
@@ -610,8 +617,7 @@ def negative_limit_experiment(F: MultiplierSymbol, psi: SpectralField,
         raise ValidationError(
             f"the symbol must approach a finite non-negative limit, got {lim}")
     _check_positive(T0=T0)
-    if quadrature_steps < 1:
-        raise ValidationError(f"need at least 1 quadrature step, got {quadrature_steps}")
+    _check_steps(quadrature_steps, 1)
     h_values = tuple(float(h) for h in h_ladder)
     if not h_values or any(h <= 0 for h in h_values):
         raise ValidationError("h ladder must be positive")

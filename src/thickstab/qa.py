@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, IntegrationError, MomentDivergenceError, ValidationError
-from .grid import _write_csv
-from .symbols import (_R_CAP, IteratedLogAux, MultiplierSymbol, _bracket_root, _refine_max,
+from .grid import _readonly, _write_csv
+from .symbols import (_R_CAP, MultiplierSymbol, _bracket_root, _iterated_logs, _refine_max,
                       inf_F, iterated)
 
 _S_LO = -50.0
@@ -99,37 +99,27 @@ def log_moment(symbol: MultiplierSymbol, k, scale: float = 1.0) -> tuple:
     return float(logs[0]), float(locs[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QASequence:
-    """A computed moment sequence for one symbol at one scale.
+    """A computed moment sequence for one symbol at one scale, as read-only arrays.
 
-    log_moments[k] is log M_k for k = 0..k_max; argmax_locations holds the
-    maximizing radii (the k = 0 entry is the minimizer of F itself). The pair
-    (tail_log_moment, tail_argmax) carries k_max + 1 so every stored ratio
-    M_k / M_{k+1} is defined. ratio_bound is the largest such ratio. The
-    maximizers are fixed only to the rounding of k s - scale F(e^s), about
-    5e-8 relative in r; the log moments carry about 1e-13.
+    log_moments[k] is log M_k and argmax_locations[k] its maximizing radius for
+    k = 0 .. k_max + 1 (the k = 0 entry is the minimizer of F itself), so
+    ratios[k] = M_k / M_{k+1} is defined for k = 0 .. k_max; ratio_bound is the
+    largest. The maximizers are fixed only to the rounding of
+    k s - scale F(e^s), about 5e-8 relative in r; the log moments carry about 1e-13.
     """
 
     symbol: MultiplierSymbol
     scale: float
     k_max: int
-    log_moments: tuple
-    argmax_locations: tuple
-    tail_log_moment: float
-    tail_argmax: float
-    ratio_bound: float
+    log_moments: np.ndarray
+    argmax_locations: np.ndarray
+    ratios: np.ndarray
 
-    def log_moment_at(self, k: int) -> float:
-        if k == self.k_max + 1:
-            return self.tail_log_moment
-        return self.log_moments[k]
-
-    def ratio(self, k: int) -> float:
-        """M_k / M_{k+1} for 0 <= k <= k_max."""
-        if not 0 <= k <= self.k_max:
-            raise ValidationError(f"ratio index must be in [0, {self.k_max}], got {k}")
-        return math.exp(self.log_moments[k] - self.log_moment_at(k + 1))
+    @property
+    def ratio_bound(self) -> float:
+        return float(np.max(self.ratios))
 
 
 def build_sequence(symbol: MultiplierSymbol, k_max: int,
@@ -144,17 +134,10 @@ def build_sequence(symbol: MultiplierSymbol, k_max: int,
     ks = np.arange(1, k_max + 2, dtype=float)
     logs, locs = _moment_batch(symbol, ks, scale)
     zero = inf_F(symbol)
-    log_all = np.concatenate([[-scale * zero.value], logs])
-    loc_all = np.concatenate([[zero.location], locs])
-    ratios = np.exp(log_all[:-1] - log_all[1:])
-    seq = QASequence(
-        symbol=symbol, scale=scale, k_max=int(k_max),
-        log_moments=tuple(float(v) for v in log_all[:-1]),
-        argmax_locations=tuple(float(v) for v in loc_all[:-1]),
-        tail_log_moment=float(log_all[-1]),
-        tail_argmax=float(loc_all[-1]),
-        ratio_bound=float(np.max(ratios)),
-    )
+    log_all = _readonly(np.concatenate([[-scale * zero.value], logs]))
+    seq = QASequence(symbol=symbol, scale=scale, k_max=int(k_max), log_moments=log_all,
+                     argmax_locations=_readonly(np.concatenate([[zero.location], locs])),
+                     ratios=_readonly(np.exp(log_all[:-1] - log_all[1:])))
     report = log_convexity_report(seq)
     if not report.holds:
         raise ConvergenceError(
@@ -167,8 +150,7 @@ def dc_partial_sum(seq: QASequence, K: int) -> float:
     """S_K = sum_{k=0}^{K-1} M_k / M_{k+1}, the ratio series partial sum."""
     if not (isinstance(K, (int, np.integer)) and 1 <= K <= seq.k_max + 1):
         raise ValidationError(f"K must be an integer in [1, {seq.k_max + 1}], got {K}")
-    logs = np.array(seq.log_moments + (seq.tail_log_moment,))
-    return float(np.sum(np.exp(logs[:K] - logs[1:K + 1])))
+    return float(np.sum(seq.ratios[:K]))
 
 
 @dataclass(frozen=True)
@@ -185,7 +167,7 @@ def log_convexity_report(seq: QASequence) -> ConvexityReport:
     the sequence bulges above its chords); tolerances are relative to the
     magnitude of log M_k so huge sequences are not judged at absolute 1e-12.
     """
-    logs = np.array(seq.log_moments + (seq.tail_log_moment,))
+    logs = seq.log_moments
     mid = logs[1:-1]
     viol = mid - 0.5 * (logs[:-2] + logs[2:])
     tol = 1e-9 * np.abs(mid) + 1e-12
@@ -272,7 +254,7 @@ def tk_bound_check(p: int, k) -> tuple:
 
     lo, hi = _bracket_root(lambda t: psi(t) - k, 1.0, 2.0, _R_CAP, f"t F'(t) = {k:g}")
     t_k = 0.5 * (lo + hi)
-    bound = 2.0 * k * float(IteratedLogAux(p).phi(k))
+    bound = 2.0 * k * float(_iterated_logs(k, p))
     return t_k, bound, bool(t_k <= bound * (1.0 + 1e-9))
 
 
@@ -281,15 +263,12 @@ def ratio_lower_bound_check(p: int, k) -> bool:
     symbol, p, k = _depth_symbol(p, k)
     logs, _ = _moment_batch(symbol, np.array([k - 1.0, k]), 1.0)
     ratio = math.exp(logs[0] - logs[1])
-    bound = 1.0 / (2.0 * k * float(IteratedLogAux(p).phi(k)))
+    bound = 1.0 / (2.0 * k * float(_iterated_logs(k, p)))
     return bool(ratio >= bound * (1.0 - 1e-9))
 
 
 def write_moments_csv(seq: QASequence, path) -> str:
     """Rows k = 0..k_max with the ratio M_k/M_{k+1} and the running ratio sum."""
-    logs = np.array(seq.log_moments + (seq.tail_log_moment,))
-    ratios = np.exp(logs[:-1] - logs[1:])
-    partial = np.cumsum(ratios)
     return _write_csv(path, "k,log_moment,argmax,ratio,dc_partial_sum",
-                      zip(range(seq.k_max + 1), seq.log_moments,
-                          seq.argmax_locations, ratios, partial))
+                      zip(range(seq.k_max + 1), seq.log_moments, seq.argmax_locations,
+                          seq.ratios, np.cumsum(seq.ratios)))

@@ -285,12 +285,12 @@ def estimate_spectral_constant(mask: SupportMask, R: float,
 
 
 def lyapunov(f: SpectralField, cfg: FeedbackConfig) -> float:
-    """V(f) = mu ||K_R f||^2 + ||(1 - K_R) f||^2."""
+    """V(f) = mu ||K_R f||^2 + max(||f||^2 - ||K_R f||^2, 0), the V run_stabilization records."""
     c = to_coefficients(f)
     total = float(np.vdot(c, c).real) / f.grid.box_measure
     low = c.reshape(-1)[_band_indices(f.grid, cfg.R)]
     low_sq = float(np.vdot(low, low).real) / f.grid.box_measure
-    return cfg.mu * low_sq + (total - low_sq)
+    return cfg.mu * low_sq + max(total - low_sq, 0.0)
 
 
 class _Stepper:

@@ -26,6 +26,16 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 
+
+def _iterated_logs(t, p: int):
+    """phi_p(t) = prod_{i=1..p} g^(i)(t) with g(t) = log(e + t), as a running product from 1.0."""
+    prod, cur = 1.0, np.asarray(t, dtype=float)
+    for _ in range(p):
+        cur = np.log(math.e + cur)
+        prod = prod * cur
+    return prod
+
+
 # name: (F_family(r, *args), describe label). The args are the symbol's
 # params, except for custom: its node radii and values, which the label counts.
 _FAMILIES = {
@@ -33,7 +43,7 @@ _FAMILIES = {
     "halfheat": (lambda r: r, "halfheat"),
     "loglog": (lambda r, s, delta: r**s / np.log(math.e + r) ** delta,
                "loglog(s={}, delta={})"),
-    "iterated": (lambda r, p: r / IteratedLogAux(int(p)).phi(r), "iterated(p={})"),
+    "iterated": (lambda r, p: r / _iterated_logs(r, p), "iterated(p={})"),
     # piecewise linear, flat beyond the table (np.interp clamps)
     "custom": (np.interp, "custom({nodes} nodes)"),
 }
@@ -191,61 +201,6 @@ def saturating(r_knee: float = 1.0, r_span: float = 200.0) -> MultiplierSymbol:
         np.geomspace(2.0 * knee, span, 2001)[1:],
     ])
     return MultiplierSymbol(family="custom", _nodes=(xs, xs / (knee + xs)))
-
-
-# ---------------------------------------------------------------------------
-# Iterated logarithm helper
-
-
-@dataclass(frozen=True)
-class IteratedLogAux:
-    """phi_p(t) = prod_{i=1..p} g^(i)(t) with g(t) = log(e + t), plus derivatives.
-
-    The log-derivative expansion
-        phi_p'/phi_p = sum_i (1/g^(i)) prod_{j<=i} 1/(e + g^(j-1))
-    is exact for every depth and doubles as the cross-check oracle for the
-    finite-difference route used by the bound checks.
-    """
-
-    depth: int
-
-    def __post_init__(self):
-        if not (1 <= self.depth <= 8):
-            raise ValidationError(f"depth must be in [1, 8], got {self.depth}")
-
-    @staticmethod
-    def g(t):
-        return np.log(math.e + np.asarray(t, dtype=float))
-
-    def iterates(self, t):
-        """[g(t), g(g(t)), ..., g^(depth)(t)]."""
-        out = []
-        cur = np.asarray(t, dtype=float)
-        for _ in range(self.depth):
-            cur = self.g(cur)
-            out.append(cur)
-        return out
-
-    def phi(self, t):
-        prod = np.ones_like(np.asarray(t, dtype=float))
-        for it in self.iterates(t):
-            prod = prod * it
-        return prod
-
-    def phi_log_derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        its = [t] + self.iterates(t)  # g^(0) .. g^(depth)
-        total = np.zeros_like(t)
-        chain = np.ones_like(t)
-        for i in range(1, self.depth + 1):
-            chain = chain / (math.e + its[i - 1])  # prod of g'(g^(j-1))
-            total = total + chain / its[i]
-        return total
-
-    def f_derivative(self, t):
-        """Closed-form derivative of F_p(t) = t / phi_p(t)."""
-        t = np.asarray(t, dtype=float)
-        return (1.0 - t * self.phi_log_derivative(t)) / self.phi(t)
 
 
 # ---------------------------------------------------------------------------

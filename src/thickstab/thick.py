@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import Grid, _check_count, _read_snapshot, _readonly, _snapshot_bytes, _write_bytes
+from .grid import (Grid, _check_count, _check_seed, _read_snapshot, _readonly, _snapshot_bytes,
+                   _write_bytes)
 
 _TSM1_MAGIC = b"TSM1"
 _SUBSAMPLES = 16  # sub-cell lattice per axis on cells a ball boundary cuts
@@ -170,6 +171,7 @@ def make_random_thick(grid: Grid, L: float, gamma: float, seed: int) -> SupportM
     """
     if not (np.isfinite(gamma) and 0 < gamma <= 1):
         raise ValidationError(f"gamma must lie in (0, 1], got {gamma}")
+    _check_seed(seed)
     W = _whole_cells(grid, L, "block length L", tile=True)
     cells_per_block = W**grid.dim
     m = int(math.ceil(gamma * cells_per_block - 1e-9))

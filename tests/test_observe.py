@@ -136,6 +136,33 @@ def test_probe_set_anchor_and_determinism():
                for p in make_probe_set(g, 8, seed=1, xi_fraction=1.0))
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5])
+def test_probe_set_needs_a_seed(seed):
+    # None would draw fresh OS entropy; -1 and 1.5 reached numpy's own errors
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        make_probe_set(make_grid(1, 16.0, 256), 4, seed)
+
+
+def _quadrature_call(entry, steps):
+    g, big = make_grid(1, 16.0, 256), make_grid(1, 32.0, 512)
+    if entry == "observability":
+        return estimate_observability_constant(halfheat(), make_periodic_thick(g, 1.0, 0.5), 0.5,
+                                               0.25, make_probe_set(g, 3, seed=5), steps)
+    if entry == "necessity":
+        return necessity_probe_scan(halfheat(), make_periodic_thick(g, 16.0, 0.5), 0.5, 0.25,
+                                    1.0, [7.0], 0.7, steps)
+    psi = field_from_values(big, np.exp(-0.5 * (big.axis_x - 16.0) ** 2))
+    return negative_limit_experiment(saturating(1.0), psi, 0.9, 1.0, (1.0,), steps)
+
+
+@pytest.mark.parametrize("entry, steps", [
+    ("observability", 40.5), ("necessity", 40.5), ("negative_limit", 2.5)])
+def test_quadrature_steps_must_be_an_integer(entry, steps):
+    # a float count reached range() in the time march as a bare TypeError
+    with pytest.raises(ValidationError, match=f"quadrature_steps must be an integer, got {steps}"):
+        _quadrature_call(entry, steps)
+
+
 def test_quadrature_doubling_stability():
     # halving the time step moves the certified constant by < 1e-6 relative
     g = make_grid(1, 16.0, 256)

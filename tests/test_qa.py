@@ -269,9 +269,9 @@ def test_log_convexity_across_families():
 
 def test_forged_convexity_violation_is_flagged():
     seq = build_sequence(halfheat(), 10)
-    logs = list(seq.log_moments)
+    logs = seq.log_moments.copy()
     logs[5] += 0.5
-    forged = dataclasses.replace(seq, log_moments=tuple(logs))
+    forged = dataclasses.replace(seq, log_moments=logs)
     rep = log_convexity_report(forged)
     assert not rep.holds
     assert rep.worst_k == 5
@@ -280,12 +280,18 @@ def test_forged_convexity_violation_is_flagged():
 
 
 def test_sequence_ratio_accessors():
+    # k = 0 .. k_max + 1 moments and maximizers, k = 0 .. k_max ratios, all read-only
     seq = build_sequence(halfheat(), 20)
-    assert seq.ratio(0) == pytest.approx(math.e, rel=1e-9)
-    assert seq.ratio(3) == pytest.approx(_halfheat_ratio(3), rel=1e-9)
-    assert seq.log_moment_at(21) == seq.tail_log_moment
-    with pytest.raises(ValidationError):
-        seq.ratio(21)
+    assert seq.log_moments.shape == seq.argmax_locations.shape == (22,)
+    assert seq.ratios.shape == (21,)
+    for a in (seq.log_moments, seq.argmax_locations, seq.ratios):
+        assert not a.flags.writeable
+    np.testing.assert_array_equal(seq.ratios, np.exp(seq.log_moments[:-1] - seq.log_moments[1:]))
+    np.testing.assert_allclose(seq.ratios, [_halfheat_ratio(k) for k in range(21)], rtol=1e-9)
+    assert seq.log_moments[21] == pytest.approx(21 * math.log(21) - 21, rel=1e-12)
+    assert seq.argmax_locations[21] == pytest.approx(21.0, rel=1e-6)
+    assert seq.ratio_bound == seq.ratios.max() == seq.ratios[0]
+    assert dc_partial_sum(seq, 21) == float(np.sum(seq.ratios))
     with pytest.raises(ValidationError):
         dc_partial_sum(seq, 0)
     with pytest.raises(ValidationError):

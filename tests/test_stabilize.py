@@ -9,6 +9,7 @@ scalar exponential, and a Strang step written out with plain FFTs. The
 stacked Duhamel residual is checked against a loop over the snapshots.
 """
 
+import dataclasses
 import itertools
 import math
 import re
@@ -29,7 +30,7 @@ from thickstab.stabilize import (FeedbackConfig, StabilizationResult,
                                  estimate_spectral_constant, lyapunov,
                                  run_stabilization, step_closed_loop,
                                  write_trajectory_csv, _RECORD_BLOCK,
-                                 _Stepper)
+                                 _Stepper, _band_indices)
 from thickstab.symbols import constant, halfheat, shifted
 from thickstab.thick import (SupportMask, make_full, make_periodic_thick,
                              make_random_thick)
@@ -215,6 +216,25 @@ def test_lyapunov_closed_form():
                           + 3.0 * np.exp(2j * np.pi * 20 * x / 16.0))
     want = cfg.mu * 4.0 * 16.0 + 9.0 * 16.0
     assert abs(lyapunov(f, cfg) - want) < 1e-9 * want
+
+
+def test_lyapunov_is_the_recorded_v_on_band_only_fields():
+    # ||f||^2 - ||K_R f||^2 rounds to either sign on a field inside |xi| <= R; V clamps it at 0
+    g = make_grid(1, 16.0, 256)
+    F, mask = halfheat(), make_periodic_thick(g, 1.0, 0.5)
+    cfg = dataclasses.replace(design_feedback(F, 8.0, C=1.0), mu=2.0)
+    band = _band_indices(g, cfg.R)
+    rng = np.random.default_rng(0)
+    for i in range(300):
+        c = np.zeros(g.shape, dtype=complex)
+        c.reshape(-1)[band] = rng.standard_normal(len(band)) + 1j * rng.standard_normal(len(band))
+        f = from_coefficients(g, c)
+        low = to_coefficients(f).reshape(-1)[band]
+        v = lyapunov(f, cfg)
+        assert v >= cfg.mu * float(np.vdot(low, low).real) / g.box_measure
+        if i < 20:
+            v0 = run_stabilization(f, F, mask, cfg, 4e-6, dt=4e-6).trajectory.lyapunov[0]
+            assert abs(v - v0) <= 1e-15 * v0
 
 
 def test_step_without_feedback_is_exact_semigroup():

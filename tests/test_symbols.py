@@ -7,7 +7,7 @@ import pytest
 
 from thickstab import symbols
 from thickstab.errors import ValidationError
-from thickstab.symbols import (IteratedLogAux, MultiplierSymbol, _default_hi, _refine_max,
+from thickstab.symbols import (MultiplierSymbol, _default_hi, _refine_max,
                                alpha_R, constant, custom, fractional, halfheat,
                                inf_F, iterated, loglog, saturating, shifted)
 
@@ -271,29 +271,22 @@ def test_describe_and_convexity_flags():
     # each family evaluates its formula bit for bit
     r = np.concatenate([np.linspace(0.0, 50.0, 101), np.geomspace(1e-3, 1e7, 50)])
     e = math.e
+    g1 = np.log(e + r)
+    g2 = np.log(e + g1)
+    g3 = np.log(e + g2)
     cases = [
         (fractional(1.5), r**3.0),
         (halfheat(), r),
         (loglog(2.0, 0.5), r**2.0 / np.log(e + r) ** 0.5),
-        (iterated(2), r / (np.log(e + r) * np.log(e + np.log(e + r)))),
+        (iterated(1), r / g1),
+        (iterated(2), r / (g1 * g2)),
+        (iterated(3), r / (g1 * g2 * g3)),
         (shifted(loglog(1.0, 1.5), 0.3), r**1.0 / np.log(e + r) ** 1.5 - 0.3),
         (custom([(0.0, 1.0), (1.0, 0.5), (3.0, 2.0)]),
          np.interp(r, [0.0, 1.0, 3.0], [1.0, 0.5, 2.0])),
     ]
     for F, want in cases:
         np.testing.assert_array_equal(F.eval(r), want, err_msg=F.describe())
-
-
-def test_iterated_log_derivative_oracle():
-    # closed-form log-derivative of phi_p vs central differences
-    for p in (1, 2, 3):
-        aux = IteratedLogAux(p)
-        t = np.array([1.0, 5.0, 50.0, 1e3, 1e6])
-        h = 1e-6 * t
-        fd = (np.log(aux.phi(t + h)) - np.log(aux.phi(t - h))) / (2 * h)
-        assert np.max(np.abs(aux.phi_log_derivative(t) - fd)) < 1e-6
-        fd_f = (iterated(p).eval(t + h) - iterated(p).eval(t - h)) / (2 * h)
-        assert np.max(np.abs(aux.f_derivative(t) - fd_f) / np.abs(fd_f)) < 1e-4
 
 
 def test_scalar_in_scalar_out():

@@ -138,6 +138,13 @@ def test_random_mask_2d_and_determinism():
     assert np.all(blocks == want)
 
 
+@pytest.mark.parametrize("seed", [None, -1, 1.5])
+def test_random_mask_needs_a_seed(seed):
+    # None would draw fresh OS entropy; -1 and 1.5 reached numpy's own errors
+    with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+        make_random_thick(make_grid(1, 16.0, 256), 2.0, 0.3, seed)
+
+
 def test_window_scan_validation():
     g = make_grid(1, 16.0, 256)
     m = make_full(g)
